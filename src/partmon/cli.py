@@ -8,12 +8,14 @@ usage errors and 65 for data errors (unparsable formulas, bad files).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
-from typing import Sequence
+from itertools import tee
+from typing import Sequence, TextIO
 
 from .fsm import Verdict, synthesize_monitor
-from .formats import emit_dot, emit_monitor, parse_monitor, parse_trace
+from .formats import emit_dot, emit_monitor, parse_monitor, trace_events
 from .ltl import Alphabet, Formula, atoms_in_order, parse_formula, LassoWord, lasso_eval
 from .partial import classify, partialize
 from .runtime import run_trace
@@ -57,10 +59,14 @@ def _write_text(path: str, text: str) -> None:
             handle.write(text)
 
 
-def _read_text(path: str) -> str:
+def _open_text(path: str) -> contextlib.AbstractContextManager[TextIO]:
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
+        return contextlib.nullcontext(sys.stdin)
+    return open(path, "r", encoding="utf-8")
+
+
+def _read_text(path: str) -> str:
+    with _open_text(path) as handle:
         return handle.read()
 
 
@@ -150,12 +156,21 @@ def _cmd_run(parser: argparse.ArgumentParser, args) -> int:
         _require_alphabet_choice(parser, args)
         phi, alphabet = _load_formula(args)
         machine = partialize(synthesize_monitor(phi, alphabet))
-    trace = parse_trace(_read_text(args.trace), machine.alphabet)
-    results = run_trace(machine, trace, stop_early=args.stop_early)
-    for position, verdict in results:
-        print(f"{position} {trace[position - 1]} {verdict.text}")
+    with _open_text(args.trace) as handle:
+        # run_trace reads events only as far as it steps; the tee keeps the
+        # names it read for the output lines.
+        events, names = tee(trace_events(handle))
+        results = run_trace(machine, events, stop_early=args.stop_early)
+    # Nothing is written before the run ends, so a bad event leaves stdout empty.
+    # Verdict.value is an enum property: look it up once per verdict, not per line.
+    texts = {verdict: verdict.value for verdict in Verdict}
+    lines = [
+        f"{position} {event} {texts[verdict]}\n"
+        for (position, verdict), event in zip(results, names)
+    ]
     final = results[-1][1] if results else machine.output(machine.initial)
-    print(f"FINAL {final.text}")
+    lines.append(f"FINAL {final.value}\n")
+    sys.stdout.write("".join(lines))
     return _VERDICT_EXIT[final]
 
 

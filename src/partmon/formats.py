@@ -15,18 +15,12 @@ Emission is deterministic: states in canonical order, transitions sorted by
 
 from __future__ import annotations
 
+from typing import Iterable, Iterator
+
 from .fsm import MooreMonitor, Verdict
 from .ltl import Alphabet, UnknownEventError
 
 PMF_VERSION = 1
-
-_OUTPUT_TEXT = {
-    Verdict.TOP: "TOP",
-    Verdict.BOT: "BOT",
-    Verdict.UNKNOWN: "?",
-    Verdict.GIVEUP: "x",
-}
-_TEXT_OUTPUT = {text: verdict for verdict, text in _OUTPUT_TEXT.items()}
 
 
 class FormatError(ValueError):
@@ -50,7 +44,7 @@ def emit_monitor(machine: MooreMonitor) -> str:
         f"INITIAL s{machine.initial}",
     ]
     for q in machine.states():
-        lines.append(f"STATE s{q} {_OUTPUT_TEXT[machine.outputs[q]]}")
+        lines.append(f"STATE s{q} {machine.outputs[q].value}")
     for q in machine.states():
         for k, event in enumerate(machine.alphabet):
             lines.append(f"TRANS s{q} {event} s{machine.delta[q][k]}")
@@ -107,9 +101,10 @@ def parse_monitor(text: str) -> MooreMonitor:
             name, output = parts[1], parts[2]
             if name in state_outputs:
                 raise ValidationError(f"line {lineno}: duplicate state '{name}'")
-            if output not in _TEXT_OUTPUT:
-                raise ValidationError(f"line {lineno}: unknown output {output!r}")
-            state_outputs[name] = _TEXT_OUTPUT[output]
+            try:
+                state_outputs[name] = Verdict(output)
+            except ValueError:
+                raise ValidationError(f"line {lineno}: unknown output {output!r}") from None
             state_order.append(name)
         elif record == "TRANS":
             if len(parts) != 4:
@@ -204,7 +199,7 @@ def emit_dot(machine: MooreMonitor) -> str:
     for q in machine.states():
         out = machine.outputs[q]
         lines.append(
-            f'  s{q} [label="s{q}\\n{_OUTPUT_TEXT[out]}", shape=circle, style=filled,'
+            f'  s{q} [label="s{q}\\n{out.value}", shape=circle, style=filled,'
             f' fillcolor="{_DOT_COLORS[out]}", fontcolor="{_DOT_FONT[out]}"];'
         )
     for q in machine.states():
@@ -218,18 +213,32 @@ def emit_dot(machine: MooreMonitor) -> str:
     return "\n".join(lines) + "\n"
 
 
+def trace_events(chunks: Iterable[str]) -> Iterator[str]:
+    """Yield a trace's events one at a time, reading ``chunks`` (pieces of the
+    trace text that end at line breaks, such as a file's lines) only as far
+    as the events are asked for.
+
+    Events are separated by whitespace and ``#`` starts a comment running to
+    the end of its line.
+    """
+    for chunk in chunks:
+        if "#" in chunk:
+            for line in chunk.splitlines():
+                yield from line.partition("#")[0].split()
+        else:
+            # every line break is whitespace to split()
+            yield from chunk.split()
+
+
 def parse_trace(text: str, alphabet: Alphabet) -> tuple[str, ...]:
     """Parse a whitespace-separated event trace; ``#`` comments to end of line.
 
     Raises UnknownEventError with the 1-based token position for events
     outside the alphabet.
     """
-    events: list[str] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0]
-        events.extend(line.split())
+    events = tuple(trace_events(text.splitlines()))
+    known = set(alphabet)
     for position, event in enumerate(events, start=1):
-        if event not in alphabet:
+        if event not in known:
             raise UnknownEventError(event, position)
-    return tuple(events)
-
+    return events

@@ -196,9 +196,13 @@ class MooreMonitor:
     ``partial`` records the output domain: False for three-valued machines
     (before give-up labeling), True once GIVEUP states are meaningful.
     All states must be reachable from the initial state.
+
+    ``_compiled`` holds the flat stepping table that
+    :func:`partmon.runtime.compile_monitor` builds on first use; machines that
+    are never run, such as synthesis intermediates, never pay for it.
     """
 
-    __slots__ = ("alphabet", "num_states", "initial", "delta", "outputs", "partial")
+    __slots__ = ("alphabet", "num_states", "initial", "delta", "outputs", "partial", "_compiled")
 
     def __init__(
         self,
@@ -215,6 +219,7 @@ class MooreMonitor:
         self.delta = tuple(tuple(row) for row in delta)
         self.outputs = tuple(outputs)
         self.partial = partial
+        self._compiled = None
         if not 0 <= initial < num_states:
             raise ValueError("initial state out of range")
         if len(self.delta) != num_states or len(self.outputs) != num_states:

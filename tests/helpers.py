@@ -26,6 +26,7 @@ from partmon.ltl import (
     Release,
     TRUE,
     TrueFormula,
+    UnknownEventError,
     Until,
 )
 
@@ -215,3 +216,29 @@ def giveup_only_machine(alphabet: Alphabet | None = None) -> MooreMonitor:
     return MooreMonitor(
         alphabet, 1, 0, [[0] * len(alphabet)], [Verdict.GIVEUP], partial=True
     )
+
+
+# --- reference stepper ---------------------------------------------------------
+
+def reference_states(machine: MooreMonitor, trace, stop_early: bool = False) -> list[int]:
+    """The machine's state after each consumed event, by the plain
+    ``delta[s][alphabet.index(e)]`` walk under the session discipline.
+
+    Every event is checked against the alphabet and counts toward positions;
+    once the state's verdict is final it no longer moves, whatever its edges
+    say.  With ``stop_early`` the walk ends before the first event that
+    arrives after conclusion.  The compiled runtime is tested against this.
+    """
+    state = machine.initial
+    states: list[int] = []
+    for position, event in enumerate(trace, start=1):
+        if stop_early and machine.outputs[state].is_final:
+            break
+        try:
+            column = machine.alphabet.index(event)
+        except UnknownEventError:
+            raise UnknownEventError(event, position) from None
+        if not machine.outputs[state].is_final:
+            state = machine.delta[state][column]
+        states.append(state)
+    return states

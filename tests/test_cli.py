@@ -222,6 +222,45 @@ def test_run_unknown_trace_event_exits_65(tmp_path, capsys):
     assert code == 65 and "warp" in err
 
 
+MIXED_RUN = ("run", "-f", "(ev1 & <>ev2) | (ev3 & []<>ev4)", "-a", "ev1,ev2,ev3,ev4")
+
+
+def test_run_stop_early_ignores_unknown_events_after_conclusion(tmp_path, capsys):
+    trace = tmp_path / "t.trace"
+    trace.write_text("ev1 ev2 warp\nev3\n")
+    code, out, _ = run_cli(capsys, *MIXED_RUN, "-t", str(trace), "--stop-early")
+    assert out == "1 ev1 ?\n2 ev2 TOP\nFINAL TOP\n"
+    assert code == 0
+    # without --stop-early every event is validated and nothing is printed
+    code, out, err = run_cli(capsys, *MIXED_RUN, "-t", str(trace))
+    assert code == 65 and out == "" and "warp" in err
+
+
+class _LiveStream:
+    """Stand-in for stdin that fails if read past ``limit`` lines."""
+
+    def __init__(self, lines, limit):
+        self.lines = iter(lines)
+        self.left = limit
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        if self.left == 0:
+            raise AssertionError("read past the concluding event")
+        self.left -= 1
+        return next(self.lines)
+
+
+def test_run_stop_early_stops_reading_at_conclusion(monkeypatch, capsys):
+    lines = ["ev1 # first\n", "ev2\n", "never read\n"]
+    monkeypatch.setattr(sys, "stdin", _LiveStream(lines, limit=2))
+    code, out, _ = run_cli(capsys, *MIXED_RUN, "-t", "-", "--stop-early")
+    assert out.splitlines() == ["1 ev1 ?", "2 ev2 TOP", "FINAL TOP"]
+    assert code == 0
+
+
 def test_run_requires_exactly_one_source(tmp_path):
     trace = tmp_path / "t.trace"
     trace.write_text("ev1\n")

@@ -1,8 +1,11 @@
 """PMF serialization, DOT export, and trace parsing."""
 
+import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partmon.formats import (
     FormatError,
@@ -11,6 +14,7 @@ from partmon.formats import (
     emit_monitor,
     parse_monitor,
     parse_trace,
+    trace_events,
 )
 from partmon.fsm import Verdict, moore_isomorphic, synthesize_monitor
 from partmon.ltl import UnknownEventError, parse_formula
@@ -203,3 +207,17 @@ def test_parse_trace_unknown_event_position():
 def test_parse_trace_multiline_with_comments():
     text = "ev1 ev2   # first burst\n\nev3\nev1 # tail\n"
     assert parse_trace(text, ALPHA3) == ("ev1", "ev2", "ev3", "ev1")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="ab #\n\r\t\x0b\x0c\x85\u2028", max_size=40))
+def test_trace_events_read_line_by_line_match_whole_text(text):
+    """``partmon run`` reads a trace file line by line; ``parse_trace`` splits
+    the whole text.  Both must yield the events of the plain rule: drop each
+    line's comment, then split on whitespace."""
+    expected = tuple(
+        event for line in text.splitlines() for event in line.split("#", 1)[0].split()
+    )
+    file_lines = io.StringIO(text, newline=None)  # how open() reads a trace file
+    assert tuple(trace_events(file_lines)) == expected
+    assert tuple(trace_events(text.splitlines())) == expected

@@ -4,10 +4,11 @@ import random
 
 import pytest
 
+from partmon.formats import parse_monitor
 from partmon.fsm import Verdict, monitor_verdict, synthesize_monitor
 from partmon.ltl import LassoWord, UnknownEventError, lasso_eval, parse_formula
 from partmon.partial import NotPartializedError, partialize
-from partmon.runtime import MonitorSession, run_trace, start
+from partmon.runtime import MonitorSession, compile_monitor, run_trace, start
 
 from helpers import (
     ALPHA3,
@@ -19,6 +20,7 @@ from helpers import (
     all_words,
     eventually_ev1_machine,
     random_formula,
+    reference_states,
 )
 
 
@@ -111,6 +113,17 @@ def test_step_rejects_unknown_event():
         session.step("warp_drive")
 
 
+def test_unknown_event_after_conclusion_reports_its_own_position():
+    session = start(_mixed_branches_monitor())
+    for event in ("ev1", "ev2", "ev1", "ev1"):
+        session.step(event)
+    with pytest.raises(UnknownEventError) as err:
+        session.step("zz")
+    assert err.value.position == 5
+    assert session.steps == 2  # transitions stop at conclusion
+    assert session.position == 4  # a rejected event is not counted
+
+
 # --- batch replay ----------------------------------------------------------------
 
 def test_run_trace_mixed_property_satisfaction():
@@ -172,3 +185,141 @@ def test_verdict_sequences_follow_the_session_discipline():
                 first = verdicts.index(settled[0])
                 assert all(v is Verdict.UNKNOWN for v in verdicts[:first])
                 assert all(v is settled[0] for v in verdicts[first:])
+
+
+# --- compiled runtime against the reference stepper ------------------------------
+
+def _replay_outcome(machine, trace, stop_early):
+    try:
+        return run_trace(machine, trace, stop_early=stop_early)
+    except UnknownEventError as err:
+        return ("unknown", err.event, err.position)
+
+
+def _reference_replay(machine, trace, stop_early):
+    try:
+        states = reference_states(machine, trace, stop_early)
+    except UnknownEventError as err:
+        return ("unknown", err.event, err.position)
+    return [(position, machine.outputs[q]) for position, q in enumerate(states, start=1)]
+
+
+def _session_records(machine, trace):
+    """(verdict, state, steps, position) after each step, then the error if any."""
+    session = start(machine)
+    records = []
+    try:
+        for event in trace:
+            records.append((session.step(event), session.current, session.steps, session.position))
+    except UnknownEventError as err:
+        records.append(("unknown", err.event, err.position))
+    return records
+
+
+def _reference_session(machine, trace):
+    records = []
+    for position in range(1, len(trace) + 1):
+        try:
+            states = reference_states(machine, trace[:position])
+        except UnknownEventError as err:
+            records.append(("unknown", err.event, err.position))
+            break
+        before = [machine.initial] + states[:-1]
+        steps = sum(not machine.outputs[q].is_final for q in before)
+        records.append((machine.outputs[states[-1]], states[-1], steps, position))
+    return records
+
+
+def _assert_matches_reference(machine, traces):
+    for trace in traces:
+        for stop_early in (False, True):
+            assert _replay_outcome(machine, trace, stop_early) == _reference_replay(
+                machine, trace, stop_early
+            ), (trace, stop_early)
+        assert _session_records(machine, trace) == _reference_session(machine, trace), trace
+
+
+def test_compiled_runtime_matches_reference_on_random_machines():
+    rng = random.Random(2713)
+    words = all_words(NAMES3, 5)
+    for _ in range(20):
+        machine = partialize(synthesize_monitor(random_formula(rng, 4), ALPHA3))
+        _assert_matches_reference(machine, words)
+
+
+def test_compiled_runtime_matches_reference_without_minimization():
+    rng = random.Random(2714)
+    words = all_words(NAMES3, 5)
+    for _ in range(10):
+        machine = partialize(
+            synthesize_monitor(random_formula(rng, 4), ALPHA3, minimize=False)
+        )
+        _assert_matches_reference(machine, words)
+
+
+# s2 (TOP) and s3 (give-up) have edges back to undecided states; a session that
+# reaches either must stay there.
+_LEAKY_FINALS_PMF = """\
+PMF 1
+ALPHABET ev1 ev2 ev3
+INITIAL s0
+STATE s0 ?
+STATE s1 ?
+STATE s2 TOP
+STATE s3 x
+TRANS s0 ev1 s2
+TRANS s0 ev2 s3
+TRANS s0 ev3 s1
+TRANS s1 ev1 s0
+TRANS s1 ev2 s1
+TRANS s1 ev3 s2
+TRANS s2 ev1 s0
+TRANS s2 ev2 s1
+TRANS s2 ev3 s3
+TRANS s3 ev1 s0
+TRANS s3 ev2 s1
+TRANS s3 ev3 s2
+"""
+
+
+def test_final_states_stay_put_despite_their_edges():
+    machine = parse_monitor(_LEAKY_FINALS_PMF)
+    assert run_trace(machine, ("ev1", "ev1", "ev3")) == [
+        (1, Verdict.TOP),
+        (2, Verdict.TOP),
+        (3, Verdict.TOP),
+    ]
+    session = start(machine)
+    for event in ("ev2", "ev1", "ev2", "ev3"):
+        assert session.step(event) is Verdict.GIVEUP
+    assert (session.current, session.steps, session.position) == (3, 1, 4)
+    _assert_matches_reference(machine, all_words(NAMES3, 5))
+
+
+def test_unknown_event_positions_match_reference():
+    rng = random.Random(2715)
+    machines = [parse_monitor(_LEAKY_FINALS_PMF)] + [
+        partialize(synthesize_monitor(random_formula(rng, 4), ALPHA3)) for _ in range(10)
+    ]
+    traces = [
+        word[:cut] + ("zz",) + word[cut:]
+        for word in all_words(NAMES3, 4)
+        for cut in range(len(word) + 1)
+    ]
+    absorbed = 0  # stop-early replays that never read the unknown event
+    for machine in machines:
+        _assert_matches_reference(machine, traces)
+        absorbed += sum(
+            isinstance(_replay_outcome(machine, trace, True), list) for trace in traces
+        )
+    assert absorbed  # the unknown event came after conclusion in some trace
+
+
+def test_table_is_built_on_first_run_and_kept():
+    machine = _mixed_branches_monitor()
+    assert machine._compiled is None  # synthesis does not pay for it
+    run_trace(machine, ("ev1",))
+    compiled = machine._compiled
+    assert compiled is not None
+    start(machine).step("ev2")
+    assert compile_monitor(machine) is compiled
