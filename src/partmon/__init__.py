@@ -39,16 +39,11 @@ from .ltl import (
 )
 from .buchi import Nba, ltl_to_nba, nba_accepts_lasso
 from .fsm import (
-    Dfa,
     MooreMonitor,
-    Nfa,
     Verdict,
-    determinize,
     minimize_moore,
     monitor_verdict,
     moore_isomorphic,
-    nba_to_nfa,
-    nfa_accepts,
     per_state_nonempty,
     synthesize_monitor,
 )
@@ -77,7 +72,6 @@ __all__ = [
     "Always",
     "And",
     "Atom",
-    "Dfa",
     "Eventually",
     "FALSE",
     "FalseFormula",
@@ -92,7 +86,6 @@ __all__ = [
     "MooreMonitor",
     "Nba",
     "Next",
-    "Nfa",
     "Not",
     "NotPartializedError",
     "Or",
@@ -106,7 +99,6 @@ __all__ = [
     "Verdict",
     "atoms_in_order",
     "classify",
-    "determinize",
     "emit_dot",
     "emit_monitor",
     "format_formula",
@@ -116,9 +108,7 @@ __all__ = [
     "monitor_verdict",
     "moore_isomorphic",
     "nba_accepts_lasso",
-    "nba_to_nfa",
     "negate_nnf",
-    "nfa_accepts",
     "nnf",
     "parse_formula",
     "parse_monitor",

@@ -1,10 +1,15 @@
-"""Translation of LTL formulas into nondeterministic Büchi automata.
+"""Translation of LTL formulas into generalized Büchi automata.
 
 The construction is the on-the-fly tableau expansion of Gerth, Peled, Vardi
 and Wolper (1995): nodes carry sets of obligations, Until/Release obligations
 split nodes, and the finished node graph becomes a generalized Büchi automaton
-with one acceptance set per Until subformula.  Generalized acceptance is then
-reduced to a single set with the usual counter product.
+with one acceptance set per Until subformula.  The acceptance sets are kept as
+they are: emptiness and lasso membership check every set directly, so no
+counter product is ever built.
+
+The expansion works on integers throughout: every subformula is numbered by
+its position in the canonical subformula order, and a node's obligation sets
+are bitsets over those numbers.
 
 Transition labels are concrete events, not proposition sets: an event
 satisfies a node's literal obligations iff every positive literal equals the
@@ -13,10 +18,9 @@ event and no negative literal does.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .graphs import strongly_connected_components
+from .graphs import accepting_components, bits
 from .ltl import (
     Alphabet,
     Always,
@@ -40,12 +44,15 @@ from .ltl import (
 
 
 class Nba:
-    """Nondeterministic Büchi automaton over concrete events.
+    """Generalized Büchi automaton over concrete events.
 
-    States are integers 0..num_states-1; acceptance is a single state set.
+    States are integers 0..num_states-1.  A run is accepting iff it visits
+    every set of ``accepting_sets`` infinitely often; with no sets at all,
+    every infinite run is accepting.  ``successor_masks[q][k]`` is the set of
+    successors of state ``q`` on the alphabet's ``k``-th event, as a bitset.
     """
 
-    __slots__ = ("alphabet", "num_states", "initial", "transitions", "accepting", "_succ")
+    __slots__ = ("alphabet", "num_states", "initial", "accepting_sets", "successor_masks")
 
     def __init__(
         self,
@@ -53,33 +60,57 @@ class Nba:
         num_states: int,
         initial: Iterable[int],
         transitions: Iterable[tuple[int, str, int]],
-        accepting: Iterable[int],
+        accepting_sets: Iterable[Iterable[int]],
     ):
-        self.alphabet = alphabet
-        self.num_states = num_states
-        self.initial = frozenset(initial)
-        self.transitions = tuple(sorted(set(transitions), key=self._edge_key(alphabet)))
-        self.accepting = frozenset(accepting)
-        if not self.initial:
-            raise ValueError("automaton needs at least one initial state")
-        for q in self.initial | self.accepting:
-            if not 0 <= q < num_states:
-                raise ValueError(f"state {q} out of range")
-        succ: dict[tuple[int, str], list[int]] = {}
-        for src, event, dst in self.transitions:
+        masks = [[0] * len(alphabet) for _ in range(num_states)]
+        for src, event, dst in transitions:
             if not (0 <= src < num_states and 0 <= dst < num_states):
                 raise ValueError(f"transition endpoint out of range: {(src, event, dst)}")
             if event not in alphabet:
                 raise ValueError(f"transition on unknown event '{event}'")
-            succ.setdefault((src, event), []).append(dst)
-        self._succ = {key: tuple(dsts) for key, dsts in succ.items()}
+            masks[src][alphabet.index(event)] |= 1 << dst
+        self._init(alphabet, num_states, initial, masks, accepting_sets)
 
-    @staticmethod
-    def _edge_key(alphabet: Alphabet):
-        return lambda edge: (edge[0], alphabet.index(edge[1]), edge[2])
+    @classmethod
+    def from_masks(
+        cls,
+        alphabet: Alphabet,
+        num_states: int,
+        initial: Iterable[int],
+        successor_masks: Sequence[Sequence[int]],
+        accepting_sets: Iterable[Iterable[int]],
+    ) -> "Nba":
+        """Build from per-state, per-event successor bitsets."""
+        nba = cls.__new__(cls)
+        nba._init(alphabet, num_states, initial, successor_masks, accepting_sets)
+        return nba
+
+    def _init(self, alphabet, num_states, initial, successor_masks, accepting_sets) -> None:
+        self.alphabet = alphabet
+        self.num_states = num_states
+        self.initial = frozenset(initial)
+        self.successor_masks = tuple(tuple(row) for row in successor_masks)
+        self.accepting_sets = tuple(frozenset(s) for s in accepting_sets)
+        if not self.initial:
+            raise ValueError("automaton needs at least one initial state")
+        for q in self.initial.union(*self.accepting_sets):
+            if not 0 <= q < num_states:
+                raise ValueError(f"state {q} out of range")
+
+    @property
+    def transitions(self) -> tuple[tuple[int, str, int], ...]:
+        """Every edge as ``(src, event, dst)``, ordered by source, event
+        index, then target."""
+        events = self.alphabet.symbols
+        return tuple(
+            (src, events[k], dst)
+            for src, row in enumerate(self.successor_masks)
+            for k, mask in enumerate(row)
+            for dst in bits(mask)
+        )
 
     def successors(self, state: int, event: str) -> tuple[int, ...]:
-        return self._succ.get((state, event), ())
+        return tuple(bits(self.successor_masks[state][self.alphabet.index(event)]))
 
 
 def _expand_temporal_sugar(phi: Formula) -> Formula:
@@ -105,32 +136,19 @@ def _expand_temporal_sugar(phi: Formula) -> Formula:
     raise TypeError(f"not a formula: {phi!r}")
 
 
-class _TableauNode:
-    __slots__ = ("incoming", "new", "old", "next")
-
-    def __init__(self, incoming: set[int], new: list[Formula], old: set[Formula], nxt: set[Formula]):
-        self.incoming = incoming
-        self.new = new
-        self.old = old
-        self.next = nxt
-
-    def split(self, eta: Formula, adds: Iterable[Formula], defer: bool) -> "_TableauNode":
-        new = list(self.new)
-        old = set(self.old)
-        old.add(eta)
-        for f in adds:
-            if f not in old and f not in new:
-                new.append(f)
-        nxt = set(self.next)
-        if defer:
-            nxt.add(eta)
-        return _TableauNode(set(self.incoming), new, old, nxt)
-
-
-def _negation_of(literal: Formula) -> Formula:
-    if isinstance(literal, Not):
-        return literal.arg
-    return Not(literal)
+# Obligation kinds of the integer-coded tableau.
+_TRUE, _FALSE, _LITERAL, _NEXT, _AND, _OR, _UNTIL, _RELEASE = range(8)
+_KIND = {
+    TrueFormula: _TRUE,
+    FalseFormula: _FALSE,
+    Atom: _LITERAL,
+    Not: _LITERAL,
+    Next: _NEXT,
+    And: _AND,
+    Or: _OR,
+    Until: _UNTIL,
+    Release: _RELEASE,
+}
 
 
 def ltl_to_nba(phi: Formula, alphabet: Alphabet) -> Nba:
@@ -145,230 +163,142 @@ def ltl_to_nba(phi: Formula, alphabet: Alphabet) -> Nba:
         raise ValueError("formula must be in negation normal form")
     goal = _expand_temporal_sugar(phi)
 
-    # Canonical obligation order makes node expansion, and therefore state
-    # numbering, independent of set iteration order.
+    # Obligation i, the i-th subformula in canonical order, is bit i of an
+    # obligation set; expanding the lowest bit first makes the expansion, and
+    # therefore the state numbering, deterministic.
     order = {f: i for i, f in enumerate(subformulas(goal))}
-    order.setdefault(TRUE, len(order))
-    order.setdefault(FALSE, len(order))
+    formulas = list(order)
+    kind = [_KIND[type(f)] for f in formulas]
+    left = [
+        order[f.arg if k == _NEXT else f.left] if k >= _NEXT else -1
+        for f, k in zip(formulas, kind)
+    ]
+    right = [order[f.right] if k > _NEXT else -1 for f, k in zip(formulas, kind)]
+    # Bit of the complementary literal, or 0 when it does not occur; and the
+    # events each literal allows.
+    clash = [0] * len(formulas)
+    allows: dict[int, int] = {}
+    everything = (1 << len(alphabet)) - 1
+    for i, f in enumerate(formulas):
+        if isinstance(f, Atom):
+            allows[i] = 1 << alphabet.index(f.name)
+        elif isinstance(f, Not):
+            clash[i] = 1 << order[f.arg]
+            clash[order[f.arg]] = 1 << i
+            allows[i] = everything & ~(1 << alphabet.index(f.arg.name))
+    literals = sum(1 << i for i in allows)
 
-    INIT = 0
-    node_old: list[frozenset[Formula]] = [frozenset()]  # placeholder for INIT
-    node_incoming: list[set[int]] = [set()]
-    finished: dict[tuple[frozenset[Formula], frozenset[Formula]], int] = {}
-
-    pending: list[_TableauNode] = [_TableauNode({INIT}, [goal], set(), set())]
-    while pending:
-        node = pending.pop()
-        if not node.new:
-            key = (frozenset(node.old), frozenset(node.next))
-            existing = finished.get(key)
-            if existing is not None:
-                node_incoming[existing] |= node.incoming
+    def expand(obligations: int) -> list[tuple[int, int]]:
+        """GPVW expansion of one node: the (old, next) obligation sets of
+        every finished node it splits into, in order of completion."""
+        covers = []
+        pending = [(obligations, 0, 0)]
+        while pending:
+            new, old, nxt = pending.pop()
+            if not new:
+                covers.append((old, nxt))
                 continue
-            nid = len(node_old)
-            finished[key] = nid
-            node_old.append(key[0])
-            node_incoming.append(set(node.incoming))
-            pending.append(
-                _TableauNode({nid}, sorted(node.next, key=order.__getitem__), set(), set())
-            )
-            continue
-
-        eta = min(node.new, key=order.__getitem__)
-        node.new.remove(eta)
-        if isinstance(eta, TrueFormula):
-            # Recorded like any granted obligation: an Until whose right side
-            # is literally true must see it in `old` to count as fulfilled.
-            node.old.add(eta)
-            pending.append(node)
-        elif isinstance(eta, FalseFormula):
-            pass  # contradiction: drop this node
-        elif isinstance(eta, (Atom, Not)):
-            if _negation_of(eta) in node.old:
-                pass
+            low = new & -new
+            eta = low.bit_length() - 1
+            new ^= low
+            k = kind[eta]
+            if k == _TRUE:
+                # Recorded like any granted obligation: an Until whose right
+                # side is literally true must see it in `old` to count as
+                # fulfilled.
+                pending.append((new, old | low, nxt))
+            elif k == _FALSE:
+                pass  # contradiction: drop this node
+            elif k == _LITERAL:
+                if not old & clash[eta]:
+                    pending.append((new, old | low, nxt))
+            elif k == _NEXT:
+                pending.append((new, old | low, nxt | 1 << left[eta]))
             else:
-                node.old.add(eta)
-                pending.append(node)
-        elif isinstance(eta, Next):
-            node.old.add(eta)
-            node.next.add(eta.arg)
-            pending.append(node)
-        elif isinstance(eta, And):
-            node.old.add(eta)
-            for f in (eta.left, eta.right):
-                if f not in node.old and f not in node.new:
-                    node.new.append(f)
-            pending.append(node)
-        elif isinstance(eta, Or):
-            pending.append(node.split(eta, [eta.right], defer=False))
-            pending.append(node.split(eta, [eta.left], defer=False))
-        elif isinstance(eta, Until):
-            # eta = l U r unfolds to r | (l & X eta)
-            pending.append(node.split(eta, [eta.right], defer=False))
-            pending.append(node.split(eta, [eta.left], defer=True))
-        elif isinstance(eta, Release):
-            # eta = l R r unfolds to r & (l | X eta)
-            pending.append(node.split(eta, [eta.left, eta.right], defer=False))
-            pending.append(node.split(eta, [eta.right], defer=True))
-        else:
-            raise ValueError("formula must be in negation normal form")
+                old |= low
+                lbit, rbit = 1 << left[eta], 1 << right[eta]
+                if k == _AND:
+                    pending.append((new | ((lbit | rbit) & ~old), old, nxt))
+                elif k == _OR:
+                    pending.append((new | (rbit & ~old), old, nxt))
+                    pending.append((new | (lbit & ~old), old, nxt))
+                elif k == _UNTIL:
+                    # eta = l U r unfolds to r | (l & X eta)
+                    pending.append((new | (rbit & ~old), old, nxt))
+                    pending.append((new | (lbit & ~old), old, nxt | low))
+                else:
+                    # eta = l R r unfolds to r & (l | X eta)
+                    pending.append((new | ((lbit | rbit) & ~old), old, nxt))
+                    pending.append((new | (rbit & ~old), old, nxt | low))
+        return covers
 
-    num_raw = len(node_old)
+    # State 0 is the initial placeholder that owes the goal; every other
+    # state is a finished tableau node, keyed by its (old, next) sets.  Nodes
+    # owing the same next obligations split alike, so each distinct set is
+    # expanded once and its successor row shared.
+    ids: dict[tuple[int, int], int] = {}
+    olds = [0]
+    owes = [1 << order[goal]]
+    rows: dict[int, tuple[int, ...]] = {}
+    masks = []
+    for obligations in owes:
+        row = rows.get(obligations)
+        if row is None:
+            targets = [0] * len(alphabet)
+            for key in expand(obligations):
+                # An event satisfies a node's literals iff it equals every
+                # positive one and differs from every negative one.
+                events = everything
+                for i in bits(key[0] & literals):
+                    events &= allows[i]
+                if not events:
+                    continue
+                dst = ids.get(key)
+                if dst is None:
+                    dst = ids[key] = len(owes)
+                    olds.append(key[0])
+                    owes.append(key[1])
+                for k in bits(events):
+                    targets[k] |= 1 << dst
+            row = rows[obligations] = tuple(targets)
+        masks.append(row)
 
-    # An event satisfies a node's literal set iff it equals every positive
-    # literal and differs from every negative one.
-    def compatible_events(nid: int) -> list[str]:
-        positives = sorted(
-            {f.name for f in node_old[nid] if isinstance(f, Atom)}, key=alphabet.index
-        )
-        negatives = {f.arg.name for f in node_old[nid] if isinstance(f, Not)}
-        if len(positives) > 1:
-            return []
-        if len(positives) == 1:
-            return positives if positives[0] not in negatives else []
-        return [e for e in alphabet if e not in negatives]
-
-    edges: list[tuple[int, str, int]] = []
-    for nid in range(1, num_raw):
-        events = compatible_events(nid)
-        for src in sorted(node_incoming[nid]):
-            for event in events:
-                edges.append((src, event, nid))
-
-    untils = [f for f in subformulas(goal) if isinstance(f, Until)]
     accepting_sets = [
-        frozenset(
-            nid
-            for nid in range(1, num_raw)
-            if u not in node_old[nid] or u.right in node_old[nid]
-        )
-        for u in untils
+        [q for q in range(1, len(olds)) if not olds[q] >> u & 1 or olds[q] >> right[u] & 1]
+        for u in range(len(formulas))
+        if kind[u] == _UNTIL
     ]
-
-    if len(accepting_sets) > 1:
-        states, initial, edges, accepting = _degeneralize(
-            num_raw, INIT, edges, accepting_sets, alphabet
-        )
-    else:
-        states = num_raw
-        initial = INIT
-        accepting = accepting_sets[0] if accepting_sets else frozenset(range(num_raw))
-
-    return _prune_and_renumber(alphabet, states, initial, edges, accepting)
-
-
-def _degeneralize(
-    num_states: int,
-    initial: int,
-    edges: list[tuple[int, str, int]],
-    accepting_sets: list[frozenset[int]],
-    alphabet: Alphabet,
-) -> tuple[int, int, list[tuple[int, str, int]], frozenset[int]]:
-    """Counter product: track which acceptance set is awaited; the counter
-    advances when leaving a state of the awaited set, and a run is accepting
-    iff it sees set 0 with counter 0 infinitely often."""
-    k = len(accepting_sets)
-    succ: dict[int, list[tuple[int, str, int]]] = {}
-    for src, event, dst in edges:
-        succ.setdefault(src, []).append((alphabet.index(event), event, dst))
-    for lst in succ.values():
-        lst.sort()
-
-    ids: dict[tuple[int, int], int] = {(initial, 0): 0}
-    queue = deque([(initial, 0)])
-    out_edges: list[tuple[int, str, int]] = []
-    while queue:
-        q, i = queue.popleft()
-        src_id = ids[(q, i)]
-        j = (i + 1) % k if q in accepting_sets[i] else i
-        for _, event, dst in succ.get(q, ()):
-            key = (dst, j)
-            dst_id = ids.get(key)
-            if dst_id is None:
-                dst_id = len(ids)
-                ids[key] = dst_id
-                queue.append(key)
-            out_edges.append((src_id, event, dst_id))
-    accepting = frozenset(
-        sid for (q, i), sid in ids.items() if i == 0 and q in accepting_sets[0]
-    )
-    return len(ids), 0, out_edges, accepting
-
-
-def _prune_and_renumber(
-    alphabet: Alphabet,
-    num_states: int,
-    initial: int,
-    edges: list[tuple[int, str, int]],
-    accepting: frozenset[int],
-) -> Nba:
-    succ: dict[tuple[int, str], list[int]] = {}
-    for src, event, dst in edges:
-        succ.setdefault((src, event), []).append(dst)
-    for lst in succ.values():
-        lst.sort()
-
-    renamed = {initial: 0}
-    queue = deque([initial])
-    order = [initial]
-    while queue:
-        q = queue.popleft()
-        for event in alphabet:
-            for dst in succ.get((q, event), ()):
-                if dst not in renamed:
-                    renamed[dst] = len(renamed)
-                    order.append(dst)
-                    queue.append(dst)
-    new_edges = [
-        (renamed[src], event, renamed[dst])
-        for (src, event, dst) in edges
-        if src in renamed and dst in renamed
-    ]
-    new_accepting = [renamed[q] for q in accepting if q in renamed]
-    return Nba(alphabet, len(renamed), [0], new_edges, new_accepting)
+    return Nba.from_masks(alphabet, len(owes), [0], masks, accepting_sets)
 
 
 def nba_accepts_lasso(automaton: Nba, word) -> bool:
     """Decide whether the ultimately periodic word stem · loop^ω is accepted.
 
     Explores the product of the automaton with the lasso positions and looks
-    for a reachable cycle through an accepting state.  Any cycle necessarily
-    lives in the loop segment, since stem positions cannot repeat.
+    for a reachable cycle whose states meet every acceptance set.  Any cycle
+    necessarily lives in the loop segment, since stem positions cannot repeat.
     """
-    events = word.stem + word.loop
+    events = [automaton.alphabet.index(e) for e in word.stem + word.loop]
     n = len(events)
     loop_entry = len(word.stem)
 
     ids: dict[tuple[int, int], int] = {}
     nodes: list[tuple[int, int]] = []
-    adjacency: list[list[int]] = []
-
-    def node_id(q: int, pos: int) -> int:
-        got = ids.get((q, pos))
-        if got is None:
-            got = len(nodes)
-            ids[(q, pos)] = got
-            nodes.append((q, pos))
-            adjacency.append([])
-        return got
-
-    queue = deque()
     for q in sorted(automaton.initial):
-        node_id(q, 0)
-        queue.append((q, 0))
-    expanded = set(queue)
-    while queue:
-        q, pos = queue.popleft()
-        src = ids[(q, pos)]
+        ids[(q, 0)] = len(nodes)
+        nodes.append((q, 0))
+    adjacency: list[list[int]] = []
+    for q, pos in nodes:
         nxt = pos + 1 if pos + 1 < n else loop_entry
-        for dst in automaton.successors(q, events[pos]):
-            adjacency[src].append(node_id(dst, nxt))
-            if (dst, nxt) not in expanded:
-                expanded.add((dst, nxt))
-                queue.append((dst, nxt))
+        out = []
+        for dst in bits(automaton.successor_masks[q][events[pos]]):
+            key = (dst, nxt)
+            got = ids.get(key)
+            if got is None:
+                got = ids[key] = len(nodes)
+                nodes.append(key)
+            out.append(got)
+        adjacency.append(out)
 
-    for component in strongly_connected_components(adjacency):
-        cyclic = len(component) > 1 or any(v in adjacency[v] for v in component)
-        if cyclic and any(nodes[v][0] in automaton.accepting for v in component):
-            return True
-    return False
+    state_of = [q for q, _ in nodes]
+    return bool(accepting_components(adjacency, state_of, automaton.accepting_sets))

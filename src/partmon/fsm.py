@@ -1,20 +1,21 @@
 """From Büchi automata to executable Moore-machine monitors.
 
-The pipeline runs once for a formula and once for its negation: per-state
-emptiness turns each NBA into an NFA over finite prefixes, the NFA is
-determinized by the subset construction, and the two DFAs are combined into a
-Moore machine whose state output says whether the prefix read so far already
-settles the property.
+Synthesis builds a generalized Büchi automaton for a formula and one for its
+negation, drops every state with an empty omega-language, and runs the subset
+construction of both sides in one product.  A product state's output says
+whether the prefix read so far already settles the property.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from enum import Enum
-from typing import Iterable, Sequence
+from functools import reduce
+from operator import or_
+from typing import Callable, Sequence
 
 from .buchi import Nba, ltl_to_nba
-from .graphs import reachable_from, strongly_connected_components
+from .graphs import accepting_components, bits, reachable_from
 from .ltl import Alphabet, Formula, negate_nnf, nnf, validate_formula
 
 
@@ -53,140 +54,60 @@ class Verdict(Enum):
         return self
 
 
-class Nfa:
-    """Nondeterministic finite automaton over the same graph as an NBA."""
-
-    __slots__ = ("alphabet", "num_states", "initial", "transitions", "finals", "_succ")
-
-    def __init__(
-        self,
-        alphabet: Alphabet,
-        num_states: int,
-        initial: Iterable[int],
-        transitions: Iterable[tuple[int, str, int]],
-        finals: Iterable[int],
-    ):
-        self.alphabet = alphabet
-        self.num_states = num_states
-        self.initial = frozenset(initial)
-        self.transitions = tuple(sorted(set(transitions), key=lambda e: (e[0], alphabet.index(e[1]), e[2])))
-        self.finals = frozenset(finals)
-        for q in self.initial | self.finals:
-            if not 0 <= q < num_states:
-                raise ValueError(f"state {q} out of range")
-        succ: dict[tuple[int, str], list[int]] = {}
-        for src, event, dst in self.transitions:
-            if not (0 <= src < num_states and 0 <= dst < num_states):
-                raise ValueError(f"transition endpoint out of range: {(src, event, dst)}")
-            succ.setdefault((src, event), []).append(dst)
-        self._succ = {key: tuple(dsts) for key, dsts in succ.items()}
-
-    def successors(self, state: int, event: str) -> tuple[int, ...]:
-        return self._succ.get((state, event), ())
-
-
-class Dfa:
-    """Deterministic finite automaton with a total transition function."""
-
-    __slots__ = ("alphabet", "num_states", "initial", "delta", "finals")
-
-    def __init__(
-        self,
-        alphabet: Alphabet,
-        num_states: int,
-        initial: int,
-        delta: Sequence[Sequence[int]],
-        finals: Iterable[int],
-    ):
-        self.alphabet = alphabet
-        self.num_states = num_states
-        self.initial = initial
-        self.delta = tuple(tuple(row) for row in delta)
-        self.finals = frozenset(finals)
-        if not 0 <= initial < num_states:
-            raise ValueError("initial state out of range")
-        if len(self.delta) != num_states:
-            raise ValueError("delta must have one row per state")
-        for row in self.delta:
-            if len(row) != len(alphabet):
-                raise ValueError("delta must be total: one entry per event")
-            for dst in row:
-                if not 0 <= dst < num_states:
-                    raise ValueError(f"transition target {dst} out of range")
-
-    def step(self, state: int, event: str) -> int:
-        return self.delta[state][self.alphabet.index(event)]
-
-
 def per_state_nonempty(automaton: Nba) -> frozenset[int]:
     """States that generate a nonempty omega-language when made initial.
 
-    Computed by SCC decomposition: a state qualifies iff it can reach an
-    accepting state lying on a cycle (an SCC with at least one internal
-    transition, which for singleton components means a self-loop).
+    Computed by SCC decomposition: a state qualifies iff it can reach a
+    nontrivial SCC (one with an internal transition, which for a singleton
+    component means a self-loop) that meets every acceptance set.
     """
-    adjacency: list[list[int]] = [[] for _ in range(automaton.num_states)]
+    adjacency: list[list[int]] = []
     reverse: list[list[int]] = [[] for _ in range(automaton.num_states)]
-    for src, _, dst in automaton.transitions:
-        adjacency[src].append(dst)
-        reverse[dst].append(src)
-
-    seeds: set[int] = set()
-    for component in strongly_connected_components(adjacency):
-        cyclic = len(component) > 1 or any(v in adjacency[v] for v in component)
-        if cyclic:
-            seeds.update(q for q in component if q in automaton.accepting)
+    for src, row in enumerate(automaton.successor_masks):
+        targets = list(bits(reduce(or_, row, 0)))
+        adjacency.append(targets)
+        for dst in targets:
+            reverse[dst].append(src)
+    seeds = [
+        q
+        for component in accepting_components(adjacency, range(automaton.num_states), automaton.accepting_sets)
+        for q in component
+    ]
     return frozenset(reachable_from(reverse, seeds))
 
 
-def nba_to_nfa(automaton: Nba) -> Nfa:
-    """Reinterpret the NBA over finite words: the finals are the states with a
-    nonempty omega-language, so the NFA accepts exactly the prefixes that have
-    at least one infinite continuation accepted by the NBA."""
-    return Nfa(
-        automaton.alphabet,
-        automaton.num_states,
-        automaton.initial,
-        automaton.transitions,
-        per_state_nonempty(automaton),
-    )
+def _live_subsets(automaton: Nba) -> tuple[int, Callable[[int], tuple[int, ...]]]:
+    """The subset construction over the automaton's live states, as bitsets.
 
+    Returns the initial subset and a memoized function from a subset to its
+    successor subset per event.  Dead states can only reach dead states, so
+    dropping them loses nothing: a subset accepts a prefix (has a satisfying
+    continuation) exactly when it is nonempty.
+    """
+    live = sum(1 << q for q in per_state_nonempty(automaton))
+    # Each state's successors on every event packed into one integer, event
+    # k in bits k*n .. k*n+n-1, so a subset's row is one OR per member.
+    n = automaton.num_states
+    lanes = range(0, n * len(automaton.alphabet), n)
+    packed = [
+        sum((mask & live) << lane for mask, lane in zip(row, lanes))
+        for row in automaton.successor_masks
+    ]
+    rows: dict[int, tuple[int, ...]] = {}
 
-def nfa_accepts(automaton: Nfa, word: Sequence[str]) -> bool:
-    current = set(automaton.initial)
-    for event in word:
-        current = {dst for q in current for dst in automaton.successors(q, event)}
-        if not current:
-            return False
-    return bool(current & automaton.finals)
+    def row(subset: int) -> tuple[int, ...]:
+        got = rows.get(subset)
+        if got is None:
+            union = 0
+            rest = subset
+            while rest:
+                low = rest & -rest
+                union |= packed[low.bit_length() - 1]
+                rest ^= low
+            got = rows[subset] = tuple((union >> lane) & live for lane in lanes)
+        return got
 
-
-def determinize(automaton: Nfa) -> Dfa:
-    """Rabin–Scott subset construction; only reachable subsets are built and
-    the empty subset serves as the non-final sink."""
-    alphabet = automaton.alphabet
-    start = frozenset(automaton.initial)
-    ids: dict[frozenset[int], int] = {start: 0}
-    queue: deque[frozenset[int]] = deque([start])
-    subsets: list[frozenset[int]] = [start]
-    delta_rows: list[list[int]] = []
-    while queue:
-        subset = queue.popleft()
-        row = []
-        for event in alphabet:
-            target = frozenset(
-                dst for q in subset for dst in automaton.successors(q, event)
-            )
-            dst_id = ids.get(target)
-            if dst_id is None:
-                dst_id = len(ids)
-                ids[target] = dst_id
-                subsets.append(target)
-                queue.append(target)
-            row.append(dst_id)
-        delta_rows.append(row)
-    finals = [i for i, subset in enumerate(subsets) if subset & automaton.finals]
-    return Dfa(alphabet, len(subsets), 0, delta_rows, finals)
+    return sum(1 << q for q in automaton.initial) & live, row
 
 
 class MooreMonitor:
@@ -255,44 +176,47 @@ def synthesize_monitor(
 ) -> MooreMonitor:
     """Synthesize the three-valued monitor for ``phi``.
 
-    Runs the NBA/NFA/DFA pipeline for the formula and its negation, then takes
-    the synchronous product.  A product state outputs TOP when the negation
-    side can no longer accept (no continuation violates), BOT when the formula
-    side cannot (no continuation satisfies), UNKNOWN otherwise.  With
+    Builds the automata for the formula and its negation and explores the
+    product of their live subset constructions in one breadth-first pass.  A
+    product state outputs TOP when the negation side's subset is empty (no
+    continuation violates), BOT when the formula side's is (no continuation
+    satisfies), UNKNOWN otherwise.  Conclusive verdicts never change, so all
+    TOP states are one absorbing sink, and all BOT states another.  With
     ``minimize`` (the default) the result is the unique minimal machine.
     """
     validate_formula(phi, alphabet)
-    dfa_pos = determinize(nba_to_nfa(ltl_to_nba(nnf(phi), alphabet)))
-    dfa_neg = determinize(nba_to_nfa(ltl_to_nba(negate_nnf(phi), alphabet)))
+    pos_start, pos_row = _live_subsets(ltl_to_nba(nnf(phi), alphabet))
+    neg_start, neg_row = _live_subsets(ltl_to_nba(negate_nnf(phi), alphabet))
 
-    ids: dict[tuple[int, int], int] = {(dfa_pos.initial, dfa_neg.initial): 0}
-    queue = deque([(dfa_pos.initial, dfa_neg.initial)])
+    # Sink keys cannot collide with a pair of two nonempty subsets.
+    top, bot = (-1, 0), (0, -1)
+
+    def key(pos: int, neg: int) -> tuple[int, int]:
+        if pos and neg:
+            return (pos, neg)
+        if pos:
+            return top
+        if neg:
+            return bot
+        raise AssertionError("internal error: product state is dead on both sides")
+
+    start = key(pos_start, neg_start)
+    ids: dict[tuple[int, int], int] = {start: 0}
+    pairs: list[tuple[int, int]] = [start]
     delta_rows: list[list[int]] = []
     outputs: list[Verdict] = []
-    pairs: list[tuple[int, int]] = [(dfa_pos.initial, dfa_neg.initial)]
-    while queue:
-        qp, qn = queue.popleft()
-        can_satisfy = qp in dfa_pos.finals
-        can_violate = qn in dfa_neg.finals
-        if not can_satisfy and not can_violate:
-            raise AssertionError(
-                "internal error: product state is dead on both sides"
-            )
-        if not can_violate:
-            outputs.append(Verdict.TOP)
-        elif not can_satisfy:
-            outputs.append(Verdict.BOT)
-        else:
-            outputs.append(Verdict.UNKNOWN)
+    for state, (pos, neg) in enumerate(pairs):
+        if pos < 0 or neg < 0:
+            outputs.append(Verdict.TOP if neg == 0 else Verdict.BOT)
+            delta_rows.append([state] * len(alphabet))
+            continue
+        outputs.append(Verdict.UNKNOWN)
         row = []
-        for k in range(len(alphabet)):
-            target = (dfa_pos.delta[qp][k], dfa_neg.delta[qn][k])
+        for target in map(key, pos_row(pos), neg_row(neg)):
             dst_id = ids.get(target)
             if dst_id is None:
-                dst_id = len(ids)
-                ids[target] = dst_id
+                dst_id = ids[target] = len(pairs)
                 pairs.append(target)
-                queue.append(target)
             row.append(dst_id)
         delta_rows.append(row)
 

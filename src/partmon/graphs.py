@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 def strongly_connected_components(adjacency: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -67,3 +67,28 @@ def reachable_from(adjacency: Sequence[Sequence[int]], starts: Iterable[int]) ->
                 seen.add(w)
                 queue.append(w)
     return seen
+
+
+def bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def accepting_components(
+    adjacency: Sequence[Sequence[int]],
+    state_of: Sequence[int],
+    accepting_sets: Sequence[frozenset[int]],
+) -> list[list[int]]:
+    """Nontrivial SCCs whose states (mapped through ``state_of``) meet every
+    acceptance set."""
+    found = []
+    for component in strongly_connected_components(adjacency):
+        if len(component) == 1 and component[0] not in adjacency[component[0]]:
+            continue
+        states = {state_of[v] for v in component}
+        if all(not states.isdisjoint(s) for s in accepting_sets):
+            found.append(component)
+    return found

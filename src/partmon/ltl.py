@@ -308,11 +308,21 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+#: Deepest nesting :func:`parse_formula` accepts, where every operator and
+#: every pair of parentheses is one level.  Deeper text is rejected before the
+#: parser recurses that far, which keeps the parser and every recursive pass
+#: over a parsed formula well inside Python's recursion limit.
+MAX_FORMULA_DEPTH = 100
+
+_Parsed = tuple[Formula, int]  # a subtree and its nesting depth
+
+
 class _Parser:
     def __init__(self, text: str, alphabet: Alphabet | None):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.alphabet = alphabet
+        self.open = 0  # levels the parser is nested in right now
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -322,78 +332,97 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def descend(self, at: int, parse) -> _Parsed:
+        """Parse a subformula one nesting level further down."""
+        self.open += 1
+        if self.open > MAX_FORMULA_DEPTH:
+            raise _too_deep(at)
+        parsed = parse()
+        self.open -= 1
+        return parsed
+
+    @staticmethod
+    def level(at: int, *depths: int) -> int:
+        """Depth of a level over subtrees of these depths."""
+        depth = 1 + max(depths)
+        if depth > MAX_FORMULA_DEPTH:
+            raise _too_deep(at)
+        return depth
+
+    def node(self, op, at: int, *parts: _Parsed) -> _Parsed:
+        return op(*(phi for phi, _ in parts)), self.level(at, *(d for _, d in parts))
+
     def parse(self) -> Formula:
-        phi = self.implication()
+        phi, _ = self.implication()
         kind, text, at = self.peek()
         if kind != "END":
             raise FormulaSyntaxError(f"unexpected {text!r} after formula", at)
         return phi
 
-    def implication(self) -> Formula:
+    def implication(self) -> _Parsed:
         left = self.disjunction()
         if self.peek()[0] == "IMPLIES":
-            self.advance()
-            return Implies(left, self.implication())
+            at = self.advance()[2]
+            return self.node(Implies, at, left, self.descend(at, self.implication))
         return left
 
-    def disjunction(self) -> Formula:
+    def disjunction(self) -> _Parsed:
         left = self.conjunction()
         while self.peek()[0] == "OR":
-            self.advance()
-            left = Or(left, self.conjunction())
+            at = self.advance()[2]
+            left = self.node(Or, at, left, self.conjunction())
         return left
 
-    def conjunction(self) -> Formula:
+    def conjunction(self) -> _Parsed:
         left = self.until()
         while self.peek()[0] == "AND":
-            self.advance()
-            left = And(left, self.until())
+            at = self.advance()[2]
+            left = self.node(And, at, left, self.until())
         return left
 
-    def until(self) -> Formula:
+    def until(self) -> _Parsed:
         left = self.unary()
-        kind = self.peek()[0]
+        kind, _, at = self.peek()
         if kind in ("UNTIL", "RELEASE"):
             self.advance()
-            right = self.until()
-            return Until(left, right) if kind == "UNTIL" else Release(left, right)
+            right = self.descend(at, self.until)
+            return self.node(Until if kind == "UNTIL" else Release, at, left, right)
         return left
 
-    def unary(self) -> Formula:
-        kind, _, _ = self.peek()
-        if kind == "NOT":
-            self.advance()
-            return Not(self.unary())
-        if kind == "NEXT":
-            self.advance()
-            return Next(self.unary())
-        if kind == "EVENTUALLY":
-            self.advance()
-            return Eventually(self.unary())
-        if kind == "ALWAYS":
-            self.advance()
-            return Always(self.unary())
-        return self.primary()
+    def unary(self) -> _Parsed:
+        kind, _, at = self.peek()
+        op = _UNARY_TOKENS.get(kind)
+        if op is None:
+            return self.primary()
+        self.advance()
+        return self.node(op, at, self.descend(at, self.unary))
 
-    def primary(self) -> Formula:
+    def primary(self) -> _Parsed:
         kind, text, at = self.advance()
         if kind == "TRUE":
-            return TRUE
+            return TRUE, 0
         if kind == "FALSE":
-            return FALSE
+            return FALSE, 0
         if kind == "NAME":
             if self.alphabet is not None and text not in self.alphabet:
                 raise UnknownAtomError(text, at)
-            return Atom(text)
+            return Atom(text), 0
         if kind == "LPAREN":
-            phi = self.implication()
+            phi, depth = self.descend(at, self.implication)
             k, t, p = self.advance()
             if k != "RPAREN":
                 raise FormulaSyntaxError(f"expected ')', found {t!r}" if t else "expected ')'", p)
-            return phi
+            return phi, self.level(at, depth)
         if kind == "END":
             raise FormulaSyntaxError("expected a formula, found end of input", at)
         raise FormulaSyntaxError(f"expected a formula, found {text!r}", at)
+
+
+_UNARY_TOKENS = {"NOT": Not, "NEXT": Next, "EVENTUALLY": Eventually, "ALWAYS": Always}
+
+
+def _too_deep(at: int) -> FormulaSyntaxError:
+    return FormulaSyntaxError(f"formula nested deeper than {MAX_FORMULA_DEPTH} levels", at)
 
 
 def parse_formula(text: str, alphabet: Alphabet | None = None) -> Formula:
@@ -402,7 +431,8 @@ def parse_formula(text: str, alphabet: Alphabet | None = None) -> Formula:
     Precedence, tightest first: unary (``!``, ``X``, ``F``/``<>``, ``G``/``[]``),
     then ``U``/``R`` (right-associative), then ``&``, ``|``, and ``->``
     (right-associative).  With an alphabet, atoms outside it raise
-    UnknownAtomError; without one, any identifier is accepted.
+    UnknownAtomError; without one, any identifier is accepted.  Text nested
+    deeper than :data:`MAX_FORMULA_DEPTH` levels raises FormulaSyntaxError.
     """
     return _Parser(text, alphabet).parse()
 

@@ -1,14 +1,17 @@
 """Shared test utilities: formula generators, word families, golden machines,
-and a second, deliberately naive semantics evaluator used to cross-check the
-fixpoint one.
+a second, deliberately naive semantics evaluator used to cross-check the
+fixpoint one, and the plain subset-construction route that synthesis is
+checked against.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 
-from partmon.fsm import MooreMonitor, Verdict
+from partmon.buchi import Nba, ltl_to_nba
+from partmon.fsm import MooreMonitor, Verdict, per_state_nonempty
 from partmon.ltl import (
     Alphabet,
     Always,
@@ -28,6 +31,8 @@ from partmon.ltl import (
     TrueFormula,
     UnknownEventError,
     Until,
+    negate_nnf,
+    nnf,
 )
 
 NAMES3 = ("ev1", "ev2", "ev3")
@@ -242,3 +247,82 @@ def reference_states(machine: MooreMonitor, trace, stop_early: bool = False) -> 
             state = machine.delta[state][column]
         states.append(state)
     return states
+
+
+# --- plain synthesis route --------------------------------------------------------
+
+class ReferenceDfa:
+    """Subset automaton of an NBA read over finite words: state ``i`` is the
+    subset ``subsets[i]`` of NBA states, and it is final iff it holds a state
+    with a nonempty omega-language."""
+
+    def __init__(self, alphabet, subsets, delta, finals):
+        self.alphabet = alphabet
+        self.subsets = subsets
+        self.num_states = len(subsets)
+        self.initial = 0
+        self.delta = delta
+        self.finals = finals
+
+    def step(self, state: int, event: str) -> int:
+        return self.delta[state][self.alphabet.index(event)]
+
+
+def determinize(nba: Nba) -> ReferenceDfa:
+    """Rabin–Scott subset construction over every NBA state, dead ones
+    included, with frozensets; the empty subset is the non-final sink."""
+    live = per_state_nonempty(nba)
+    start = frozenset(nba.initial)
+    ids = {start: 0}
+    subsets = [start]
+    delta = []
+    queue = deque([start])
+    while queue:
+        subset = queue.popleft()
+        row = []
+        for event in nba.alphabet:
+            target = frozenset(dst for q in subset for dst in nba.successors(q, event))
+            if target not in ids:
+                ids[target] = len(subsets)
+                subsets.append(target)
+                queue.append(target)
+            row.append(ids[target])
+        delta.append(row)
+    finals = frozenset(i for i, subset in enumerate(subsets) if subset & live)
+    return ReferenceDfa(nba.alphabet, subsets, delta, finals)
+
+
+def prefix_accepts(nba: Nba, word) -> bool:
+    """Whether the finite word has a continuation the NBA accepts."""
+    current = set(nba.initial)
+    for event in word:
+        current = {dst for q in current for dst in nba.successors(q, event)}
+    return bool(current & per_state_nonempty(nba))
+
+
+def reference_monitor(phi: Formula, alphabet: Alphabet) -> MooreMonitor:
+    """The unminimized three-valued monitor by the plain route: determinize
+    both sides and take their synchronous product, one state per pair."""
+    pos = determinize(ltl_to_nba(nnf(phi), alphabet))
+    neg = determinize(ltl_to_nba(negate_nnf(phi), alphabet))
+    ids = {(0, 0): 0}
+    pairs = [(0, 0)]
+    delta, outputs = [], []
+    for qp, qn in pairs:
+        can_satisfy, can_violate = qp in pos.finals, qn in neg.finals
+        assert can_satisfy or can_violate, "product state is dead on both sides"
+        if not can_violate:
+            outputs.append(Verdict.TOP)
+        elif not can_satisfy:
+            outputs.append(Verdict.BOT)
+        else:
+            outputs.append(Verdict.UNKNOWN)
+        row = []
+        for k in range(len(alphabet)):
+            target = (pos.delta[qp][k], neg.delta[qn][k])
+            if target not in ids:
+                ids[target] = len(pairs)
+                pairs.append(target)
+            row.append(ids[target])
+        delta.append(row)
+    return MooreMonitor(alphabet, len(pairs), 0, delta, outputs)

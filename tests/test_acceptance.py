@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; plain ``pytest`` runs them silently as ordinary tests.
 """
 
+import hashlib
 import random
 import time
 
@@ -301,3 +302,15 @@ def test_criterion_9_partialize_scales_linearly():
     assert giveups == 1000  # exactly the closed region
     assert elapsed < 1.0
     _report(9, f"partialize over 10,000 states in {elapsed * 1000:.0f} ms")
+
+
+# sha256 over the concatenated partialized PMF texts of the corpus, in corpus
+# order.  Synthesis rewrites must keep every minimal machine byte-identical.
+CORPUS_PMF_SHA256 = "d63f6d5613016eec08532aada2655a0c11ce0fbed6f0210e3463396f7acaa0d3"
+
+
+def test_corpus_pmf_digest_is_unchanged(corpus):
+    digest = hashlib.sha256()
+    for _, machine in corpus:
+        digest.update(emit_monitor(partialize(machine)).encode())
+    assert digest.hexdigest() == CORPUS_PMF_SHA256

@@ -78,7 +78,7 @@ def test_construction_is_deterministic():
         assert first.num_states == second.num_states
         assert first.initial == second.initial
         assert first.transitions == second.transitions
-        assert first.accepting == second.accepting
+        assert first.accepting_sets == second.accepting_sets
 
 
 def test_rejects_non_nnf_input():
@@ -92,8 +92,55 @@ def test_nba_validates_structure():
     import pytest
 
     with pytest.raises(ValueError):
-        Nba(ALPHA3, 2, [], [], [])  # no initial state
+        Nba(ALPHA3, 2, [], [], ())  # no initial state
     with pytest.raises(ValueError):
-        Nba(ALPHA3, 2, [0], [(0, "ev1", 5)], [])  # endpoint out of range
+        Nba(ALPHA3, 2, [0], [(0, "ev1", 5)], ())  # endpoint out of range
     with pytest.raises(ValueError):
-        Nba(ALPHA3, 2, [0], [(0, "nope", 1)], [])  # unknown event
+        Nba(ALPHA3, 2, [0], [(0, "nope", 1)], ())  # unknown event
+    with pytest.raises(ValueError):
+        Nba(ALPHA3, 2, [0], [], ({0}, {2}))  # accepting state out of range
+
+
+def test_transitions_round_trip_through_the_constructor():
+    rng = random.Random(0xB17)
+    for _ in range(20):
+        nba = ltl_to_nba(nnf(random_formula(rng, 3)), ALPHA3)
+        rebuilt = Nba(ALPHA3, nba.num_states, nba.initial, nba.transitions, nba.accepting_sets)
+        assert rebuilt.successor_masks == nba.successor_masks
+        for src, event, dst in nba.transitions:
+            assert dst in nba.successors(src, event)
+
+
+# --- generalized acceptance -----------------------------------------------------
+
+# Two states that alternate on ev1 / ev2 and each loop on ev3.
+_TWO_LOOPS = [(0, "ev1", 1), (1, "ev2", 0), (0, "ev3", 0), (1, "ev3", 1)]
+
+
+def test_lasso_must_meet_every_acceptance_set():
+    nba = Nba(ALPHA3, 2, [0], _TWO_LOOPS, ({0}, {1}))
+    assert nba_accepts_lasso(nba, LassoWord((), ("ev1", "ev2")))
+    # ev3 forever stays in state 0: it meets the first set only.
+    assert not nba_accepts_lasso(nba, LassoWord((), ("ev3",)))
+    assert not nba_accepts_lasso(nba, LassoWord(("ev1",), ("ev3",)))
+
+
+def test_no_acceptance_sets_accept_every_infinite_run():
+    nba = Nba(ALPHA3, 2, [0], _TWO_LOOPS, ())
+    assert nba_accepts_lasso(nba, LassoWord((), ("ev3",)))
+    assert nba_accepts_lasso(nba, LassoWord(("ev1",), ("ev3",)))
+    # ev2 has no edge out of state 0: no run at all.
+    assert not nba_accepts_lasso(nba, LassoWord((), ("ev2",)))
+
+
+def test_an_empty_acceptance_set_accepts_nothing():
+    nba = Nba(ALPHA3, 2, [0], _TWO_LOOPS, ({0, 1}, ()))
+    for word in all_lassos(NAMES3, 1, 2):
+        assert not nba_accepts_lasso(nba, word)
+
+
+def test_tableau_keeps_one_acceptance_set_per_until():
+    alpha = ALPHA3
+    assert ltl_to_nba(parse_formula("[]ev1", alpha), alpha).accepting_sets == ()
+    gf = nnf(parse_formula("[]<>ev1 & []<>ev2", alpha))
+    assert len(ltl_to_nba(gf, alpha).accepting_sets) == 2

@@ -63,6 +63,17 @@ def test_synth_syntax_error_exits_65(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["!" * 3000 + "a", "(" * 2000 + "a" + ")" * 2000, " & ".join(["a"] * 1500)],
+    ids=["negations", "parentheses", "conjunction_chain"],
+)
+def test_classify_too_deep_formula_exits_65(capsys, text):
+    code, out, err = run_cli(capsys, "classify", "-f", text, "-a", "a")
+    assert code == 65 and out == ""
+    assert "nested deeper than" in err and "position" in err
+
+
 def test_synth_unknown_atom_exits_65(capsys):
     code, _, err = run_cli(capsys, "synth", "-f", "<>zork", "-a", "ev1,ev2")
     assert code == 65 and "zork" in err

@@ -5,16 +5,13 @@ import random
 import pytest
 
 from partmon.buchi import Nba, ltl_to_nba, nba_accepts_lasso
+from partmon.formats import emit_monitor
 from partmon.fsm import (
     MooreMonitor,
     Verdict,
-    determinize,
     minimize_moore,
     monitor_verdict,
     moore_isomorphic,
-    nba_to_nfa,
-    nfa_accepts,
-    Nfa,
     per_state_nonempty,
     synthesize_monitor,
 )
@@ -28,16 +25,22 @@ from partmon.ltl import (
     nnf,
     parse_formula,
 )
+from partmon.partial import partialize
 
 from helpers import (
     ALPHA3,
     ALPHA4,
     NAMES3,
+    RADIATION_ALPHA,
+    RADIATION_FORMULA,
     all_lassos,
     all_words,
+    determinize,
     eventually_ev1_machine,
     mixed_branches_machine,
+    prefix_accepts,
     random_formula,
+    reference_monitor,
 )
 
 
@@ -50,82 +53,177 @@ def test_per_state_nonempty_eventually_all_states():
     family = all_lassos(NAMES3, 2, 2)
     for state in range(nba.num_states):
         shifted = Nba(
-            ALPHA3, nba.num_states, [state], nba.transitions, nba.accepting
+            ALPHA3, nba.num_states, [state], nba.transitions, nba.accepting_sets
         )
         assert any(nba_accepts_lasso(shifted, w) for w in family)
 
 
 def test_per_state_nonempty_isolated_accepting_state():
-    nba = Nba(ALPHA3, 1, [0], [], [0])  # accepting but no transitions
+    nba = Nba(ALPHA3, 1, [0], [], ({0},))  # accepting but no transitions
     assert per_state_nonempty(nba) == frozenset()
 
 
 def test_per_state_nonempty_accepting_self_loop():
-    nba = Nba(ALPHA3, 2, [0], [(0, "ev1", 1), (1, "ev1", 1)], [1])
+    nba = Nba(ALPHA3, 2, [0], [(0, "ev1", 1), (1, "ev1", 1)], ({1},))
     assert per_state_nonempty(nba) == frozenset({0, 1})
 
 
-# --- NBA to NFA ---------------------------------------------------------------
+def test_per_state_nonempty_needs_every_acceptance_set():
+    """State 1 loops inside the first set only, state 2 inside both: only
+    the branch into state 2 is live."""
+    edges = [(0, "ev1", 1), (1, "ev1", 1), (0, "ev2", 2), (2, "ev2", 2)]
+    nba = Nba(ALPHA3, 3, [0], edges, ({1, 2}, {2}))
+    assert per_state_nonempty(nba) == frozenset({0, 2})
+    # one SCC that meets the two sets in different states is live
+    cycle = Nba(ALPHA3, 2, [0], [(0, "ev1", 1), (1, "ev1", 0)], ({0}, {1}))
+    assert per_state_nonempty(cycle) == frozenset({0, 1})
+    # without acceptance sets any cycle will do, but a dead end will not
+    free = Nba(ALPHA3, 3, [0], [(0, "ev1", 1), (1, "ev1", 1), (0, "ev2", 2)], ())
+    assert per_state_nonempty(free) == frozenset({0, 1})
+
+
+def test_per_state_nonempty_matches_lasso_membership():
+    """A generalized automaton's live states are those from which some lasso
+    is accepted, on random formulas with several Until subformulas."""
+    rng = random.Random(0x1DE)
+    family = all_lassos(NAMES3, 2, 2)
+    for _ in range(15):
+        nba = ltl_to_nba(nnf(random_formula(rng, 3)), ALPHA3)
+        live = per_state_nonempty(nba)
+        for state in range(nba.num_states):
+            shifted = Nba(ALPHA3, nba.num_states, [state], nba.transitions, nba.accepting_sets)
+            assert any(nba_accepts_lasso(shifted, w) for w in family) == (state in live)
+
+
+# --- prefixes with a continuation (plain reference route) -------------------------
 
 def test_nfa_of_eventually_accepts_every_prefix():
-    nfa = nba_to_nfa(ltl_to_nba(parse_formula("F ev1", ALPHA3), ALPHA3))
+    nba = ltl_to_nba(parse_formula("F ev1", ALPHA3), ALPHA3)
     for word in all_words(NAMES3, 3):
-        assert nfa_accepts(nfa, word), word
+        assert prefix_accepts(nba, word), word
 
 
 def test_nfa_of_false_accepts_nothing():
-    nfa = nba_to_nfa(ltl_to_nba(parse_formula("false", ALPHA3), ALPHA3))
+    nba = ltl_to_nba(parse_formula("false", ALPHA3), ALPHA3)
     for word in all_words(NAMES3, 3):
-        assert not nfa_accepts(nfa, word)
+        assert not prefix_accepts(nba, word)
 
 
 def test_nfa_of_atom_prefixes():
     # 'ev1' holds iff the first event is ev1; the empty prefix is extendable.
-    nfa = nba_to_nfa(ltl_to_nba(parse_formula("ev1", ALPHA3), ALPHA3))
-    assert nfa_accepts(nfa, ())
+    nba = ltl_to_nba(parse_formula("ev1", ALPHA3), ALPHA3)
+    assert prefix_accepts(nba, ())
     for word in all_words(NAMES3, 2):
         if not word:
             continue
-        assert nfa_accepts(nfa, word) == (word[0] == "ev1"), word
+        assert prefix_accepts(nba, word) == (word[0] == "ev1"), word
 
 
-# --- determinization ----------------------------------------------------------
+# --- determinization (plain reference route) ------------------------------------
 
 def test_determinize_universal_nfa():
-    universal = Nfa(
-        ALPHA3, 1, [0], [(0, e, 0) for e in NAMES3], [0]
-    )
+    universal = Nba(ALPHA3, 1, [0], [(0, e, 0) for e in NAMES3], ())
     dfa = determinize(universal)
     assert dfa.num_states == 1
     assert dfa.finals == frozenset({0})
-    assert dfa.delta == ((0, 0, 0),)
+    assert dfa.delta == [[0, 0, 0]]
+    machine = synthesize_monitor(parse_formula("true", ALPHA3), ALPHA3)
+    assert machine.outputs == (Verdict.TOP,)
 
 
 def test_determinize_empty_language_nfa():
-    empty = Nfa(ALPHA3, 1, [0], [(0, e, 0) for e in NAMES3], [])
+    empty = Nba(ALPHA3, 1, [0], [(0, e, 0) for e in NAMES3], ({0}, ()))
     dfa = determinize(empty)
     assert dfa.num_states == 1
     assert dfa.finals == frozenset()
+    machine = synthesize_monitor(parse_formula("false", ALPHA3), ALPHA3)
+    assert machine.outputs == (Verdict.BOT,)
 
 
 def test_determinize_no_ev1_prefixes():
-    """The negation side of 'F ev1' accepts exactly the ev1-free prefixes."""
-    dfa = determinize(nba_to_nfa(ltl_to_nba(negate_nnf(parse_formula("F ev1", ALPHA3)), ALPHA3)))
+    """The negation side of 'F ev1' accepts exactly the ev1-free prefixes,
+    so the monitor is TOP exactly after an ev1."""
+    phi = parse_formula("F ev1", ALPHA3)
+    dfa = determinize(ltl_to_nba(negate_nnf(phi), ALPHA3))
+    machine = synthesize_monitor(phi, ALPHA3, minimize=False)
     for word in all_words(NAMES3, 4):
         state = dfa.initial
         for event in word:
             state = dfa.step(state, event)
         assert (state in dfa.finals) == ("ev1" not in word), word
+        assert (monitor_verdict(machine, word) is Verdict.TOP) == ("ev1" in word), word
 
 
 def test_determinized_delta_is_total():
     rng = random.Random(5)
     for _ in range(20):
-        phi = nnf(random_formula(rng, 3))
-        dfa = determinize(nba_to_nfa(ltl_to_nba(phi, ALPHA3)))
+        phi = random_formula(rng, 3)
+        dfa = determinize(ltl_to_nba(nnf(phi), ALPHA3))
         assert len(dfa.delta) == dfa.num_states
         for row in dfa.delta:
             assert len(row) == len(ALPHA3)
+        machine = synthesize_monitor(phi, ALPHA3, minimize=False)
+        for row in machine.delta:
+            assert len(row) == len(ALPHA3)
+
+
+# --- differential check against the plain route -----------------------------------
+
+GOLDEN_FORMULAS = [
+    ("(ev1 & <>ev2) | (ev3 & []<>ev4)", ALPHA4),
+    ("<>ev1", ALPHA3),
+    ("[]<>ev1", ALPHA3),
+    (RADIATION_FORMULA, RADIATION_ALPHA),
+]
+
+
+def _pmf(machine: MooreMonitor) -> str:
+    return emit_monitor(partialize(machine))
+
+
+def test_minimal_pmf_matches_the_plain_route():
+    rng = random.Random(0xD1FF)
+    cases = [(random_formula(rng, 4), ALPHA3) for _ in range(60)]
+    cases += [(parse_formula(text, alpha), alpha) for text, alpha in GOLDEN_FORMULAS]
+    for phi, alpha in cases:
+        expected = _pmf(minimize_moore(reference_monitor(phi, alpha)))
+        assert _pmf(synthesize_monitor(phi, alpha)) == expected, phi
+
+
+def test_fused_product_verdicts_match_the_plain_product():
+    rng = random.Random(0xF05E)
+    words = all_words(NAMES3, 5)
+    for _ in range(30):
+        phi = random_formula(rng, 4)
+        fused = synthesize_monitor(phi, ALPHA3, minimize=False)
+        plain = reference_monitor(phi, ALPHA3)
+        assert fused.num_states <= plain.num_states
+        for word in words:
+            assert monitor_verdict(fused, word) is monitor_verdict(plain, word), (phi, word)
+
+
+def test_fused_product_has_one_sink_per_conclusive_verdict():
+    rng = random.Random(0x5171)
+    for _ in range(30):
+        machine = synthesize_monitor(random_formula(rng, 4), ALPHA3, minimize=False)
+        for verdict in (Verdict.TOP, Verdict.BOT):
+            states = [q for q in machine.states() if machine.outputs[q] is verdict]
+            assert len(states) <= 1
+            for q in states:
+                assert set(machine.delta[q]) == {q}
+
+
+def test_response_blowup_case_synthesizes_to_one_state():
+    """resp-4, the conjunction of four response properties, is non-monitorable
+    and minimizes to one give-up state.  A regression case for the subset
+    blow-up: a degeneralized automaton made this take tens of seconds."""
+    from partmon.partial import Monitorability, classify
+
+    text = " & ".join(f"[](r{i} -> <>g{i})" for i in range(4))
+    alpha = Alphabet([e for i in range(4) for e in (f"r{i}", f"g{i}")])
+    machine = partialize(synthesize_monitor(parse_formula(text, alpha), alpha))
+    assert machine.num_states == 1
+    assert classify(machine).classification is Monitorability.NON_MONITORABLE
 
 
 # --- synthesis ---------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partmon.ltl import (
+    MAX_FORMULA_DEPTH,
     Alphabet,
     Always,
     And,
@@ -31,6 +32,8 @@ from partmon.ltl import (
     nnf,
     parse_formula,
 )
+
+from partmon.fsm import monitor_verdict, synthesize_monitor
 
 from helpers import ALPHA3, NAMES3, all_lassos, random_formula, unfold_eval
 
@@ -116,6 +119,37 @@ def test_parse_bad_tokens():
         parse_formula("(ev1", ALPHA3)
     with pytest.raises(FormulaSyntaxError):
         parse_formula("", ALPHA3)
+
+
+# Text shapes that nest one level per repetition.
+_DEEP_SHAPES = {
+    "negations": lambda n: "!" * n + "ev1",
+    "parentheses": lambda n: "(" * n + "ev1" + ")" * n,
+    "conjunction_chain": lambda n: " & ".join(["ev1"] * (n + 1)),
+    "implication_chain": lambda n: " -> ".join(["ev1"] * (n + 1)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_DEEP_SHAPES))
+def test_parse_rejects_formulas_nested_past_the_limit(shape):
+    text = _DEEP_SHAPES[shape](MAX_FORMULA_DEPTH + 1)
+    with pytest.raises(FormulaSyntaxError) as exc:
+        parse_formula(text, ALPHA3)
+    assert 0 < exc.value.position < len(text)
+    # far past the limit it is the same typed error, not a RecursionError
+    with pytest.raises(FormulaSyntaxError):
+        parse_formula(_DEEP_SHAPES[shape](3000), ALPHA3)
+
+
+@pytest.mark.parametrize("shape", sorted(_DEEP_SHAPES))
+def test_formulas_at_the_depth_limit_go_through_every_pass(shape):
+    phi = parse_formula(_DEEP_SHAPES[shape](MAX_FORMULA_DEPTH), ALPHA3)
+    assert parse_formula(format_formula(phi), ALPHA3) == phi
+    assert is_nnf(nnf(phi)) and is_nnf(negate_nnf(phi))
+    word = LassoWord(("ev1",), ("ev2",))
+    assert lasso_eval(phi, word) == unfold_eval(phi, word)
+    monitor = synthesize_monitor(phi, ALPHA3)
+    assert monitor_verdict(monitor, word.stem + word.loop).is_conclusive
 
 
 def test_atoms_in_order_is_first_occurrence():
