@@ -50,9 +50,16 @@ class Nba:
     every set of ``accepting_sets`` infinitely often; with no sets at all,
     every infinite run is accepting.  ``successor_masks[q][k]`` is the set of
     successors of state ``q`` on the alphabet's ``k``-th event, as a bitset.
+
+    ``obligations[q]`` is a bitset such that ``obligations[p]`` being a subset
+    of ``obligations[q]`` implies that every word accepted from ``q`` is also
+    accepted from ``p``.  The tableau sets it to the obligations a state owes;
+    by default it is ``1 << q``, which relates no two distinct states.
     """
 
-    __slots__ = ("alphabet", "num_states", "initial", "accepting_sets", "successor_masks")
+    __slots__ = (
+        "alphabet", "num_states", "initial", "accepting_sets", "successor_masks", "obligations"
+    )
 
     def __init__(
         self,
@@ -69,7 +76,7 @@ class Nba:
             if event not in alphabet:
                 raise ValueError(f"transition on unknown event '{event}'")
             masks[src][alphabet.index(event)] |= 1 << dst
-        self._init(alphabet, num_states, initial, masks, accepting_sets)
+        self._init(alphabet, num_states, initial, masks, accepting_sets, None)
 
     @classmethod
     def from_masks(
@@ -79,18 +86,27 @@ class Nba:
         initial: Iterable[int],
         successor_masks: Sequence[Sequence[int]],
         accepting_sets: Iterable[Iterable[int]],
+        obligations: Sequence[int] | None = None,
     ) -> "Nba":
-        """Build from per-state, per-event successor bitsets."""
+        """Build from per-state, per-event successor bitsets and, if given,
+        per-state obligation bitsets."""
         nba = cls.__new__(cls)
-        nba._init(alphabet, num_states, initial, successor_masks, accepting_sets)
+        nba._init(alphabet, num_states, initial, successor_masks, accepting_sets, obligations)
         return nba
 
-    def _init(self, alphabet, num_states, initial, successor_masks, accepting_sets) -> None:
+    def _init(
+        self, alphabet, num_states, initial, successor_masks, accepting_sets, obligations
+    ) -> None:
         self.alphabet = alphabet
         self.num_states = num_states
         self.initial = frozenset(initial)
         self.successor_masks = tuple(tuple(row) for row in successor_masks)
         self.accepting_sets = tuple(frozenset(s) for s in accepting_sets)
+        if obligations is None:
+            obligations = [1 << q for q in range(num_states)]
+        self.obligations = tuple(obligations)
+        if len(self.obligations) != num_states:
+            raise ValueError("need one obligation set per state")
         if not self.initial:
             raise ValueError("automaton needs at least one initial state")
         for q in self.initial.union(*self.accepting_sets):
@@ -268,7 +284,9 @@ def ltl_to_nba(phi: Formula, alphabet: Alphabet) -> Nba:
         for u in range(len(formulas))
         if kind[u] == _UNTIL
     ]
-    return Nba.from_masks(alphabet, len(owes), [0], masks, accepting_sets)
+    # A state's language is the set of words satisfying everything it owes
+    # (GPVW's correctness lemma, per node), so owing less accepts more.
+    return Nba.from_masks(alphabet, len(owes), [0], masks, accepting_sets, owes)
 
 
 def nba_accepts_lasso(automaton: Nba, word) -> bool:

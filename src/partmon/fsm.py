@@ -83,6 +83,12 @@ def _live_subsets(automaton: Nba) -> tuple[int, Callable[[int], tuple[int, ...]]
     successor subset per event.  Dead states can only reach dead states, so
     dropping them loses nothing: a subset accepts a prefix (has a satisfying
     continuation) exactly when it is nonempty.
+
+    Every subset is also cut down to an antichain of its weakest members: a
+    member that owes a strict superset of another member's obligations, or
+    the same set as a lower-numbered member, accepts no word the other does
+    not, so dropping it leaves the subset's language, and every residual of
+    it, unchanged.
     """
     live = sum(1 << q for q in per_state_nonempty(automaton))
     # Each state's successors on every event packed into one integer, event
@@ -93,6 +99,31 @@ def _live_subsets(automaton: Nba) -> tuple[int, Callable[[int], tuple[int, ...]]
         sum((mask & live) << lane for mask, lane in zip(row, lanes))
         for row in automaton.successor_masks
     ]
+    owes = automaton.obligations
+    # Sorted by obligation count, then number, a member comes after every
+    # member that owes a strict subset of its obligations, or the same set
+    # with a lower number.
+    rank = [owed.bit_count() * n + q for q, owed in enumerate(owes)]
+    weakest: dict[int, int] = {}
+
+    def reduce_subset(subset: int) -> int:
+        if not subset & (subset - 1):
+            return subset
+        got = weakest.get(subset)
+        if got is None:
+            got = 0
+            kept: list[int] = []
+            for q in sorted(bits(subset), key=rank.__getitem__):
+                owed = owes[q]
+                for other in kept:
+                    if not other & ~owed:
+                        break
+                else:
+                    kept.append(owed)
+                    got |= 1 << q
+            weakest[subset] = got
+        return got
+
     rows: dict[int, tuple[int, ...]] = {}
 
     def row(subset: int) -> tuple[int, ...]:
@@ -104,10 +135,10 @@ def _live_subsets(automaton: Nba) -> tuple[int, Callable[[int], tuple[int, ...]]
                 low = rest & -rest
                 union |= packed[low.bit_length() - 1]
                 rest ^= low
-            got = rows[subset] = tuple((union >> lane) & live for lane in lanes)
+            got = rows[subset] = tuple(reduce_subset((union >> lane) & live) for lane in lanes)
         return got
 
-    return sum(1 << q for q in automaton.initial) & live, row
+    return reduce_subset(sum(1 << q for q in automaton.initial) & live), row
 
 
 class MooreMonitor:
@@ -266,19 +297,18 @@ def minimize_moore(machine: MooreMonitor) -> MooreMonitor:
     """
     classes = sorted({out for out in machine.outputs}, key=lambda v: v.value)
     block = [classes.index(out) for out in machine.outputs]
+    count = len(classes)
+    # One column per event: the target of every state on that event.
+    columns = list(zip(*machine.delta))
     while True:
-        signatures: dict[tuple[int, ...], int] = {}
-        new_block = [0] * machine.num_states
-        for q in machine.states():
-            sig = (block[q],) + tuple(block[dst] for dst in machine.delta[q])
-            found = signatures.get(sig)
-            if found is None:
-                found = len(signatures)
-                signatures[sig] = found
-            new_block[q] = found
-        if len(signatures) == len(set(block)):
+        ids: dict[tuple[int, ...], int] = {}
+        new_block = [
+            ids.setdefault(sig, len(ids))
+            for sig in zip(block, *(map(block.__getitem__, col) for col in columns))
+        ]
+        if len(ids) == count:
             break
-        block = new_block
+        block, count = new_block, len(ids)
 
     representatives: dict[int, int] = {}
     for q in machine.states():

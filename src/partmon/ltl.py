@@ -49,6 +49,13 @@ class UnknownEventError(ValueError):
         self.position = position
 
 
+class FormulaTooDeepError(ValueError):
+    """A formula tree nested deeper than :data:`MAX_FORMULA_DEPTH` levels."""
+
+    def __init__(self):
+        super().__init__(f"formula nested deeper than {MAX_FORMULA_DEPTH} levels")
+
+
 def _check_event_name(name: str) -> str:
     if not isinstance(name, str) or not _NAME_RE.match(name):
         raise ValueError(
@@ -232,11 +239,36 @@ def atoms_in_order(phi: Formula) -> list[str]:
     return out
 
 
+def _check_tree(phi: Formula, alphabet: Alphabet | None = None) -> None:
+    """Raise FormulaTooDeepError if the tree nests more than
+    :data:`MAX_FORMULA_DEPTH` operators above its leaves, and, given an
+    alphabet, UnknownAtomError for the first atom outside it.
+
+    Literals, an atom or a negated atom, are leaves, so the negation normal
+    form of a formula that passes passes too.  Iterative, so trees built in
+    code of any depth are measured without recursion.
+    """
+    stack = [(phi, 0)]
+    while stack:
+        f, depth = stack.pop()
+        if depth > MAX_FORMULA_DEPTH:
+            raise FormulaTooDeepError()
+        if isinstance(f, Not) and isinstance(f.arg, Atom):
+            f = f.arg
+        if isinstance(f, Atom):
+            if alphabet is not None and f.name not in alphabet:
+                raise UnknownAtomError(f.name)
+        else:
+            depth += 1
+            for c in reversed(children(f)):
+                stack.append((c, depth))
+
+
 def validate_formula(phi: Formula, alphabet: Alphabet) -> None:
-    """Raise UnknownAtomError if the formula mentions an event outside the alphabet."""
-    for name in atoms_in_order(phi):
-        if name not in alphabet:
-            raise UnknownAtomError(name)
+    """Raise FormulaTooDeepError if the formula is nested deeper than
+    :data:`MAX_FORMULA_DEPTH`, and UnknownAtomError if it mentions an event
+    outside the alphabet."""
+    _check_tree(phi, alphabet)
 
 
 # --- concrete syntax -------------------------------------------------------
@@ -312,6 +344,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 #: every pair of parentheses is one level.  Deeper text is rejected before the
 #: parser recurses that far, which keeps the parser and every recursive pass
 #: over a parsed formula well inside Python's recursion limit.
+#: :func:`validate_formula` and :func:`format_formula` hold trees built in code
+#: to the same number of nested operators; a parsed tree always passes, since
+#: the parser counts at least as many levels.
 MAX_FORMULA_DEPTH = 100
 
 _Parsed = tuple[Formula, int]  # a subtree and its nesting depth
@@ -487,7 +522,12 @@ def _fmt(phi: Formula, min_level: int) -> str:
 
 
 def format_formula(phi: Formula) -> str:
-    """Render a formula in the concrete syntax; re-parsing yields an equal tree."""
+    """Render a formula in the concrete syntax; re-parsing yields an equal tree.
+
+    Raises FormulaTooDeepError for a tree nested deeper than
+    :data:`MAX_FORMULA_DEPTH`.
+    """
+    _check_tree(phi)
     return _fmt(phi, _LEVEL_IMPL)
 
 
@@ -586,10 +626,12 @@ def lasso_eval(phi: Formula, word: LassoWord) -> bool:
         # position back to the loop entry.
         return (v >> 1) | (high if v & loop_entry else 0)
 
-    cache: dict[Formula, int] = {}
+    # Keyed by node identity: hashing a frozen node re-walks its subtree, and
+    # every node stays alive, referenced from ``phi``, for the whole call.
+    cache: dict[int, int] = {}
 
     def values(f: Formula) -> int:
-        got = cache.get(f)
+        got = cache.get(id(f))
         if got is not None:
             return got
         if isinstance(f, TrueFormula):
@@ -645,7 +687,7 @@ def lasso_eval(phi: Formula, word: LassoWord) -> bool:
                 v = nv
         else:
             raise TypeError(f"not a formula: {f!r}")
-        cache[f] = v
+        cache[id(f)] = v
         return v
 
     return bool(values(phi) & 1)

@@ -3,6 +3,7 @@
 import random
 
 from partmon.buchi import Nba, ltl_to_nba, nba_accepts_lasso
+from partmon.fsm import per_state_nonempty
 from partmon.ltl import (
     Atom,
     Eventually,
@@ -144,3 +145,42 @@ def test_tableau_keeps_one_acceptance_set_per_until():
     assert ltl_to_nba(parse_formula("[]ev1", alpha), alpha).accepting_sets == ()
     gf = nnf(parse_formula("[]<>ev1 & []<>ev2", alpha))
     assert len(ltl_to_nba(gf, alpha).accepting_sets) == 2
+
+
+# --- the obligation preorder ----------------------------------------------------
+
+
+def test_hand_built_automata_relate_no_two_states():
+    import pytest
+
+    assert Nba(ALPHA3, 2, [0], _TWO_LOOPS, ()).obligations == (1 << 0, 1 << 1)
+    nba = Nba.from_masks(ALPHA3, 3, [0], [[0] * 3] * 3, ())
+    assert nba.obligations == tuple(1 << q for q in range(3))
+    with pytest.raises(ValueError):
+        Nba.from_masks(ALPHA3, 3, [0], [[0] * 3] * 3, (), obligations=(0, 0))
+
+
+def test_weaker_obligations_accept_every_word_of_stronger_ones():
+    """A state owing a subset of another's obligations accepts every word the
+    other accepts: the preorder synthesis cuts its subsets down by."""
+    rng = random.Random(0x0B1)
+    lassos = rng.sample(all_lassos(NAMES3, 2, 2), 40)
+    strict_pairs = 0
+    for _ in range(30):
+        phi = random_formula(rng, 4)
+        for goal in (nnf(phi), negate_nnf(phi)):
+            nba = ltl_to_nba(goal, ALPHA3)
+            assert len(nba.obligations) == nba.num_states
+            accepted = {}
+            for q in per_state_nonempty(nba):
+                start = Nba.from_masks(
+                    ALPHA3, nba.num_states, [q], nba.successor_masks, nba.accepting_sets
+                )
+                accepted[q] = {i for i, w in enumerate(lassos) if nba_accepts_lasso(start, w)}
+            owes = nba.obligations
+            for p in accepted:
+                for q in accepted:
+                    if not owes[p] & ~owes[q]:
+                        assert accepted[q] <= accepted[p], (goal, p, q)
+                        strict_pairs += owes[p] != owes[q] and bool(accepted[q])
+    assert strict_pairs > 0

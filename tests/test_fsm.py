@@ -226,6 +226,24 @@ def test_response_blowup_case_synthesizes_to_one_state():
     assert classify(machine).classification is Monitorability.NON_MONITORABLE
 
 
+# --- antichain subsets -----------------------------------------------------------
+
+ABC = Alphabet(["a", "b", "c"])
+
+
+@pytest.mark.parametrize("k", range(4, 9))
+def test_antichain_product_of_next_chain(k):
+    """<>(a & X^k b): the negation side's subsets keep only their weakest
+    tableau states, which halves the product (2**(k+2) without the cut)."""
+    phi = parse_formula("<>(a & " + "X " * k + "b)", ABC)
+    assert synthesize_monitor(phi, ABC, minimize=False).num_states == 2 ** (k + 1) + 2
+
+
+def test_antichain_product_of_radiation():
+    phi = parse_formula(RADIATION_FORMULA, RADIATION_ALPHA)
+    assert synthesize_monitor(phi, RADIATION_ALPHA, minimize=False).num_states == 10
+
+
 # --- synthesis ---------------------------------------------------------------
 
 def test_synthesize_eventually_matches_expected_machine():

@@ -1,6 +1,7 @@
 """Formula layer: grammar, normal forms, and the lasso-word evaluator."""
 
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from partmon.ltl import (
     Eventually,
     FALSE,
     FormulaSyntaxError,
+    FormulaTooDeepError,
     Implies,
     LassoWord,
     Next,
@@ -31,6 +33,7 @@ from partmon.ltl import (
     negate_nnf,
     nnf,
     parse_formula,
+    validate_formula,
 )
 
 from partmon.fsm import monitor_verdict, synthesize_monitor
@@ -150,6 +153,36 @@ def test_formulas_at_the_depth_limit_go_through_every_pass(shape):
     assert lasso_eval(phi, word) == unfold_eval(phi, word)
     monitor = synthesize_monitor(phi, ALPHA3)
     assert monitor_verdict(monitor, word.stem + word.loop).is_conclusive
+
+
+# Trees built in code, one operator per level: unary chains, a left-leaning
+# conjunction chain and a right-leaning until chain.  A negated atom is a
+# leaf, so the negation chain starts from true.
+_BUILT_SHAPES = {
+    "negations": lambda n: reduce(lambda f, _: Not(f), range(n), TRUE),
+    "nexts": lambda n: reduce(lambda f, _: Next(f), range(n), Atom("ev1")),
+    "conjunction_chain": lambda n: reduce(And, [Atom("ev1")] * (n + 1)),
+    "until_chain": lambda n: reduce(lambda f, _: Until(Atom("ev2"), f), range(n), Atom("ev1")),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_BUILT_SHAPES))
+def test_built_formulas_past_the_limit_raise_a_typed_error(shape):
+    for depth in (MAX_FORMULA_DEPTH + 1, 1500):
+        phi = _BUILT_SHAPES[shape](depth)
+        with pytest.raises(FormulaTooDeepError, match=str(MAX_FORMULA_DEPTH)):
+            synthesize_monitor(phi, ALPHA3)
+        with pytest.raises(FormulaTooDeepError):
+            format_formula(phi)
+        with pytest.raises(FormulaTooDeepError):
+            validate_formula(phi, ALPHA3)
+
+
+@pytest.mark.parametrize("shape", sorted(_BUILT_SHAPES))
+def test_built_formulas_at_the_limit_are_accepted(shape):
+    phi = _BUILT_SHAPES[shape](MAX_FORMULA_DEPTH)
+    validate_formula(phi, ALPHA3)
+    assert parse_formula(format_formula(phi), ALPHA3) == phi
 
 
 def test_atoms_in_order_is_first_occurrence():
