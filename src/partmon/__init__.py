@@ -44,7 +44,6 @@ from .fsm import (
     Verdict,
     minimize_moore,
     monitor_verdict,
-    moore_isomorphic,
     per_state_nonempty,
     synthesize_monitor,
 )
@@ -54,7 +53,6 @@ from .partial import (
     NotPartializedError,
     classify,
     partialize,
-    reachability_oracle,
 )
 from .runtime import MonitorSession, run_trace, start
 from .formats import (
@@ -108,7 +106,6 @@ __all__ = [
     "ltl_to_nba",
     "minimize_moore",
     "monitor_verdict",
-    "moore_isomorphic",
     "nba_accepts_lasso",
     "negate_nnf",
     "nnf",
@@ -117,7 +114,6 @@ __all__ = [
     "parse_trace",
     "partialize",
     "per_state_nonempty",
-    "reachability_oracle",
     "run_trace",
     "start",
     "synthesize_monitor",

@@ -8,7 +8,6 @@ whether the prefix read so far already settles the property.
 
 from __future__ import annotations
 
-from collections import deque
 from enum import Enum
 from functools import reduce
 from operator import or_
@@ -32,10 +31,6 @@ class Verdict(Enum):
     BOT = "BOT"
     UNKNOWN = "?"
     GIVEUP = "x"
-
-    @property
-    def text(self) -> str:
-        return self.value
 
     @property
     def is_conclusive(self) -> bool:
@@ -189,7 +184,7 @@ class MooreMonitor:
                 raise ValueError("three-valued machine cannot output a give-up verdict")
         reachable = reachable_from(self.delta, [initial])
         if len(reachable) != num_states:
-            missing = sorted(set(range(num_states)) - reachable)
+            missing = [q for q in range(num_states) if q not in reachable]
             raise ValueError(f"unreachable states: {missing}")
 
     def step(self, state: int, event: str) -> int:
@@ -265,29 +260,6 @@ def monitor_verdict(machine: MooreMonitor, trace: Sequence[str]) -> Verdict:
     return machine.output(state)
 
 
-def _renumber(machine: MooreMonitor) -> MooreMonitor:
-    """Canonical state numbering: breadth-first from the initial state,
-    exploring events in alphabet order."""
-    renamed = {machine.initial: 0}
-    order = [machine.initial]
-    queue = deque([machine.initial])
-    while queue:
-        q = queue.popleft()
-        for dst in machine.delta[q]:
-            if dst not in renamed:
-                renamed[dst] = len(renamed)
-                order.append(dst)
-                queue.append(dst)
-    delta = [
-        [renamed[machine.delta[q][k]] for k in range(len(machine.alphabet))]
-        for q in order
-    ]
-    outputs = [machine.outputs[q] for q in order]
-    return MooreMonitor(
-        machine.alphabet, len(order), 0, delta, outputs, machine.partial
-    )
-
-
 def minimize_moore(machine: MooreMonitor) -> MooreMonitor:
     """Output-preserving minimization by partition refinement.
 
@@ -310,48 +282,18 @@ def minimize_moore(machine: MooreMonitor) -> MooreMonitor:
             break
         block, count = new_block, len(ids)
 
-    representatives: dict[int, int] = {}
-    for q in machine.states():
-        representatives.setdefault(block[q], q)
-    block_ids = sorted(representatives)
-    index_of = {b: i for i, b in enumerate(block_ids)}
-    delta = [
-        [index_of[block[machine.delta[representatives[b]][k]]] for k in range(len(machine.alphabet))]
-        for b in block_ids
-    ]
-    outputs = [machine.outputs[representatives[b]] for b in block_ids]
-    quotient = MooreMonitor(
+    # The partition is stable, so any state of a block gives its row.
+    # Numbering the blocks breadth-first from the initial one, events in
+    # alphabet order, makes the numbering canonical.
+    member = dict(zip(block, machine.states()))
+    rows = [[block[dst] for dst in machine.delta[member[b]]] for b in range(count)]
+    order = reachable_from(rows, [block[machine.initial]])
+    index_of = {b: i for i, b in enumerate(order)}
+    return MooreMonitor(
         machine.alphabet,
-        len(block_ids),
-        index_of[block[machine.initial]],
-        delta,
-        outputs,
+        count,
+        0,
+        [[index_of[b] for b in rows[src]] for src in order],
+        [machine.outputs[member[b]] for b in order],
         machine.partial,
     )
-    return _renumber(quotient)
-
-
-def moore_isomorphic(first: MooreMonitor, second: MooreMonitor) -> bool:
-    """Structural equality up to state renaming, respecting the initial state
-    and every state's output."""
-    if first.alphabet != second.alphabet or first.num_states != second.num_states:
-        return False
-    forward = {first.initial: second.initial}
-    backward = {second.initial: first.initial}
-    queue = deque([(first.initial, second.initial)])
-    while queue:
-        p, q = queue.popleft()
-        if first.outputs[p] is not second.outputs[q]:
-            return False
-        for k in range(len(first.alphabet)):
-            pd, qd = first.delta[p][k], second.delta[q][k]
-            if pd in forward:
-                if forward[pd] != qd:
-                    return False
-            elif qd in backward:
-                return False
-            else:
-                forward[pd] = qd
-                backward[qd] = pd
-                queue.append((pd, qd))
-    return True

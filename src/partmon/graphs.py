@@ -56,17 +56,24 @@ def strongly_connected_components(adjacency: Sequence[Sequence[int]]) -> list[li
     return sccs
 
 
-def reachable_from(adjacency: Sequence[Sequence[int]], starts: Iterable[int]) -> set[int]:
-    """Nodes reachable from any start node, including the starts themselves."""
-    seen = set(starts)
-    queue = deque(seen)
+def reachable_from(
+    adjacency: Sequence[Sequence[int]], starts: Iterable[int]
+) -> dict[int, int | None]:
+    """Breadth-first search from the start nodes.
+
+    Maps every reached node to the node it was first reached from (None for
+    a start), in discovery order: starts first, then each node's neighbours
+    in adjacency order.
+    """
+    parent: dict[int, int | None] = dict.fromkeys(starts)
+    queue = deque(parent)
     while queue:
         v = queue.popleft()
         for w in adjacency[v]:
-            if w not in seen:
-                seen.add(w)
+            if w not in parent:
+                parent[w] = v
                 queue.append(w)
-    return seen
+    return parent
 
 
 def bits(mask: int) -> Iterator[int]:

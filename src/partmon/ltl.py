@@ -531,7 +531,13 @@ def format_formula(phi: Formula) -> str:
     return _fmt(phi, _LEVEL_IMPL)
 
 
-def _nnf(phi: Formula, neg: bool) -> Formula:
+def _nnf(phi: Formula, neg: bool, depth: int) -> Formula:
+    # ``depth`` counts the operators above ``phi`` as _check_tree does (a
+    # negated atom is a leaf), so a tree too deep is refused without a
+    # second walk over it.
+    if depth > MAX_FORMULA_DEPTH:
+        raise FormulaTooDeepError()
+    depth += 1  # the depth of the children
     if isinstance(phi, TrueFormula):
         return FALSE if neg else TRUE
     if isinstance(phi, FalseFormula):
@@ -539,45 +545,55 @@ def _nnf(phi: Formula, neg: bool) -> Formula:
     if isinstance(phi, Atom):
         return Not(phi) if neg else phi
     if isinstance(phi, Not):
-        return _nnf(phi.arg, not neg)
+        if isinstance(phi.arg, Atom):
+            return phi.arg if neg else phi
+        return _nnf(phi.arg, not neg, depth)
     if isinstance(phi, And):
         op = Or if neg else And
-        return op(_nnf(phi.left, neg), _nnf(phi.right, neg))
+        return op(_nnf(phi.left, neg, depth), _nnf(phi.right, neg, depth))
     if isinstance(phi, Or):
         op = And if neg else Or
-        return op(_nnf(phi.left, neg), _nnf(phi.right, neg))
+        return op(_nnf(phi.left, neg, depth), _nnf(phi.right, neg, depth))
     if isinstance(phi, Implies):
         # l -> r is rewritten as !l | r before pushing negations.
         if neg:
-            return And(_nnf(phi.left, False), _nnf(phi.right, True))
-        return Or(_nnf(phi.left, True), _nnf(phi.right, False))
+            return And(_nnf(phi.left, False, depth), _nnf(phi.right, True, depth))
+        return Or(_nnf(phi.left, True, depth), _nnf(phi.right, False, depth))
     if isinstance(phi, Next):
-        return Next(_nnf(phi.arg, neg))
+        return Next(_nnf(phi.arg, neg, depth))
     if isinstance(phi, Until):
         op = Release if neg else Until
-        return op(_nnf(phi.left, neg), _nnf(phi.right, neg))
+        return op(_nnf(phi.left, neg, depth), _nnf(phi.right, neg, depth))
     if isinstance(phi, Release):
         op = Until if neg else Release
-        return op(_nnf(phi.left, neg), _nnf(phi.right, neg))
+        return op(_nnf(phi.left, neg, depth), _nnf(phi.right, neg, depth))
     if isinstance(phi, Eventually):
         if neg:
-            return Always(_nnf(phi.arg, True))
-        return Eventually(_nnf(phi.arg, False))
+            return Always(_nnf(phi.arg, True, depth))
+        return Eventually(_nnf(phi.arg, False, depth))
     if isinstance(phi, Always):
         if neg:
-            return Eventually(_nnf(phi.arg, True))
-        return Always(_nnf(phi.arg, False))
+            return Eventually(_nnf(phi.arg, True, depth))
+        return Always(_nnf(phi.arg, False, depth))
     raise TypeError(f"not a formula: {phi!r}")
 
 
 def nnf(phi: Formula) -> Formula:
-    """Negation normal form: implications removed, negation only on atoms."""
-    return _nnf(phi, False)
+    """Negation normal form: implications removed, negation only on atoms.
+
+    Raises FormulaTooDeepError for a tree nested deeper than
+    :data:`MAX_FORMULA_DEPTH`.
+    """
+    return _nnf(phi, False, 0)
 
 
 def negate_nnf(phi: Formula) -> Formula:
-    """Negation normal form of the *negated* formula."""
-    return _nnf(phi, True)
+    """Negation normal form of the *negated* formula.
+
+    Raises FormulaTooDeepError for a tree nested deeper than
+    :data:`MAX_FORMULA_DEPTH`.
+    """
+    return _nnf(phi, True, 0)
 
 
 def is_nnf(phi: Formula) -> bool:
@@ -614,6 +630,9 @@ def lasso_eval(phi: Formula, word: LassoWord) -> bool:
     This evaluator is deliberately independent of the automaton pipeline so it
     can serve as a semantics oracle for it.  Being restricted to ultimately
     periodic words, it samples rather than exhausts the set of infinite traces.
+
+    Raises FormulaTooDeepError for a tree nested deeper than
+    :data:`MAX_FORMULA_DEPTH` instead of recursing that deep.
     """
     events = word.stem + word.loop
     n = len(events)
@@ -630,10 +649,16 @@ def lasso_eval(phi: Formula, word: LassoWord) -> bool:
     # every node stays alive, referenced from ``phi``, for the whole call.
     cache: dict[int, int] = {}
 
-    def values(f: Formula) -> int:
+    def values(f: Formula, depth: int) -> int:
+        # ``depth`` counts operators above ``f`` as _check_tree does, so the
+        # recursion never goes past MAX_FORMULA_DEPTH.  A subtree shared
+        # between places is evaluated, and checked, only where it is met first.
+        if depth > MAX_FORMULA_DEPTH:
+            raise FormulaTooDeepError()
         got = cache.get(id(f))
         if got is not None:
             return got
+        below = depth + 1
         if isinstance(f, TrueFormula):
             v = full
         elif isinstance(f, FalseFormula):
@@ -644,17 +669,17 @@ def lasso_eval(phi: Formula, word: LassoWord) -> bool:
                 if ev == f.name:
                     v |= 1 << i
         elif isinstance(f, Not):
-            v = full & ~values(f.arg)
+            v = full & ~values(f.arg, depth if isinstance(f.arg, Atom) else below)
         elif isinstance(f, And):
-            v = values(f.left) & values(f.right)
+            v = values(f.left, below) & values(f.right, below)
         elif isinstance(f, Or):
-            v = values(f.left) | values(f.right)
+            v = values(f.left, below) | values(f.right, below)
         elif isinstance(f, Implies):
-            v = (full & ~values(f.left)) | values(f.right)
+            v = (full & ~values(f.left, below)) | values(f.right, below)
         elif isinstance(f, Next):
-            v = shift(values(f.arg))
+            v = shift(values(f.arg, below))
         elif isinstance(f, Until):
-            lv, rv = values(f.left), values(f.right)
+            lv, rv = values(f.left, below), values(f.right, below)
             v = 0
             while True:
                 nv = rv | (lv & shift(v))
@@ -662,7 +687,7 @@ def lasso_eval(phi: Formula, word: LassoWord) -> bool:
                     break
                 v = nv
         elif isinstance(f, Release):
-            lv, rv = values(f.left), values(f.right)
+            lv, rv = values(f.left, below), values(f.right, below)
             v = full
             while True:
                 nv = rv & (lv | shift(v))
@@ -670,7 +695,7 @@ def lasso_eval(phi: Formula, word: LassoWord) -> bool:
                     break
                 v = nv
         elif isinstance(f, Eventually):
-            av = values(f.arg)
+            av = values(f.arg, below)
             v = 0
             while True:
                 nv = av | shift(v)
@@ -678,7 +703,7 @@ def lasso_eval(phi: Formula, word: LassoWord) -> bool:
                     break
                 v = nv
         elif isinstance(f, Always):
-            av = values(f.arg)
+            av = values(f.arg, below)
             v = full
             while True:
                 nv = av & shift(v)
@@ -690,4 +715,4 @@ def lasso_eval(phi: Formula, word: LassoWord) -> bool:
         cache[id(f)] = v
         return v
 
-    return bool(values(phi) & 1)
+    return bool(values(phi, 0) & 1)

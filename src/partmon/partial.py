@@ -8,11 +8,11 @@ from the conclusive states, linear in states plus edges.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
 from .fsm import MooreMonitor, Verdict
+from .graphs import reachable_from
 
 
 class NotPartializedError(ValueError):
@@ -66,15 +66,8 @@ def partialize(machine: MooreMonitor) -> MooreMonitor:
         for dst in machine.delta[q]:
             reverse[dst].append(q)
 
-    hopeful = set(q for q in machine.states() if machine.outputs[q].is_conclusive)
-    queue = deque(hopeful)
-    while queue:
-        q = queue.popleft()
-        for src in reverse[q]:
-            if src not in hopeful:
-                hopeful.add(src)
-                queue.append(src)
-
+    conclusive = [q for q, out in enumerate(machine.outputs) if out.is_conclusive]
+    hopeful = reachable_from(reverse, conclusive)
     outputs = [
         out if out is not Verdict.UNKNOWN or q in hopeful else Verdict.GIVEUP
         for q, out in enumerate(machine.outputs)
@@ -89,27 +82,6 @@ def partialize(machine: MooreMonitor) -> MooreMonitor:
     )
 
 
-def reachability_oracle(machine: MooreMonitor, state: int) -> bool:
-    """Forward breadth-first check: can this state reach a conclusive one?
-
-    Independent of the backward sweep in :func:`partialize`; kept as a
-    cross-check instrument.
-    """
-    if not 0 <= state < machine.num_states:
-        raise ValueError(f"state {state} out of range")
-    seen = {state}
-    queue = deque([state])
-    while queue:
-        q = queue.popleft()
-        if machine.outputs[q].is_conclusive:
-            return True
-        for dst in machine.delta[q]:
-            if dst not in seen:
-                seen.add(dst)
-                queue.append(dst)
-    return False
-
-
 def classify(machine: MooreMonitor) -> MonitorabilityReport:
     """Classify a partialized machine by what it can still conclude.
 
@@ -121,21 +93,6 @@ def classify(machine: MooreMonitor) -> MonitorabilityReport:
         raise NotPartializedError()
 
     giveup_count = sum(1 for out in machine.outputs if out is Verdict.GIVEUP)
-    can_reach_top = False
-    can_reach_bot = False
-    seen = {machine.initial}
-    queue = deque([machine.initial])
-    while queue:
-        q = queue.popleft()
-        if machine.outputs[q] is Verdict.TOP:
-            can_reach_top = True
-        elif machine.outputs[q] is Verdict.BOT:
-            can_reach_bot = True
-        for dst in machine.delta[q]:
-            if dst not in seen:
-                seen.add(dst)
-                queue.append(dst)
-
     witness = _shortest_giveup_trace(machine)
     if machine.outputs[machine.initial] is Verdict.GIVEUP:
         classification = Monitorability.NON_MONITORABLE
@@ -145,8 +102,10 @@ def classify(machine: MooreMonitor) -> MonitorabilityReport:
         classification = Monitorability.EXISTS_PZ_ONLY
     return MonitorabilityReport(
         classification=classification,
-        can_reach_top=can_reach_top,
-        can_reach_bot=can_reach_bot,
+        # Every state is reachable, so the verdicts present are the ones
+        # reachable from the initial state.
+        can_reach_top=Verdict.TOP in machine.outputs,
+        can_reach_bot=Verdict.BOT in machine.outputs,
         state_count=machine.num_states,
         giveup_state_count=giveup_count,
         ugly_witness=witness,
@@ -154,28 +113,18 @@ def classify(machine: MooreMonitor) -> MonitorabilityReport:
 
 
 def _shortest_giveup_trace(machine: MooreMonitor) -> tuple[str, ...] | None:
-    """Breadth-first search for a give-up state; expanding events in alphabet
-    order makes the witness the lexicographically least among the shortest."""
-    if machine.outputs[machine.initial] is Verdict.GIVEUP:
-        return ()
-    parent: dict[int, tuple[int, str] | None] = {machine.initial: None}
-    queue = deque([machine.initial])
-    while queue:
-        q = queue.popleft()
-        for k, event in enumerate(machine.alphabet):
-            dst = machine.delta[q][k]
-            if dst in parent:
-                continue
-            parent[dst] = (q, event)
-            if machine.outputs[dst] is Verdict.GIVEUP:
-                path = []
-                node = dst
-                while True:
-                    step = parent[node]
-                    if step is None:
-                        break
-                    node, ev = step
-                    path.append(ev)
-                return tuple(reversed(path))
-            queue.append(dst)
-    return None
+    """Path to the first give-up state a breadth-first search meets.
+
+    The search expands events in alphabet order, so the witness is the
+    lexicographically least among the shortest; ``delta[src].index(dst)`` is
+    the event it first reached ``dst`` by.
+    """
+    parent = reachable_from(machine.delta, [machine.initial])
+    node = next((q for q in parent if machine.outputs[q] is Verdict.GIVEUP), None)
+    if node is None:
+        return None
+    path = []
+    while (src := parent[node]) is not None:
+        path.append(machine.alphabet.symbols[machine.delta[src].index(node)])
+        node = src
+    return tuple(reversed(path))

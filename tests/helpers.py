@@ -1,7 +1,7 @@
 """Shared test utilities: formula generators, word families, golden machines,
 a second, deliberately naive semantics evaluator used to cross-check the
-fixpoint one, and the plain subset-construction route that synthesis is
-checked against.
+fixpoint one, machine isomorphism and a forward reachability check, and the
+plain subset-construction route that synthesis is checked against.
 """
 
 from __future__ import annotations
@@ -221,6 +221,55 @@ def giveup_only_machine(alphabet: Alphabet | None = None) -> MooreMonitor:
     return MooreMonitor(
         alphabet, 1, 0, [[0] * len(alphabet)], [Verdict.GIVEUP], partial=True
     )
+
+
+# --- instruments -----------------------------------------------------------------
+
+def moore_isomorphic(first: MooreMonitor, second: MooreMonitor) -> bool:
+    """Structural equality up to state renaming, respecting the initial state
+    and every state's output."""
+    if first.alphabet != second.alphabet or first.num_states != second.num_states:
+        return False
+    forward = {first.initial: second.initial}
+    backward = {second.initial: first.initial}
+    queue = deque([(first.initial, second.initial)])
+    while queue:
+        p, q = queue.popleft()
+        if first.outputs[p] is not second.outputs[q]:
+            return False
+        for k in range(len(first.alphabet)):
+            pd, qd = first.delta[p][k], second.delta[q][k]
+            if pd in forward:
+                if forward[pd] != qd:
+                    return False
+            elif qd in backward:
+                return False
+            else:
+                forward[pd] = qd
+                backward[qd] = pd
+                queue.append((pd, qd))
+    return True
+
+
+def reachability_oracle(machine: MooreMonitor, state: int) -> bool:
+    """Forward breadth-first check: can this state reach a conclusive one?
+
+    Independent of the backward sweep in :func:`partialize`; kept as a
+    cross-check instrument.
+    """
+    if not 0 <= state < machine.num_states:
+        raise ValueError(f"state {state} out of range")
+    seen = {state}
+    queue = deque([state])
+    while queue:
+        q = queue.popleft()
+        if machine.outputs[q].is_conclusive:
+            return True
+        for dst in machine.delta[q]:
+            if dst not in seen:
+                seen.add(dst)
+                queue.append(dst)
+    return False
 
 
 # --- reference stepper ---------------------------------------------------------

@@ -17,11 +17,10 @@ from partmon.fsm import (
     MooreMonitor,
     Verdict,
     monitor_verdict,
-    moore_isomorphic,
     synthesize_monitor,
 )
 from partmon.ltl import Alphabet, LassoWord, Not, lasso_eval, negate_nnf, nnf, parse_formula
-from partmon.partial import Monitorability, classify, partialize, reachability_oracle
+from partmon.partial import Monitorability, classify, partialize
 from partmon.runtime import run_trace
 
 from helpers import (
@@ -34,7 +33,9 @@ from helpers import (
     all_words,
     eventually_ev1_machine,
     mixed_branches_machine,
+    moore_isomorphic,
     random_formula,
+    reachability_oracle,
 )
 
 MIXED_FORMULA = "(ev1 & <>ev2) | (ev3 & []<>ev4)"
@@ -64,7 +65,7 @@ def test_criterion_1_eventually_golden():
     machine = synthesize_monitor(parse_formula("<>ev1", ALPHA3), ALPHA3)
     elapsed = time.perf_counter() - started
     assert machine.num_states == 2
-    assert sorted(v.text for v in machine.outputs) == ["?", "TOP"]
+    assert sorted(v.value for v in machine.outputs) == ["?", "TOP"]
     assert moore_isomorphic(machine, eventually_ev1_machine())
     # initial ? loops on ev2/ev3 and moves to the TOP sink on ev1
     start = machine.initial
@@ -254,10 +255,10 @@ def test_criterion_8_round_trip_and_cli(corpus, tmp_path, capsys):
             expected = run_trace(machine, sigma)
             body, final_line = lines[:-1], lines[-1]
             assert body == [
-                f"{i} {sigma[i - 1]} {v.text}" for i, v in expected
+                f"{i} {sigma[i - 1]} {v.value}" for i, v in expected
             ]
             final = expected[-1][1] if expected else machine.output(machine.initial)
-            assert final_line == f"FINAL {final.text}"
+            assert final_line == f"FINAL {final.value}"
             assert code == exit_codes[final]
     _report(8, "PMF round trip and CLI replay agree with in-memory monitors")
 

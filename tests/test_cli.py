@@ -9,9 +9,9 @@ import pytest
 
 from partmon.cli import main
 from partmon.formats import parse_monitor
-from partmon.fsm import Verdict, monitor_verdict, moore_isomorphic
+from partmon.fsm import Verdict, monitor_verdict
 
-from helpers import eventually_ev1_machine, mixed_branches_machine, RADIATION_FORMULA
+from helpers import eventually_ev1_machine, mixed_branches_machine, moore_isomorphic, RADIATION_FORMULA
 
 
 def run_cli(capsys, *argv):

@@ -16,7 +16,7 @@ from partmon.formats import (
     parse_trace,
     trace_events,
 )
-from partmon.fsm import Verdict, moore_isomorphic, synthesize_monitor
+from partmon.fsm import Verdict, synthesize_monitor
 from partmon.ltl import UnknownEventError, parse_formula
 from partmon.partial import partialize
 
@@ -27,6 +27,7 @@ from helpers import (
     eventually_ev1_machine,
     mixed_branches_machine,
     giveup_only_machine,
+    moore_isomorphic,
     radiation_machine,
     random_formula,
 )

@@ -11,7 +11,6 @@ from partmon.fsm import (
     Verdict,
     minimize_moore,
     monitor_verdict,
-    moore_isomorphic,
     per_state_nonempty,
     synthesize_monitor,
 )
@@ -38,6 +37,7 @@ from helpers import (
     determinize,
     eventually_ev1_machine,
     mixed_branches_machine,
+    moore_isomorphic,
     prefix_accepts,
     random_formula,
     reference_monitor,

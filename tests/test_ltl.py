@@ -176,6 +176,12 @@ def test_built_formulas_past_the_limit_raise_a_typed_error(shape):
             format_formula(phi)
         with pytest.raises(FormulaTooDeepError):
             validate_formula(phi, ALPHA3)
+        with pytest.raises(FormulaTooDeepError):
+            nnf(phi)
+        with pytest.raises(FormulaTooDeepError):
+            negate_nnf(phi)
+        with pytest.raises(FormulaTooDeepError):
+            lasso_eval(phi, LassoWord(("ev1",), ("ev2",)))
 
 
 @pytest.mark.parametrize("shape", sorted(_BUILT_SHAPES))
@@ -183,6 +189,9 @@ def test_built_formulas_at_the_limit_are_accepted(shape):
     phi = _BUILT_SHAPES[shape](MAX_FORMULA_DEPTH)
     validate_formula(phi, ALPHA3)
     assert parse_formula(format_formula(phi), ALPHA3) == phi
+    assert is_nnf(nnf(phi)) and is_nnf(negate_nnf(phi))
+    word = LassoWord(("ev1",), ("ev2",))
+    assert lasso_eval(phi, word) == unfold_eval(phi, word)
 
 
 def test_atoms_in_order_is_first_occurrence():

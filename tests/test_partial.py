@@ -4,25 +4,28 @@ import random
 
 import pytest
 
-from partmon.fsm import Verdict, minimize_moore, monitor_verdict, moore_isomorphic, synthesize_monitor
+from partmon.fsm import Verdict, minimize_moore, monitor_verdict, synthesize_monitor
 from partmon.partial import (
     Monitorability,
     NotPartializedError,
     classify,
     partialize,
-    reachability_oracle,
 )
-from partmon.ltl import parse_formula
+from partmon.ltl import Always, And, Atom, Eventually, Next, Or, Until, parse_formula
 
 from helpers import (
     ALPHA3,
     ALPHA4,
     NAMES3,
+    RADIATION_ALPHA,
+    RADIATION_FORMULA,
     all_words,
     eventually_ev1_machine,
     mixed_branches_machine,
     giveup_only_machine,
+    moore_isomorphic,
     random_formula,
+    reachability_oracle,
 )
 
 
@@ -234,6 +237,35 @@ def test_witness_ties_break_by_alphabet_declaration_order():
         partial=True,
     )
     assert classify(machine).ugly_witness == ("b",)
+
+
+def test_witness_is_the_first_word_that_gives_up():
+    """The witness is the first word, shortest first and in declaration order
+    within a length, that the machine sends to GIVEUP."""
+    rng = random.Random(1313)
+    cases = [(random_formula(rng, 4), ALPHA3) for _ in range(40)]
+    # Plain random formulas rarely give up after a nonempty prefix; these
+    # reach a recurrence, which gives up, after 1 to 4 events.
+    for _ in range(40):
+        late = And(Atom(rng.choice(NAMES3)), Always(Eventually(Atom(rng.choice(NAMES3)))))
+        for _ in range(rng.randrange(4)):
+            late = Next(late)
+        cases.append((Or(random_formula(rng, 3), Until(random_formula(rng, 2), late)), ALPHA3))
+    cases.append((parse_formula(RADIATION_FORMULA, RADIATION_ALPHA), RADIATION_ALPHA))
+    words = {alphabet: all_words(tuple(alphabet), 5) for alphabet in (ALPHA3, RADIATION_ALPHA)}
+    nonempty = 0
+    for phi, alphabet in cases:
+        machine = partialize(synthesize_monitor(phi, alphabet))
+        witness = classify(machine).ugly_witness
+        first = next(
+            (w for w in words[alphabet] if monitor_verdict(machine, w) is Verdict.GIVEUP), None
+        )
+        if first is None:
+            assert witness is None or len(witness) > 5
+        else:
+            assert witness == first
+            nonempty += len(first) > 0
+    assert nonempty >= 20
 
 
 def test_classify_requires_partialized_machine():
