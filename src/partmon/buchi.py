@@ -1,19 +1,21 @@
 """Translation of LTL formulas into generalized Büchi automata.
 
 The construction is the on-the-fly tableau expansion of Gerth, Peled, Vardi
-and Wolper (1995): nodes carry sets of obligations, Until/Release obligations
-split nodes, and the finished node graph becomes a generalized Büchi automaton
-with one acceptance set per Until subformula.  The acceptance sets are kept as
-they are: emptiness and lasso membership check every set directly, so no
-counter product is ever built.
+and Wolper (1995), read as a transition-based automaton (Couvreur 1999;
+Giannakopoulou and Lerda 2002): a state is the set of obligations it owes
+from the next position on, each way of expanding it into literals to meet
+now and obligations to pass on is one edge, and acceptance marks sit on the
+edges, one mark per Until subformula.  The marks are kept as they are:
+emptiness and lasso membership check every mark directly, so no counter
+product is ever built.
 
 The expansion works on integers throughout: every subformula is numbered by
-its position in the canonical subformula order, and a node's obligation sets
-are bitsets over those numbers.
+its position in the canonical subformula order, and obligation sets are
+bitsets over those numbers.
 
-Transition labels are concrete events, not proposition sets: an event
-satisfies a node's literal obligations iff every positive literal equals the
-event and no negative literal does.
+Edge guards are sets of concrete events, not of proposition sets: an event
+satisfies an edge's literal obligations iff every positive literal equals
+the event and no negative literal does.
 """
 
 from __future__ import annotations
@@ -44,79 +46,67 @@ from .ltl import (
 
 
 class Nba:
-    """Generalized Büchi automaton over concrete events.
+    """Transition-based generalized Büchi automaton over concrete events.
 
-    States are integers 0..num_states-1.  A run is accepting iff it visits
-    every set of ``accepting_sets`` infinitely often; with no sets at all,
-    every infinite run is accepting.  ``successor_masks[q][k]`` is the set of
-    successors of state ``q`` on the alphabet's ``k``-th event, as a bitset.
+    States are integers 0..num_states-1, one per row of ``edges``.
+    ``edges[q]`` lists the edges leaving ``q`` as ``(guard, dst, marks)``
+    triples: ``guard`` is the nonempty bitset of the events (by alphabet
+    index) the edge reads, ``marks`` the bitset of the acceptance marks
+    0..num_marks-1 it carries.  A run is accepting iff it takes an edge of
+    every mark infinitely often; with no marks at all, every infinite run is
+    accepting.  ``successor_masks[q][k]`` is the set of successors of state
+    ``q`` on the alphabet's ``k``-th event, as a bitset.
 
     ``obligations[q]`` is a bitset such that ``obligations[p]`` being a subset
     of ``obligations[q]`` implies that every word accepted from ``q`` is also
-    accepted from ``p``.  The tableau sets it to the obligations a state owes;
-    by default it is ``1 << q``, which relates no two distinct states.
+    accepted from ``p``.  The tableau sets it to the obligations a state owes.
     """
 
     __slots__ = (
-        "alphabet", "num_states", "initial", "accepting_sets", "successor_masks", "obligations"
+        "alphabet", "num_states", "initial", "edges", "num_marks", "successor_masks", "obligations"
     )
 
     def __init__(
         self,
         alphabet: Alphabet,
-        num_states: int,
         initial: Iterable[int],
-        transitions: Iterable[tuple[int, str, int]],
-        accepting_sets: Iterable[Iterable[int]],
+        edges: Sequence[Iterable[tuple[int, int, int]]],
+        num_marks: int,
+        obligations: Sequence[int],
     ):
-        masks = [[0] * len(alphabet) for _ in range(num_states)]
-        for src, event, dst in transitions:
-            if not (0 <= src < num_states and 0 <= dst < num_states):
-                raise ValueError(f"transition endpoint out of range: {(src, event, dst)}")
-            if event not in alphabet:
-                raise ValueError(f"transition on unknown event '{event}'")
-            masks[src][alphabet.index(event)] |= 1 << dst
-        self._init(alphabet, num_states, initial, masks, accepting_sets, None)
-
-    @classmethod
-    def from_masks(
-        cls,
-        alphabet: Alphabet,
-        num_states: int,
-        initial: Iterable[int],
-        successor_masks: Sequence[Sequence[int]],
-        accepting_sets: Iterable[Iterable[int]],
-        obligations: Sequence[int] | None = None,
-    ) -> "Nba":
-        """Build from per-state, per-event successor bitsets and, if given,
-        per-state obligation bitsets."""
-        nba = cls.__new__(cls)
-        nba._init(alphabet, num_states, initial, successor_masks, accepting_sets, obligations)
-        return nba
-
-    def _init(
-        self, alphabet, num_states, initial, successor_masks, accepting_sets, obligations
-    ) -> None:
         self.alphabet = alphabet
-        self.num_states = num_states
+        self.edges = tuple(tuple(row) for row in edges)
+        self.num_states = len(self.edges)
         self.initial = frozenset(initial)
-        self.successor_masks = tuple(tuple(row) for row in successor_masks)
-        self.accepting_sets = tuple(frozenset(s) for s in accepting_sets)
-        if obligations is None:
-            obligations = [1 << q for q in range(num_states)]
+        self.num_marks = num_marks
         self.obligations = tuple(obligations)
-        if len(self.obligations) != num_states:
+        if len(self.obligations) != self.num_states:
             raise ValueError("need one obligation set per state")
         if not self.initial:
             raise ValueError("automaton needs at least one initial state")
-        for q in self.initial.union(*self.accepting_sets):
-            if not 0 <= q < num_states:
+        for q in self.initial:
+            if not 0 <= q < self.num_states:
                 raise ValueError(f"state {q} out of range")
+        everything = (1 << len(alphabet)) - 1
+        masks = []
+        for row in self.edges:
+            targets = [0] * len(alphabet)
+            for guard, dst, marks in row:
+                if not 0 <= dst < self.num_states:
+                    raise ValueError(f"edge target {dst} out of range")
+                if not 0 < guard <= everything:
+                    raise ValueError(f"edge guard {guard:#b} is empty or reads unknown events")
+                if marks < 0 or marks >> num_marks:
+                    raise ValueError(f"edge marks {marks:#b} out of range")
+                for k in bits(guard):
+                    targets[k] |= 1 << dst
+            masks.append(tuple(targets))
+        self.successor_masks = tuple(masks)
 
     @property
     def transitions(self) -> tuple[tuple[int, str, int], ...]:
-        """Every edge as ``(src, event, dst)``, ordered by source, event
-        index, then target."""
+        """Every (source, event, target) step, ordered by source, event
+        index, then target; parallel edges give one step."""
         events = self.alphabet.symbols
         return tuple(
             (src, events[k], dst)
@@ -168,8 +158,9 @@ _KIND = {
 
 
 def ltl_to_nba(phi: Formula, alphabet: Alphabet) -> Nba:
-    """Build an NBA whose language is exactly the set of infinite words
-    satisfying ``phi``.
+    """Build a transition-based generalized Büchi automaton whose language is
+    exactly the set of infinite words satisfying ``phi``, one state per
+    obligation set.
 
     ``phi`` must be in negation normal form.  State numbering is canonical:
     the same formula always yields the identical automaton.
@@ -190,29 +181,27 @@ def ltl_to_nba(phi: Formula, alphabet: Alphabet) -> Nba:
         for f, k in zip(formulas, kind)
     ]
     right = [order[f.right] if k > _NEXT else -1 for f, k in zip(formulas, kind)]
-    # Bit of the complementary literal, or 0 when it does not occur; and the
-    # events each literal allows.
-    clash = [0] * len(formulas)
-    allows: dict[int, int] = {}
+    # The events each literal allows.
+    allows = [0] * len(formulas)
     everything = (1 << len(alphabet)) - 1
     for i, f in enumerate(formulas):
         if isinstance(f, Atom):
             allows[i] = 1 << alphabet.index(f.name)
         elif isinstance(f, Not):
-            clash[i] = 1 << order[f.arg]
-            clash[order[f.arg]] = 1 << i
             allows[i] = everything & ~(1 << alphabet.index(f.arg.name))
-    literals = sum(1 << i for i in allows)
 
-    def expand(obligations: int) -> list[tuple[int, int]]:
-        """GPVW expansion of one node: the (old, next) obligation sets of
-        every finished node it splits into, in order of completion."""
+    def expand(obligations: int) -> list[tuple[int, int, int]]:
+        """GPVW expansion of one state: the (guard, old, next) sets of every
+        cover it splits into, in order of completion.  ``guard`` is the set
+        of events that satisfy the literals in ``old``: every positive one
+        equals the event and no negative one does.  A branch whose guard
+        becomes empty can meet no event and is dropped at once."""
         covers = []
-        pending = [(obligations, 0, 0)]
+        pending = [(obligations, 0, 0, everything)]
         while pending:
-            new, old, nxt = pending.pop()
+            new, old, nxt, guard = pending.pop()
             if not new:
-                covers.append((old, nxt))
+                covers.append((guard, old, nxt))
                 continue
             low = new & -new
             eta = low.bit_length() - 1
@@ -222,78 +211,70 @@ def ltl_to_nba(phi: Formula, alphabet: Alphabet) -> Nba:
                 # Recorded like any granted obligation: an Until whose right
                 # side is literally true must see it in `old` to count as
                 # fulfilled.
-                pending.append((new, old | low, nxt))
+                pending.append((new, old | low, nxt, guard))
             elif k == _FALSE:
-                pass  # contradiction: drop this node
+                pass  # contradiction: drop this branch
             elif k == _LITERAL:
-                if not old & clash[eta]:
-                    pending.append((new, old | low, nxt))
+                if guard & allows[eta]:
+                    pending.append((new, old | low, nxt, guard & allows[eta]))
             elif k == _NEXT:
-                pending.append((new, old | low, nxt | 1 << left[eta]))
+                pending.append((new, old | low, nxt | 1 << left[eta], guard))
             else:
                 old |= low
                 lbit, rbit = 1 << left[eta], 1 << right[eta]
                 if k == _AND:
-                    pending.append((new | ((lbit | rbit) & ~old), old, nxt))
+                    pending.append((new | ((lbit | rbit) & ~old), old, nxt, guard))
                 elif k == _OR:
-                    pending.append((new | (rbit & ~old), old, nxt))
-                    pending.append((new | (lbit & ~old), old, nxt))
+                    pending.append((new | (rbit & ~old), old, nxt, guard))
+                    pending.append((new | (lbit & ~old), old, nxt, guard))
                 elif k == _UNTIL:
                     # eta = l U r unfolds to r | (l & X eta)
-                    pending.append((new | (rbit & ~old), old, nxt))
-                    pending.append((new | (lbit & ~old), old, nxt | low))
+                    pending.append((new | (rbit & ~old), old, nxt, guard))
+                    pending.append((new | (lbit & ~old), old, nxt | low, guard))
                 else:
                     # eta = l R r unfolds to r & (l | X eta)
-                    pending.append((new | ((lbit | rbit) & ~old), old, nxt))
-                    pending.append((new | (rbit & ~old), old, nxt | low))
+                    pending.append((new | ((lbit | rbit) & ~old), old, nxt, guard))
+                    pending.append((new | (rbit & ~old), old, nxt | low, guard))
         return covers
 
-    # State 0 is the initial placeholder that owes the goal; every other
-    # state is a finished tableau node, keyed by its (old, next) sets.  Nodes
-    # owing the same next obligations split alike, so each distinct set is
-    # expanded once and its successor row shared.
-    ids: dict[tuple[int, int], int] = {}
-    olds = [0]
-    owes = [1 << order[goal]]
-    rows: dict[int, tuple[int, ...]] = {}
-    masks = []
+    # A state is the set of obligations it owes from the next position on;
+    # the initial state owes the goal.  Each cover of a state's expansion is
+    # one edge, reading the cover's guard, to the state owing its `next`.
+    # The edge carries the mark of every Until that the cover's `old` does
+    # not promise, or whose right side `old` already grants.
+    untils = [u for u in range(len(formulas)) if kind[u] == _UNTIL]
+    mark_of = {u: 1 << j for j, u in enumerate(untils)}
+    every_mark = (1 << len(untils)) - 1
+    until_bits = sum(1 << u for u in untils)
+    ids = {1 << order[goal]: 0}
+    owes = list(ids)
+    edges = []
     for obligations in owes:
-        row = rows.get(obligations)
-        if row is None:
-            targets = [0] * len(alphabet)
-            for key in expand(obligations):
-                # An event satisfies a node's literals iff it equals every
-                # positive one and differs from every negative one.
-                events = everything
-                for i in bits(key[0] & literals):
-                    events &= allows[i]
-                if not events:
-                    continue
-                dst = ids.get(key)
-                if dst is None:
-                    dst = ids[key] = len(owes)
-                    olds.append(key[0])
-                    owes.append(key[1])
-                for k in bits(events):
-                    targets[k] |= 1 << dst
-            row = rows[obligations] = tuple(targets)
-        masks.append(row)
+        guards: dict[tuple[int, int], int] = {}
+        for guard, old, nxt in expand(obligations):
+            dst = ids.get(nxt)
+            if dst is None:
+                dst = ids[nxt] = len(owes)
+                owes.append(nxt)
+            marks = every_mark
+            for u in bits(old & until_bits):
+                if not old >> right[u] & 1:
+                    marks ^= mark_of[u]
+            # Covers reaching the same state with the same marks are one edge.
+            key = (dst, marks)
+            guards[key] = guards.get(key, 0) | guard
+        edges.append([(guard, dst, marks) for (dst, marks), guard in guards.items()])
 
-    accepting_sets = [
-        [q for q in range(1, len(olds)) if not olds[q] >> u & 1 or olds[q] >> right[u] & 1]
-        for u in range(len(formulas))
-        if kind[u] == _UNTIL
-    ]
     # A state's language is the set of words satisfying everything it owes
-    # (GPVW's correctness lemma, per node), so owing less accepts more.
-    return Nba.from_masks(alphabet, len(owes), [0], masks, accepting_sets, owes)
+    # (GPVW's correctness lemma), so owing less accepts more.
+    return Nba(alphabet, [0], edges, len(untils), owes)
 
 
 def nba_accepts_lasso(automaton: Nba, word) -> bool:
     """Decide whether the ultimately periodic word stem · loop^ω is accepted.
 
     Explores the product of the automaton with the lasso positions and looks
-    for a reachable cycle whose states meet every acceptance set.  Any cycle
+    for a reachable cycle whose edges carry every acceptance mark.  Any cycle
     necessarily lives in the loop segment, since stem positions cannot repeat.
     """
     events = [automaton.alphabet.index(e) for e in word.stem + word.loop]
@@ -306,17 +287,21 @@ def nba_accepts_lasso(automaton: Nba, word) -> bool:
         ids[(q, 0)] = len(nodes)
         nodes.append((q, 0))
     adjacency: list[list[int]] = []
+    marks: list[list[int]] = []
     for q, pos in nodes:
         nxt = pos + 1 if pos + 1 < n else loop_entry
-        out = []
-        for dst in bits(automaton.successor_masks[q][events[pos]]):
-            key = (dst, nxt)
-            got = ids.get(key)
-            if got is None:
-                got = ids[key] = len(nodes)
-                nodes.append(key)
-            out.append(got)
+        event = 1 << events[pos]
+        out, out_marks = [], []
+        for guard, dst, edge_marks in automaton.edges[q]:
+            if guard & event:
+                key = (dst, nxt)
+                got = ids.get(key)
+                if got is None:
+                    got = ids[key] = len(nodes)
+                    nodes.append(key)
+                out.append(got)
+                out_marks.append(edge_marks)
         adjacency.append(out)
+        marks.append(out_marks)
 
-    state_of = [q for q, _ in nodes]
-    return bool(accepting_components(adjacency, state_of, automaton.accepting_sets))
+    return bool(accepting_components(adjacency, marks, automaton.num_marks))

@@ -9,8 +9,6 @@ whether the prefix read so far already settles the property.
 from __future__ import annotations
 
 from enum import Enum
-from functools import reduce
-from operator import or_
 from typing import Callable, Sequence
 
 from .buchi import Nba, ltl_to_nba
@@ -52,20 +50,19 @@ class Verdict(Enum):
 def per_state_nonempty(automaton: Nba) -> frozenset[int]:
     """States that generate a nonempty omega-language when made initial.
 
-    Computed by SCC decomposition: a state qualifies iff it can reach a
-    nontrivial SCC (one with an internal transition, which for a singleton
-    component means a self-loop) that meets every acceptance set.
+    Computed by SCC decomposition: a state qualifies iff it can reach an SCC
+    with an internal edge (which for a singleton component means a
+    self-loop) whose internal edges carry every acceptance mark.
     """
-    adjacency: list[list[int]] = []
+    adjacency = [[dst for _, dst, _ in row] for row in automaton.edges]
+    marks = [[m for _, _, m in row] for row in automaton.edges]
     reverse: list[list[int]] = [[] for _ in range(automaton.num_states)]
-    for src, row in enumerate(automaton.successor_masks):
-        targets = list(bits(reduce(or_, row, 0)))
-        adjacency.append(targets)
+    for src, targets in enumerate(adjacency):
         for dst in targets:
             reverse[dst].append(src)
     seeds = [
         q
-        for component in accepting_components(adjacency, range(automaton.num_states), automaton.accepting_sets)
+        for component in accepting_components(adjacency, marks, automaton.num_marks)
         for q in component
     ]
     return frozenset(reachable_from(reverse, seeds))

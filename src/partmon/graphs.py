@@ -86,16 +86,23 @@ def bits(mask: int) -> Iterator[int]:
 
 def accepting_components(
     adjacency: Sequence[Sequence[int]],
-    state_of: Sequence[int],
-    accepting_sets: Sequence[frozenset[int]],
+    marks: Sequence[Sequence[int]],
+    num_marks: int,
 ) -> list[list[int]]:
-    """Nontrivial SCCs whose states (mapped through ``state_of``) meet every
-    acceptance set."""
+    """SCCs with at least one internal edge, whose internal edges carry every
+    mark 0..num_marks-1 between them.  ``marks[v][i]`` is the mark bitset of
+    the edge from ``v`` to ``adjacency[v][i]``."""
+    every_mark = (1 << num_marks) - 1
     found = []
     for component in strongly_connected_components(adjacency):
-        if len(component) == 1 and component[0] not in adjacency[component[0]]:
-            continue
-        states = {state_of[v] for v in component}
-        if all(not states.isdisjoint(s) for s in accepting_sets):
+        inside = set(component)
+        internal = False
+        carried = 0
+        for v in component:
+            for w, m in zip(adjacency[v], marks[v]):
+                if w in inside:
+                    internal = True
+                    carried |= m
+        if internal and carried == every_mark:
             found.append(component)
     return found

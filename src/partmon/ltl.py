@@ -12,7 +12,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_NAME_RE = re.compile(_WORD_RE.pattern + r"\Z")
 
 #: Words with a fixed meaning in the concrete syntax; they cannot name events.
 RESERVED_WORDS = frozenset({"true", "false", "X", "F", "G", "U", "R"})
@@ -327,15 +328,15 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
                 i += 2
             else:
                 raise FormulaSyntaxError("expected '[]'", i)
-        elif c.isalpha() or c == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            tokens.append((_KEYWORDS.get(word, "NAME"), word, i))
-            i = j
         else:
-            raise FormulaSyntaxError(f"unexpected character {c!r}", i)
+            # Words are ASCII, as event names are; any other letter is an
+            # unexpected character, not the start of an invalid name.
+            match = _WORD_RE.match(text, i)
+            if match is None:
+                raise FormulaSyntaxError(f"unexpected character {c!r}", i)
+            word = match.group()
+            tokens.append((_KEYWORDS.get(word, "NAME"), word, i))
+            i = match.end()
     tokens.append(("END", "", n))
     return tokens
 

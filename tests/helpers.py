@@ -1,7 +1,8 @@
 """Shared test utilities: formula generators, word families, golden machines,
 a second, deliberately naive semantics evaluator used to cross-check the
 fixpoint one, machine isomorphism and a forward reachability check, and the
-plain subset-construction route that synthesis is checked against.
+plain route that synthesis is checked against: a state-based GPVW tableau,
+the subset construction and a pair-per-state product.
 """
 
 from __future__ import annotations
@@ -10,8 +11,9 @@ import itertools
 import random
 from collections import deque
 
-from partmon.buchi import Nba, ltl_to_nba
+from partmon.buchi import Nba
 from partmon.fsm import MooreMonitor, Verdict, per_state_nonempty
+from partmon.graphs import bits
 from partmon.ltl import (
     Alphabet,
     Always,
@@ -31,8 +33,11 @@ from partmon.ltl import (
     TrueFormula,
     UnknownEventError,
     Until,
+    is_nnf,
     negate_nnf,
     nnf,
+    subformulas,
+    validate_formula,
 )
 
 NAMES3 = ("ev1", "ev2", "ev3")
@@ -298,6 +303,198 @@ def reference_states(machine: MooreMonitor, trace, stop_early: bool = False) -> 
     return states
 
 
+# --- state-based automata and the reference tableau ----------------------------
+
+def _state_marked(alphabet, initial, successor_masks, accepting_sets, obligations) -> Nba:
+    """The transition-based form of a state-based generalized Büchi
+    automaton: every edge leaving a state of acceptance set i carries mark i,
+    so a run takes mark i infinitely often iff it visits set i infinitely
+    often."""
+    edges = []
+    for q, row in enumerate(successor_masks):
+        marks = sum(1 << i for i, states in enumerate(accepting_sets) if q in states)
+        guards: dict[int, int] = {}
+        for k, mask in enumerate(row):
+            for dst in bits(mask):
+                guards[dst] = guards.get(dst, 0) | 1 << k
+        edges.append([(guard, dst, marks) for dst, guard in sorted(guards.items())])
+    return Nba(alphabet, initial, edges, len(accepting_sets), obligations)
+
+
+def state_nba(alphabet, n, initial, transitions, accepting_sets) -> Nba:
+    """An ``n``-state automaton from ``(src, event, dst)`` transitions, whose
+    runs are accepting iff they visit every set of ``accepting_sets``
+    infinitely often.  ``obligations[q]`` is ``1 << q``, which relates no two
+    distinct states."""
+    masks = [[0] * len(alphabet) for _ in range(n)]
+    for src, event, dst in transitions:
+        masks[src][alphabet.index(event)] |= 1 << dst
+    return _state_marked(alphabet, initial, masks, accepting_sets, [1 << q for q in range(n)])
+
+
+def _gpvw_sugar(phi: Formula) -> Formula:
+    """Rewrite F/G into their Until/Release definitions for the tableau."""
+    if isinstance(phi, Eventually):
+        return Until(TRUE, _gpvw_sugar(phi.arg))
+    if isinstance(phi, Always):
+        return Release(FALSE, _gpvw_sugar(phi.arg))
+    if isinstance(phi, (TrueFormula, FalseFormula, Atom)):
+        return phi
+    if isinstance(phi, Not):
+        return Not(_gpvw_sugar(phi.arg))
+    if isinstance(phi, Next):
+        return Next(_gpvw_sugar(phi.arg))
+    if isinstance(phi, And):
+        return And(_gpvw_sugar(phi.left), _gpvw_sugar(phi.right))
+    if isinstance(phi, Or):
+        return Or(_gpvw_sugar(phi.left), _gpvw_sugar(phi.right))
+    if isinstance(phi, Until):
+        return Until(_gpvw_sugar(phi.left), _gpvw_sugar(phi.right))
+    if isinstance(phi, Release):
+        return Release(_gpvw_sugar(phi.left), _gpvw_sugar(phi.right))
+    raise TypeError(f"not a formula: {phi!r}")
+
+
+# Obligation kinds of the integer-coded tableau.
+_TRUE, _FALSE, _LITERAL, _NEXT, _AND, _OR, _UNTIL, _RELEASE = range(8)
+_KIND = {
+    TrueFormula: _TRUE,
+    FalseFormula: _FALSE,
+    Atom: _LITERAL,
+    Not: _LITERAL,
+    Next: _NEXT,
+    And: _AND,
+    Or: _OR,
+    Until: _UNTIL,
+    Release: _RELEASE,
+}
+
+
+def gpvw_nba(phi: Formula, alphabet: Alphabet) -> Nba:
+    """The state-based GPVW tableau of ``phi``, an NNF formula: the
+    independent reference for :func:`partmon.buchi.ltl_to_nba`.
+
+    State 0 owes the goal; every other state is a finished tableau node,
+    keyed by its (old, next) obligation sets, with one acceptance set per
+    Until subformula.  It shares no construction code with the package's
+    transition-based tableau.
+    """
+    validate_formula(phi, alphabet)
+    if not is_nnf(phi):
+        raise ValueError("formula must be in negation normal form")
+    goal = _gpvw_sugar(phi)
+
+    # Obligation i, the i-th subformula in canonical order, is bit i of an
+    # obligation set; expanding the lowest bit first makes the expansion, and
+    # therefore the state numbering, deterministic.
+    order = {f: i for i, f in enumerate(subformulas(goal))}
+    formulas = list(order)
+    kind = [_KIND[type(f)] for f in formulas]
+    left = [
+        order[f.arg if k == _NEXT else f.left] if k >= _NEXT else -1
+        for f, k in zip(formulas, kind)
+    ]
+    right = [order[f.right] if k > _NEXT else -1 for f, k in zip(formulas, kind)]
+    # Bit of the complementary literal, or 0 when it does not occur; and the
+    # events each literal allows.
+    clash = [0] * len(formulas)
+    allows: dict[int, int] = {}
+    everything = (1 << len(alphabet)) - 1
+    for i, f in enumerate(formulas):
+        if isinstance(f, Atom):
+            allows[i] = 1 << alphabet.index(f.name)
+        elif isinstance(f, Not):
+            clash[i] = 1 << order[f.arg]
+            clash[order[f.arg]] = 1 << i
+            allows[i] = everything & ~(1 << alphabet.index(f.arg.name))
+    literals = sum(1 << i for i in allows)
+
+    def expand(obligations: int) -> list[tuple[int, int]]:
+        """GPVW expansion of one node: the (old, next) obligation sets of
+        every finished node it splits into, in order of completion."""
+        covers = []
+        pending = [(obligations, 0, 0)]
+        while pending:
+            new, old, nxt = pending.pop()
+            if not new:
+                covers.append((old, nxt))
+                continue
+            low = new & -new
+            eta = low.bit_length() - 1
+            new ^= low
+            k = kind[eta]
+            if k == _TRUE:
+                # Recorded like any granted obligation: an Until whose right
+                # side is literally true must see it in `old` to count as
+                # fulfilled.
+                pending.append((new, old | low, nxt))
+            elif k == _FALSE:
+                pass  # contradiction: drop this node
+            elif k == _LITERAL:
+                if not old & clash[eta]:
+                    pending.append((new, old | low, nxt))
+            elif k == _NEXT:
+                pending.append((new, old | low, nxt | 1 << left[eta]))
+            else:
+                old |= low
+                lbit, rbit = 1 << left[eta], 1 << right[eta]
+                if k == _AND:
+                    pending.append((new | ((lbit | rbit) & ~old), old, nxt))
+                elif k == _OR:
+                    pending.append((new | (rbit & ~old), old, nxt))
+                    pending.append((new | (lbit & ~old), old, nxt))
+                elif k == _UNTIL:
+                    # eta = l U r unfolds to r | (l & X eta)
+                    pending.append((new | (rbit & ~old), old, nxt))
+                    pending.append((new | (lbit & ~old), old, nxt | low))
+                else:
+                    # eta = l R r unfolds to r & (l | X eta)
+                    pending.append((new | ((lbit | rbit) & ~old), old, nxt))
+                    pending.append((new | (rbit & ~old), old, nxt | low))
+        return covers
+
+    # State 0 is the initial placeholder that owes the goal; every other
+    # state is a finished tableau node, keyed by its (old, next) sets.  Nodes
+    # owing the same next obligations split alike, so each distinct set is
+    # expanded once and its successor row shared.
+    ids: dict[tuple[int, int], int] = {}
+    olds = [0]
+    owes = [1 << order[goal]]
+    rows: dict[int, tuple[int, ...]] = {}
+    masks = []
+    for obligations in owes:
+        row = rows.get(obligations)
+        if row is None:
+            targets = [0] * len(alphabet)
+            for key in expand(obligations):
+                # An event satisfies a node's literals iff it equals every
+                # positive one and differs from every negative one.
+                events = everything
+                for i in bits(key[0] & literals):
+                    events &= allows[i]
+                if not events:
+                    continue
+                dst = ids.get(key)
+                if dst is None:
+                    dst = ids[key] = len(owes)
+                    olds.append(key[0])
+                    owes.append(key[1])
+                for k in bits(events):
+                    targets[k] |= 1 << dst
+            row = rows[obligations] = tuple(targets)
+        masks.append(row)
+
+    accepting_sets = [
+        [q for q in range(1, len(olds)) if not olds[q] >> u & 1 or olds[q] >> right[u] & 1]
+        for u in range(len(formulas))
+        if kind[u] == _UNTIL
+    ]
+    # A state's language is the set of words satisfying everything it owes
+    # (GPVW's correctness lemma, per node), so owing less accepts more.
+    return _state_marked(alphabet, [0], masks, accepting_sets, owes)
+
+
+
 # --- plain synthesis route --------------------------------------------------------
 
 class ReferenceDfa:
@@ -350,10 +547,11 @@ def prefix_accepts(nba: Nba, word) -> bool:
 
 
 def reference_monitor(phi: Formula, alphabet: Alphabet) -> MooreMonitor:
-    """The unminimized three-valued monitor by the plain route: determinize
-    both sides and take their synchronous product, one state per pair."""
-    pos = determinize(ltl_to_nba(nnf(phi), alphabet))
-    neg = determinize(ltl_to_nba(negate_nnf(phi), alphabet))
+    """The unminimized three-valued monitor by the plain route: build both
+    sides with the reference tableau, determinize them and take their
+    synchronous product, one state per pair."""
+    pos = determinize(gpvw_nba(nnf(phi), alphabet))
+    neg = determinize(gpvw_nba(negate_nnf(phi), alphabet))
     ids = {(0, 0): 0}
     pairs = [(0, 0)]
     delta, outputs = [], []

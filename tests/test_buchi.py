@@ -5,6 +5,7 @@ import random
 from partmon.buchi import Nba, ltl_to_nba, nba_accepts_lasso
 from partmon.fsm import per_state_nonempty
 from partmon.ltl import (
+    Alphabet,
     Atom,
     Eventually,
     FALSE,
@@ -17,7 +18,7 @@ from partmon.ltl import (
     parse_formula,
 )
 
-from helpers import ALPHA3, NAMES3, all_lassos, random_formula
+from helpers import ALPHA3, NAMES3, all_lassos, gpvw_nba, random_formula, state_nba
 
 
 def test_eventually_membership():
@@ -57,17 +58,19 @@ def test_accepts_lasso_spot_checks():
 
 def test_oracle_equivalence_and_complement_split():
     """Membership must match the lasso evaluator for the formula, and be the
-    exact complement for the negated formula."""
+    exact complement for the negated formula, both for the tableau and for
+    the state-based reference tableau."""
     rng = random.Random(0x5EED)
     lassos = all_lassos(NAMES3, 3, 2)
     for _ in range(50):
         phi = random_formula(rng, 4)
-        nba_pos = ltl_to_nba(nnf(phi), ALPHA3)
-        nba_neg = ltl_to_nba(negate_nnf(phi), ALPHA3)
-        for word in lassos:
-            expected = lasso_eval(phi, word)
-            assert nba_accepts_lasso(nba_pos, word) == expected, (phi, word)
-            assert nba_accepts_lasso(nba_neg, word) == (not expected), (phi, word)
+        for build in (ltl_to_nba, gpvw_nba):
+            nba_pos = build(nnf(phi), ALPHA3)
+            nba_neg = build(negate_nnf(phi), ALPHA3)
+            for word in lassos:
+                expected = lasso_eval(phi, word)
+                assert nba_accepts_lasso(nba_pos, word) == expected, (build, phi, word)
+                assert nba_accepts_lasso(nba_neg, word) == (not expected), (build, phi, word)
 
 
 def test_construction_is_deterministic():
@@ -76,10 +79,10 @@ def test_construction_is_deterministic():
         phi = nnf(random_formula(rng, 4))
         first = ltl_to_nba(phi, ALPHA3)
         second = ltl_to_nba(phi, ALPHA3)
-        assert first.num_states == second.num_states
         assert first.initial == second.initial
-        assert first.transitions == second.transitions
-        assert first.accepting_sets == second.accepting_sets
+        assert first.edges == second.edges
+        assert first.num_marks == second.num_marks
+        assert first.obligations == second.obligations
 
 
 def test_rejects_non_nnf_input():
@@ -92,22 +95,41 @@ def test_rejects_non_nnf_input():
 def test_nba_validates_structure():
     import pytest
 
+    loop = [(0b111, 1, 0b1)]
+    Nba(ALPHA3, [0], [[], loop], 1, (1, 2))  # well formed
     with pytest.raises(ValueError):
-        Nba(ALPHA3, 2, [], [], ())  # no initial state
+        Nba(ALPHA3, [], [[], loop], 1, (1, 2))  # no initial state
     with pytest.raises(ValueError):
-        Nba(ALPHA3, 2, [0], [(0, "ev1", 5)], ())  # endpoint out of range
+        Nba(ALPHA3, [2], [[], loop], 1, (1, 2))  # initial state out of range
     with pytest.raises(ValueError):
-        Nba(ALPHA3, 2, [0], [(0, "nope", 1)], ())  # unknown event
+        Nba(ALPHA3, [0], [[(0b1, 5, 0)], loop], 1, (1, 2))  # target out of range
     with pytest.raises(ValueError):
-        Nba(ALPHA3, 2, [0], [], ({0}, {2}))  # accepting state out of range
+        Nba(ALPHA3, [0], [[(0b1000, 1, 0)], loop], 1, (1, 2))  # unknown event
+    with pytest.raises(ValueError):
+        Nba(ALPHA3, [0], [[(0, 1, 0)], loop], 1, (1, 2))  # empty guard
+    with pytest.raises(ValueError):
+        Nba(ALPHA3, [0], [[(0b1, 1, 0b10)], loop], 1, (1, 2))  # mark out of range
+    with pytest.raises(ValueError):
+        Nba(ALPHA3, [0], [[], loop], 1, (1,))  # one obligation set short
 
 
 def test_transitions_round_trip_through_the_constructor():
+    """Rebuilding from ``edges`` gives the same automaton, and the derived
+    successor bitsets and transitions list exactly the steps the edges allow."""
     rng = random.Random(0xB17)
     for _ in range(20):
         nba = ltl_to_nba(nnf(random_formula(rng, 3)), ALPHA3)
-        rebuilt = Nba(ALPHA3, nba.num_states, nba.initial, nba.transitions, nba.accepting_sets)
+        rebuilt = Nba(ALPHA3, nba.initial, nba.edges, nba.num_marks, nba.obligations)
         assert rebuilt.successor_masks == nba.successor_masks
+        steps = {
+            (src, event, dst)
+            for src, row in enumerate(nba.edges)
+            for guard, dst, _ in row
+            for k, event in enumerate(NAMES3)
+            if guard >> k & 1
+        }
+        assert set(nba.transitions) == steps
+        assert len(nba.transitions) == len(steps)
         for src, event, dst in nba.transitions:
             assert dst in nba.successors(src, event)
 
@@ -119,7 +141,7 @@ _TWO_LOOPS = [(0, "ev1", 1), (1, "ev2", 0), (0, "ev3", 0), (1, "ev3", 1)]
 
 
 def test_lasso_must_meet_every_acceptance_set():
-    nba = Nba(ALPHA3, 2, [0], _TWO_LOOPS, ({0}, {1}))
+    nba = state_nba(ALPHA3, 2, [0], _TWO_LOOPS, ({0}, {1}))
     assert nba_accepts_lasso(nba, LassoWord((), ("ev1", "ev2")))
     # ev3 forever stays in state 0: it meets the first set only.
     assert not nba_accepts_lasso(nba, LassoWord((), ("ev3",)))
@@ -127,7 +149,7 @@ def test_lasso_must_meet_every_acceptance_set():
 
 
 def test_no_acceptance_sets_accept_every_infinite_run():
-    nba = Nba(ALPHA3, 2, [0], _TWO_LOOPS, ())
+    nba = state_nba(ALPHA3, 2, [0], _TWO_LOOPS, ())
     assert nba_accepts_lasso(nba, LassoWord((), ("ev3",)))
     assert nba_accepts_lasso(nba, LassoWord(("ev1",), ("ev3",)))
     # ev2 has no edge out of state 0: no run at all.
@@ -135,29 +157,25 @@ def test_no_acceptance_sets_accept_every_infinite_run():
 
 
 def test_an_empty_acceptance_set_accepts_nothing():
-    nba = Nba(ALPHA3, 2, [0], _TWO_LOOPS, ({0, 1}, ()))
+    nba = state_nba(ALPHA3, 2, [0], _TWO_LOOPS, ({0, 1}, ()))
     for word in all_lassos(NAMES3, 1, 2):
         assert not nba_accepts_lasso(nba, word)
 
 
 def test_tableau_keeps_one_acceptance_set_per_until():
     alpha = ALPHA3
-    assert ltl_to_nba(parse_formula("[]ev1", alpha), alpha).accepting_sets == ()
+    assert ltl_to_nba(parse_formula("[]ev1", alpha), alpha).num_marks == 0
     gf = nnf(parse_formula("[]<>ev1 & []<>ev2", alpha))
-    assert len(ltl_to_nba(gf, alpha).accepting_sets) == 2
+    assert ltl_to_nba(gf, alpha).num_marks == 2
 
 
 # --- the obligation preorder ----------------------------------------------------
 
 
 def test_hand_built_automata_relate_no_two_states():
-    import pytest
-
-    assert Nba(ALPHA3, 2, [0], _TWO_LOOPS, ()).obligations == (1 << 0, 1 << 1)
-    nba = Nba.from_masks(ALPHA3, 3, [0], [[0] * 3] * 3, ())
+    assert state_nba(ALPHA3, 2, [0], _TWO_LOOPS, ()).obligations == (1 << 0, 1 << 1)
+    nba = state_nba(ALPHA3, 3, [0], [], ())
     assert nba.obligations == tuple(1 << q for q in range(3))
-    with pytest.raises(ValueError):
-        Nba.from_masks(ALPHA3, 3, [0], [[0] * 3] * 3, (), obligations=(0, 0))
 
 
 def test_weaker_obligations_accept_every_word_of_stronger_ones():
@@ -173,9 +191,7 @@ def test_weaker_obligations_accept_every_word_of_stronger_ones():
             assert len(nba.obligations) == nba.num_states
             accepted = {}
             for q in per_state_nonempty(nba):
-                start = Nba.from_masks(
-                    ALPHA3, nba.num_states, [q], nba.successor_masks, nba.accepting_sets
-                )
+                start = Nba(ALPHA3, [q], nba.edges, nba.num_marks, nba.obligations)
                 accepted[q] = {i for i, w in enumerate(lassos) if nba_accepts_lasso(start, w)}
             owes = nba.obligations
             for p in accepted:
@@ -184,3 +200,24 @@ def test_weaker_obligations_accept_every_word_of_stronger_ones():
                         assert accepted[q] <= accepted[p], (goal, p, q)
                         strict_pairs += owes[p] != owes[q] and bool(accepted[q])
     assert strict_pairs > 0
+
+
+# --- one state per obligation set -------------------------------------------------
+
+
+def test_tableau_has_one_state_per_obligation_set():
+    """States are keyed by the obligations they owe, not copied per way of
+    reaching them: resp-4's formula side has 17 states (346 as a state-based
+    tableau), and the negation side of <>(a & X^8 b) has 256 (513)."""
+    resp4 = " & ".join(f"[](r{i} -> <>g{i})" for i in range(4))
+    alpha = Alphabet([e for i in range(4) for e in (f"r{i}", f"g{i}")])
+    chain = "<>(a & X X X X X X X X b)"
+    abc = Alphabet(["a", "b", "c"])
+    cases = [
+        (nnf(parse_formula(resp4, alpha)), alpha, 17),
+        (negate_nnf(parse_formula(chain, abc)), abc, 256),
+    ]
+    for goal, alphabet, size in cases:
+        nba = ltl_to_nba(goal, alphabet)
+        assert nba.num_states == size
+        assert len(set(nba.obligations)) == size

@@ -150,6 +150,28 @@ def test_parse_format_errors():
         parse_monitor("PMF 1\nALPHABET ev1\nINITIAL s0\n")  # no states
 
 
+# Lines of a PMF file, valid and broken, so that generated text also reaches
+# the checks past the line grammar.
+_PMF_LINES = st.lists(
+    st.sampled_from(
+        ["PMF 1", "PMF 9", "ALPHABET ev1 ev2", "ALPHABET ev1 ev1", "ALPHABET é", "ALPHABET X",
+         "INITIAL s0", "INITIAL s1", "STATE s0 ?", "STATE s0 TOP", "STATE s1 x", "STATE s1 ¿",
+         "TRANS s0 ev1 s0", "TRANS s0 ev2 s1", "TRANS s1 ev1 s1", "TRANS s1 ev2 s1",
+         "TRANS s0 ev3 s0", "TRANS s0", "# note", "", "WIBBLE"]
+    ),
+    max_size=12,
+).map("\n".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(max_size=60), _PMF_LINES))
+def test_parse_monitor_raises_only_typed_errors(text):
+    try:
+        parse_monitor(text)
+    except (FormatError, ValidationError):
+        pass
+
+
 def test_parse_unreachable_state_rejected():
     text = _GOOD + "STATE s2 BOT\n" + "".join(
         f"TRANS s2 {e} s2\n" for e in ("ev1", "ev2", "ev3")

@@ -41,6 +41,7 @@ from helpers import (
     prefix_accepts,
     random_formula,
     reference_monitor,
+    state_nba,
 )
 
 
@@ -52,19 +53,17 @@ def test_per_state_nonempty_eventually_all_states():
     # confirm by sampling: from every state taken as initial, some lasso is accepted
     family = all_lassos(NAMES3, 2, 2)
     for state in range(nba.num_states):
-        shifted = Nba(
-            ALPHA3, nba.num_states, [state], nba.transitions, nba.accepting_sets
-        )
+        shifted = Nba(ALPHA3, [state], nba.edges, nba.num_marks, nba.obligations)
         assert any(nba_accepts_lasso(shifted, w) for w in family)
 
 
 def test_per_state_nonempty_isolated_accepting_state():
-    nba = Nba(ALPHA3, 1, [0], [], ({0},))  # accepting but no transitions
+    nba = state_nba(ALPHA3, 1, [0], [], ({0},))  # accepting but no transitions
     assert per_state_nonempty(nba) == frozenset()
 
 
 def test_per_state_nonempty_accepting_self_loop():
-    nba = Nba(ALPHA3, 2, [0], [(0, "ev1", 1), (1, "ev1", 1)], ({1},))
+    nba = state_nba(ALPHA3, 2, [0], [(0, "ev1", 1), (1, "ev1", 1)], ({1},))
     assert per_state_nonempty(nba) == frozenset({0, 1})
 
 
@@ -72,13 +71,13 @@ def test_per_state_nonempty_needs_every_acceptance_set():
     """State 1 loops inside the first set only, state 2 inside both: only
     the branch into state 2 is live."""
     edges = [(0, "ev1", 1), (1, "ev1", 1), (0, "ev2", 2), (2, "ev2", 2)]
-    nba = Nba(ALPHA3, 3, [0], edges, ({1, 2}, {2}))
+    nba = state_nba(ALPHA3, 3, [0], edges, ({1, 2}, {2}))
     assert per_state_nonempty(nba) == frozenset({0, 2})
     # one SCC that meets the two sets in different states is live
-    cycle = Nba(ALPHA3, 2, [0], [(0, "ev1", 1), (1, "ev1", 0)], ({0}, {1}))
+    cycle = state_nba(ALPHA3, 2, [0], [(0, "ev1", 1), (1, "ev1", 0)], ({0}, {1}))
     assert per_state_nonempty(cycle) == frozenset({0, 1})
     # without acceptance sets any cycle will do, but a dead end will not
-    free = Nba(ALPHA3, 3, [0], [(0, "ev1", 1), (1, "ev1", 1), (0, "ev2", 2)], ())
+    free = state_nba(ALPHA3, 3, [0], [(0, "ev1", 1), (1, "ev1", 1), (0, "ev2", 2)], ())
     assert per_state_nonempty(free) == frozenset({0, 1})
 
 
@@ -91,7 +90,7 @@ def test_per_state_nonempty_matches_lasso_membership():
         nba = ltl_to_nba(nnf(random_formula(rng, 3)), ALPHA3)
         live = per_state_nonempty(nba)
         for state in range(nba.num_states):
-            shifted = Nba(ALPHA3, nba.num_states, [state], nba.transitions, nba.accepting_sets)
+            shifted = Nba(ALPHA3, [state], nba.edges, nba.num_marks, nba.obligations)
             assert any(nba_accepts_lasso(shifted, w) for w in family) == (state in live)
 
 
@@ -122,7 +121,7 @@ def test_nfa_of_atom_prefixes():
 # --- determinization (plain reference route) ------------------------------------
 
 def test_determinize_universal_nfa():
-    universal = Nba(ALPHA3, 1, [0], [(0, e, 0) for e in NAMES3], ())
+    universal = state_nba(ALPHA3, 1, [0], [(0, e, 0) for e in NAMES3], ())
     dfa = determinize(universal)
     assert dfa.num_states == 1
     assert dfa.finals == frozenset({0})
@@ -132,7 +131,7 @@ def test_determinize_universal_nfa():
 
 
 def test_determinize_empty_language_nfa():
-    empty = Nba(ALPHA3, 1, [0], [(0, e, 0) for e in NAMES3], ({0}, ()))
+    empty = state_nba(ALPHA3, 1, [0], [(0, e, 0) for e in NAMES3], ({0}, ()))
     dfa = determinize(empty)
     assert dfa.num_states == 1
     assert dfa.finals == frozenset()
@@ -234,14 +233,15 @@ ABC = Alphabet(["a", "b", "c"])
 @pytest.mark.parametrize("k", range(4, 9))
 def test_antichain_product_of_next_chain(k):
     """<>(a & X^k b): the negation side's subsets keep only their weakest
-    tableau states, which halves the product (2**(k+2) without the cut)."""
+    tableau states, so the product is already the minimal machine."""
     phi = parse_formula("<>(a & " + "X " * k + "b)", ABC)
-    assert synthesize_monitor(phi, ABC, minimize=False).num_states == 2 ** (k + 1) + 2
+    assert synthesize_monitor(phi, ABC, minimize=False).num_states == 2 ** k + 1
+    assert synthesize_monitor(phi, ABC).num_states == 2 ** k + 1
 
 
 def test_antichain_product_of_radiation():
     phi = parse_formula(RADIATION_FORMULA, RADIATION_ALPHA)
-    assert synthesize_monitor(phi, RADIATION_ALPHA, minimize=False).num_states == 10
+    assert synthesize_monitor(phi, RADIATION_ALPHA, minimize=False).num_states == 6
 
 
 # --- synthesis ---------------------------------------------------------------

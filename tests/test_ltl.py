@@ -124,6 +124,35 @@ def test_parse_bad_tokens():
         parse_formula("", ALPHA3)
 
 
+@pytest.mark.parametrize("text, position", [("é", 0), ("lé", 1), ("ab²", 2), ("ev1 & ﬁ", 6)])
+def test_parse_non_ascii_letters_are_syntax_errors(text, position):
+    """Event names are ASCII: a non-ASCII letter or digit is an unexpected
+    character at its own position, not part of a name."""
+    with pytest.raises(FormulaSyntaxError) as exc:
+        parse_formula(text)
+    assert exc.value.position == position
+
+
+# Formula-shaped pieces, so that generated text also reaches the parser
+# beyond the tokenizer.
+_FORMULA_PIECES = st.lists(
+    st.sampled_from(
+        ["ev1", "zork", "é", "²", "_", "(", ")", "!", "&", "|", "->", "-", "<>", "<",
+         "[]", "[", "X", "F", "G", "U", "R", "true", "false", " ", "#", "\n"]
+    ),
+    max_size=30,
+).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(max_size=30), _FORMULA_PIECES), st.sampled_from([None, ALPHA3]))
+def test_parse_formula_raises_only_typed_errors(text, alphabet):
+    try:
+        parse_formula(text, alphabet)
+    except (FormulaSyntaxError, UnknownAtomError):
+        pass
+
+
 # Text shapes that nest one level per repetition.
 _DEEP_SHAPES = {
     "negations": lambda n: "!" * n + "ev1",
