@@ -32,16 +32,19 @@ from .ltl import (
     FALSE,
     FalseFormula,
     Formula,
+    Implies,
     Next,
     Not,
     Or,
     Release,
     TRUE,
     TrueFormula,
+    UnknownAtomError,
     Until,
-    is_nnf,
+    _Binary,
+    _Unary,
+    _check_depth,
     subformulas,
-    validate_formula,
 )
 
 
@@ -119,27 +122,24 @@ class Nba:
         return tuple(bits(self.successor_masks[state][self.alphabet.index(event)]))
 
 
-def _expand_temporal_sugar(phi: Formula) -> Formula:
-    """Rewrite F/G into their Until/Release definitions for the tableau."""
-    if isinstance(phi, Eventually):
-        return Until(TRUE, _expand_temporal_sugar(phi.arg))
-    if isinstance(phi, Always):
-        return Release(FALSE, _expand_temporal_sugar(phi.arg))
-    if isinstance(phi, (TrueFormula, FalseFormula, Atom)):
-        return phi
-    if isinstance(phi, Not):
-        return Not(_expand_temporal_sugar(phi.arg))
-    if isinstance(phi, Next):
-        return Next(_expand_temporal_sugar(phi.arg))
-    if isinstance(phi, And):
-        return And(_expand_temporal_sugar(phi.left), _expand_temporal_sugar(phi.right))
-    if isinstance(phi, Or):
-        return Or(_expand_temporal_sugar(phi.left), _expand_temporal_sugar(phi.right))
-    if isinstance(phi, Until):
-        return Until(_expand_temporal_sugar(phi.left), _expand_temporal_sugar(phi.right))
-    if isinstance(phi, Release):
-        return Release(_expand_temporal_sugar(phi.left), _expand_temporal_sugar(phi.right))
-    raise TypeError(f"not a formula: {phi!r}")
+def _expand_temporal_sugar(phi: Formula, done: dict[Formula, Formula]) -> Formula:
+    """Rewrite F/G into their Until/Release definitions for the tableau.
+    ``done`` maps each subformula already rewritten to its rewrite."""
+    got = done.get(phi)
+    if got is None:
+        if isinstance(phi, Eventually):
+            got = Until(TRUE, _expand_temporal_sugar(phi.arg, done))
+        elif isinstance(phi, Always):
+            got = Release(FALSE, _expand_temporal_sugar(phi.arg, done))
+        elif isinstance(phi, _Binary):
+            left = _expand_temporal_sugar(phi.left, done)
+            got = type(phi)(left, _expand_temporal_sugar(phi.right, done))
+        elif isinstance(phi, _Unary):
+            got = type(phi)(_expand_temporal_sugar(phi.arg, done))
+        else:
+            got = phi
+        done[phi] = got
+    return got
 
 
 # Obligation kinds of the integer-coded tableau.
@@ -165,30 +165,32 @@ def ltl_to_nba(phi: Formula, alphabet: Alphabet) -> Nba:
     ``phi`` must be in negation normal form.  State numbering is canonical:
     the same formula always yields the identical automaton.
     """
-    validate_formula(phi, alphabet)
-    if not is_nnf(phi):
-        raise ValueError("formula must be in negation normal form")
-    goal = _expand_temporal_sugar(phi)
+    _check_depth(phi)
+    goal = _expand_temporal_sugar(phi, {})
 
     # Obligation i, the i-th subformula in canonical order, is bit i of an
     # obligation set; expanding the lowest bit first makes the expansion, and
     # therefore the state numbering, deterministic.
-    order = {f: i for i, f in enumerate(subformulas(goal))}
-    formulas = list(order)
+    formulas = subformulas(goal)
+    order = {f: i for i, f in enumerate(formulas)}
+    # The events each literal allows; an atom comes before its negation.
+    allows = [0] * len(formulas)
+    everything = (1 << len(alphabet)) - 1
+    for i, f in enumerate(formulas):
+        if isinstance(f, Atom):
+            if f.name not in alphabet:
+                raise UnknownAtomError(f.name)
+            allows[i] = 1 << alphabet.index(f.name)
+        elif isinstance(f, Implies) or (isinstance(f, Not) and not isinstance(f.arg, Atom)):
+            raise ValueError("formula must be in negation normal form")
+        elif isinstance(f, Not):
+            allows[i] = everything & ~allows[order[f.arg]]
     kind = [_KIND[type(f)] for f in formulas]
     left = [
         order[f.arg if k == _NEXT else f.left] if k >= _NEXT else -1
         for f, k in zip(formulas, kind)
     ]
     right = [order[f.right] if k > _NEXT else -1 for f, k in zip(formulas, kind)]
-    # The events each literal allows.
-    allows = [0] * len(formulas)
-    everything = (1 << len(alphabet)) - 1
-    for i, f in enumerate(formulas):
-        if isinstance(f, Atom):
-            allows[i] = 1 << alphabet.index(f.name)
-        elif isinstance(f, Not):
-            allows[i] = everything & ~(1 << alphabet.index(f.arg.name))
 
     def expand(obligations: int) -> list[tuple[int, int, int]]:
         """GPVW expansion of one state: the (guard, old, next) sets of every
@@ -225,7 +227,9 @@ def ltl_to_nba(phi: Formula, alphabet: Alphabet) -> Nba:
                 if k == _AND:
                     pending.append((new | ((lbit | rbit) & ~old), old, nxt, guard))
                 elif k == _OR:
-                    pending.append((new | (rbit & ~old), old, nxt, guard))
+                    # l | l has one branch: a second would repeat every cover.
+                    if rbit != lbit:
+                        pending.append((new | (rbit & ~old), old, nxt, guard))
                     pending.append((new | (lbit & ~old), old, nxt, guard))
                 elif k == _UNTIL:
                     # eta = l U r unfolds to r | (l & X eta)

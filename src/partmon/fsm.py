@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 from .buchi import Nba, ltl_to_nba
 from .graphs import accepting_components, bits, reachable_from
-from .ltl import Alphabet, Formula, negate_nnf, nnf, validate_formula
+from .ltl import Alphabet, Formula, negate_nnf, nnf
 
 
 class Verdict(Enum):
@@ -207,7 +207,6 @@ def synthesize_monitor(
     TOP states are one absorbing sink, and all BOT states another.  With
     ``minimize`` (the default) the result is the unique minimal machine.
     """
-    validate_formula(phi, alphabet)
     pos_start, pos_row = _live_subsets(ltl_to_nba(nnf(phi), alphabet))
     neg_start, neg_row = _live_subsets(ltl_to_nba(negate_nnf(phi), alphabet))
 

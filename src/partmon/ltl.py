@@ -116,160 +116,194 @@ class Alphabet:
 
 
 class Formula:
-    """Base class for formula nodes; all nodes are immutable and hashable."""
+    """Base class for formula nodes: immutable, hashable, compared by structure.
 
-    __slots__ = ()
+    ``depth``, the number of operators nested above the deepest leaf (a
+    negated atom is a leaf), and the hash are stored when a node is built.
+    This class's own constructor builds the leaves, true and false.
+    """
+
+    __slots__ = ("depth", "_hash")
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self):
+        _set_depth(self, 0)
+        _set_hash(self, hash(self.__class__))
+
+    def _immutable(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot change field {name!r}: formulas are immutable")
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self._hash != other._hash:
+            return False
+        for field in self._fields:
+            if getattr(self, field) != getattr(other, field):
+                return False
+        return True
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, field) for field in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in self._fields)
+        return f"{self.__class__.__name__}({fields})"
 
     def __str__(self) -> str:
         return format_formula(self)
 
 
-@dataclass(frozen=True, slots=True)
 class TrueFormula(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class FalseFormula(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Atom(Formula):
-    name: str
+    __slots__ = ("name",)
+    _fields = ("name",)
 
-    def __post_init__(self):
-        _check_event_name(self.name)
-
-
-@dataclass(frozen=True, slots=True)
-class Not(Formula):
-    arg: Formula
+    def __init__(self, name: str):
+        _set_name(self, _check_event_name(name))
+        _set_depth(self, 0)
+        _set_hash(self, hash((Atom, name)))
 
 
-@dataclass(frozen=True, slots=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class _Unary(Formula):
+    __slots__ = ("arg",)
+    _fields = ("arg",)
+
+    def __init__(self, arg: Formula):
+        if not isinstance(arg, Formula):
+            raise TypeError(f"not a formula: {arg!r}")
+        _set_arg(self, arg)
+        # The one place that says a negated atom is a leaf.
+        leaf = self.__class__ is Not and arg.__class__ is Atom
+        _set_depth(self, 0 if leaf else arg.depth + 1)
+        _set_hash(self, hash((self.__class__, arg._hash)))
 
 
-@dataclass(frozen=True, slots=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class _Binary(Formula):
+    __slots__ = ("left", "right")
+    _fields = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        if not isinstance(left, Formula):
+            raise TypeError(f"not a formula: {left!r}")
+        if not isinstance(right, Formula):
+            raise TypeError(f"not a formula: {right!r}")
+        _set_left(self, left)
+        _set_right(self, right)
+        depth = left.depth if left.depth > right.depth else right.depth
+        _set_depth(self, depth + 1)
+        _set_hash(self, hash((self.__class__, left._hash, right._hash)))
 
 
-@dataclass(frozen=True, slots=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+# The constructors store through the slots, past the __setattr__ that refuses it.
+_set_depth, _set_hash, _set_name = Formula.depth.__set__, Formula._hash.__set__, Atom.name.__set__
+_set_arg, _set_left, _set_right = _Unary.arg.__set__, _Binary.left.__set__, _Binary.right.__set__
 
 
-@dataclass(frozen=True, slots=True)
-class Next(Formula):
-    arg: Formula
+class Not(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Until(Formula):
-    left: Formula
-    right: Formula
+class Next(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Release(Formula):
-    left: Formula
-    right: Formula
+class Eventually(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Eventually(Formula):
-    arg: Formula
+class Always(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Always(Formula):
-    arg: Formula
+class And(_Binary):
+    __slots__ = ()
+
+
+class Or(_Binary):
+    __slots__ = ()
+
+
+class Implies(_Binary):
+    __slots__ = ()
+
+
+class Until(_Binary):
+    __slots__ = ()
+
+
+class Release(_Binary):
+    __slots__ = ()
 
 
 TRUE = TrueFormula()
 FALSE = FalseFormula()
 
-_BINARY = (And, Or, Implies, Until, Release)
-_UNARY = (Not, Next, Eventually, Always)
-
 
 def children(phi: Formula) -> tuple[Formula, ...]:
-    if isinstance(phi, _BINARY):
+    if isinstance(phi, _Binary):
         return (phi.left, phi.right)
-    if isinstance(phi, _UNARY):
+    if isinstance(phi, _Unary):
         return (phi.arg,)
     return ()
 
 
 def subformulas(phi: Formula) -> list[Formula]:
     """All distinct subformulas in left-to-right postorder (children first)."""
-    out: list[Formula] = []
-    seen: set[Formula] = set()
+    out: dict[Formula, None] = {}
 
     def walk(f: Formula) -> None:
-        if f in seen:
-            return
-        for c in children(f):
-            walk(c)
-        seen.add(f)
-        out.append(f)
+        if f not in out:
+            for c in children(f):
+                walk(c)
+            out[f] = None
 
     walk(phi)
-    return out
+    return list(out)
 
 
 def atoms_in_order(phi: Formula) -> list[str]:
     """Atom names in order of first occurrence, reading the formula left to right."""
-    out: list[str] = []
-    seen: set[str] = set()
+    seen: dict[Formula, None] = {}  # in preorder
     stack = [phi]
     while stack:
         f = stack.pop()
-        if isinstance(f, Atom):
-            if f.name not in seen:
-                seen.add(f.name)
-                out.append(f.name)
-        else:
+        if f not in seen:
+            seen[f] = None
             stack.extend(reversed(children(f)))
-    return out
+    return [f.name for f in seen if isinstance(f, Atom)]
 
 
-def _check_tree(phi: Formula, alphabet: Alphabet | None = None) -> None:
-    """Raise FormulaTooDeepError if the tree nests more than
-    :data:`MAX_FORMULA_DEPTH` operators above its leaves, and, given an
-    alphabet, UnknownAtomError for the first atom outside it.
-
-    Literals, an atom or a negated atom, are leaves, so the negation normal
-    form of a formula that passes passes too.  Iterative, so trees built in
-    code of any depth are measured without recursion.
-    """
-    stack = [(phi, 0)]
-    while stack:
-        f, depth = stack.pop()
-        if depth > MAX_FORMULA_DEPTH:
-            raise FormulaTooDeepError()
-        if isinstance(f, Not) and isinstance(f.arg, Atom):
-            f = f.arg
-        if isinstance(f, Atom):
-            if alphabet is not None and f.name not in alphabet:
-                raise UnknownAtomError(f.name)
-        else:
-            depth += 1
-            for c in reversed(children(f)):
-                stack.append((c, depth))
+def _check_depth(phi: Formula) -> None:
+    """Refuse a tree that a pass would have to recurse too deep into."""
+    if not isinstance(phi, Formula):
+        raise TypeError(f"not a formula: {phi!r}")
+    if phi.depth > MAX_FORMULA_DEPTH:
+        raise FormulaTooDeepError()
 
 
 def validate_formula(phi: Formula, alphabet: Alphabet) -> None:
     """Raise FormulaTooDeepError if the formula is nested deeper than
     :data:`MAX_FORMULA_DEPTH`, and UnknownAtomError if it mentions an event
     outside the alphabet."""
-    _check_tree(phi, alphabet)
+    _check_depth(phi)
+    for name in atoms_in_order(phi):
+        if name not in alphabet:
+            raise UnknownAtomError(name)
 
 
 # --- concrete syntax -------------------------------------------------------
@@ -345,9 +379,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 #: every pair of parentheses is one level.  Deeper text is rejected before the
 #: parser recurses that far, which keeps the parser and every recursive pass
 #: over a parsed formula well inside Python's recursion limit.
-#: :func:`validate_formula` and :func:`format_formula` hold trees built in code
-#: to the same number of nested operators; a parsed tree always passes, since
-#: the parser counts at least as many levels.
+#: Every pass over a tree built in code holds it to the same number of nested
+#: operators, its ``depth``; a parsed tree always passes, since the parser
+#: counts at least as many levels.
 MAX_FORMULA_DEPTH = 100
 
 _Parsed = tuple[Formula, int]  # a subtree and its nesting depth
@@ -528,55 +562,35 @@ def format_formula(phi: Formula) -> str:
     Raises FormulaTooDeepError for a tree nested deeper than
     :data:`MAX_FORMULA_DEPTH`.
     """
-    _check_tree(phi)
+    _check_depth(phi)
     return _fmt(phi, _LEVEL_IMPL)
 
 
-def _nnf(phi: Formula, neg: bool, depth: int) -> Formula:
-    # ``depth`` counts the operators above ``phi`` as _check_tree does (a
-    # negated atom is a leaf), so a tree too deep is refused without a
-    # second walk over it.
-    if depth > MAX_FORMULA_DEPTH:
-        raise FormulaTooDeepError()
-    depth += 1  # the depth of the children
-    if isinstance(phi, TrueFormula):
-        return FALSE if neg else TRUE
-    if isinstance(phi, FalseFormula):
-        return TRUE if neg else FALSE
-    if isinstance(phi, Atom):
-        return Not(phi) if neg else phi
-    if isinstance(phi, Not):
-        if isinstance(phi.arg, Atom):
-            return phi.arg if neg else phi
-        return _nnf(phi.arg, not neg, depth)
-    if isinstance(phi, And):
-        op = Or if neg else And
-        return op(_nnf(phi.left, neg, depth), _nnf(phi.right, neg, depth))
-    if isinstance(phi, Or):
-        op = And if neg else Or
-        return op(_nnf(phi.left, neg, depth), _nnf(phi.right, neg, depth))
-    if isinstance(phi, Implies):
-        # l -> r is rewritten as !l | r before pushing negations.
-        if neg:
-            return And(_nnf(phi.left, False, depth), _nnf(phi.right, True, depth))
-        return Or(_nnf(phi.left, True, depth), _nnf(phi.right, False, depth))
-    if isinstance(phi, Next):
-        return Next(_nnf(phi.arg, neg, depth))
-    if isinstance(phi, Until):
-        op = Release if neg else Until
-        return op(_nnf(phi.left, neg, depth), _nnf(phi.right, neg, depth))
-    if isinstance(phi, Release):
-        op = Until if neg else Release
-        return op(_nnf(phi.left, neg, depth), _nnf(phi.right, neg, depth))
-    if isinstance(phi, Eventually):
-        if neg:
-            return Always(_nnf(phi.arg, True, depth))
-        return Eventually(_nnf(phi.arg, False, depth))
-    if isinstance(phi, Always):
-        if neg:
-            return Eventually(_nnf(phi.arg, True, depth))
-        return Always(_nnf(phi.arg, False, depth))
-    raise TypeError(f"not a formula: {phi!r}")
+# The operator each one becomes when a negation is pushed through it.
+_DUAL = {TrueFormula: FalseFormula, And: Or, Until: Release, Eventually: Always, Next: Next}
+_DUAL.update({dual: op for op, dual in _DUAL.items()})
+
+
+def _nnf(f: Formula, neg: bool, done: dict[tuple[Formula, bool], Formula]) -> Formula:
+    if isinstance(f, Atom):
+        return Not(f) if neg else f
+    if isinstance(f, Not):
+        return _nnf(f.arg, not neg, done)
+    out = done.get((f, neg))
+    if out is None:
+        if isinstance(f, Implies):
+            # l -> r is rewritten as !l | r before pushing negations.
+            out = (And if neg else Or)(_nnf(f.left, not neg, done), _nnf(f.right, neg, done))
+        else:
+            op = _DUAL[f.__class__] if neg else f.__class__
+            if isinstance(f, _Binary):
+                out = op(_nnf(f.left, neg, done), _nnf(f.right, neg, done))
+            elif isinstance(f, _Unary):
+                out = op(_nnf(f.arg, neg, done))
+            else:
+                out = op()
+        done[f, neg] = out
+    return out
 
 
 def nnf(phi: Formula) -> Formula:
@@ -585,7 +599,8 @@ def nnf(phi: Formula) -> Formula:
     Raises FormulaTooDeepError for a tree nested deeper than
     :data:`MAX_FORMULA_DEPTH`.
     """
-    return _nnf(phi, False, 0)
+    _check_depth(phi)
+    return _nnf(phi, False, {})
 
 
 def negate_nnf(phi: Formula) -> Formula:
@@ -594,15 +609,15 @@ def negate_nnf(phi: Formula) -> Formula:
     Raises FormulaTooDeepError for a tree nested deeper than
     :data:`MAX_FORMULA_DEPTH`.
     """
-    return _nnf(phi, True, 0)
+    _check_depth(phi)
+    return _nnf(phi, True, {})
 
 
 def is_nnf(phi: Formula) -> bool:
-    if isinstance(phi, Implies):
-        return False
-    if isinstance(phi, Not):
-        return isinstance(phi.arg, Atom)
-    return all(is_nnf(c) for c in children(phi))
+    return not any(
+        isinstance(f, Implies) or (isinstance(f, Not) and not isinstance(f.arg, Atom))
+        for f in subformulas(phi)
+    )
 
 
 @dataclass(frozen=True)
@@ -635,6 +650,7 @@ def lasso_eval(phi: Formula, word: LassoWord) -> bool:
     Raises FormulaTooDeepError for a tree nested deeper than
     :data:`MAX_FORMULA_DEPTH` instead of recursing that deep.
     """
+    _check_depth(phi)
     events = word.stem + word.loop
     n = len(events)
     full = (1 << n) - 1
@@ -646,20 +662,12 @@ def lasso_eval(phi: Formula, word: LassoWord) -> bool:
         # position back to the loop entry.
         return (v >> 1) | (high if v & loop_entry else 0)
 
-    # Keyed by node identity: hashing a frozen node re-walks its subtree, and
-    # every node stays alive, referenced from ``phi``, for the whole call.
-    cache: dict[int, int] = {}
+    cache: dict[Formula, int] = {}
 
-    def values(f: Formula, depth: int) -> int:
-        # ``depth`` counts operators above ``f`` as _check_tree does, so the
-        # recursion never goes past MAX_FORMULA_DEPTH.  A subtree shared
-        # between places is evaluated, and checked, only where it is met first.
-        if depth > MAX_FORMULA_DEPTH:
-            raise FormulaTooDeepError()
-        got = cache.get(id(f))
+    def values(f: Formula) -> int:
+        got = cache.get(f)
         if got is not None:
             return got
-        below = depth + 1
         if isinstance(f, TrueFormula):
             v = full
         elif isinstance(f, FalseFormula):
@@ -670,50 +678,36 @@ def lasso_eval(phi: Formula, word: LassoWord) -> bool:
                 if ev == f.name:
                     v |= 1 << i
         elif isinstance(f, Not):
-            v = full & ~values(f.arg, depth if isinstance(f.arg, Atom) else below)
+            v = full & ~values(f.arg)
         elif isinstance(f, And):
-            v = values(f.left, below) & values(f.right, below)
+            v = values(f.left) & values(f.right)
         elif isinstance(f, Or):
-            v = values(f.left, below) | values(f.right, below)
+            v = values(f.left) | values(f.right)
         elif isinstance(f, Implies):
-            v = (full & ~values(f.left, below)) | values(f.right, below)
+            v = (full & ~values(f.left)) | values(f.right)
         elif isinstance(f, Next):
-            v = shift(values(f.arg, below))
-        elif isinstance(f, Until):
-            lv, rv = values(f.left, below), values(f.right, below)
+            v = shift(values(f.arg))
+        elif isinstance(f, (Until, Eventually)):
+            # Until, or Eventually: F a is true U a.
+            lv = values(f.left) if isinstance(f, Until) else full
+            rv = values(f.right) if isinstance(f, Until) else values(f.arg)
             v = 0
             while True:
                 nv = rv | (lv & shift(v))
                 if nv == v:
                     break
                 v = nv
-        elif isinstance(f, Release):
-            lv, rv = values(f.left, below), values(f.right, below)
+        else:
+            # Release, or Always: G a is false R a.
+            lv = values(f.left) if isinstance(f, Release) else 0
+            rv = values(f.right) if isinstance(f, Release) else values(f.arg)
             v = full
             while True:
                 nv = rv & (lv | shift(v))
                 if nv == v:
                     break
                 v = nv
-        elif isinstance(f, Eventually):
-            av = values(f.arg, below)
-            v = 0
-            while True:
-                nv = av | shift(v)
-                if nv == v:
-                    break
-                v = nv
-        elif isinstance(f, Always):
-            av = values(f.arg, below)
-            v = full
-            while True:
-                nv = av & shift(v)
-                if nv == v:
-                    break
-                v = nv
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-        cache[id(f)] = v
+        cache[f] = v
         return v
 
-    return bool(values(phi, 0) & 1)
+    return bool(values(phi) & 1)

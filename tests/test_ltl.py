@@ -1,6 +1,9 @@
-"""Formula layer: grammar, normal forms, and the lasso-word evaluator."""
+"""Formula layer: nodes, grammar, normal forms, and the lasso-word evaluator."""
 
+import copy
+import pickle
 import random
+import time
 from functools import reduce
 
 import pytest
@@ -36,6 +39,7 @@ from partmon.ltl import (
     validate_formula,
 )
 
+from partmon.formats import emit_monitor
 from partmon.fsm import monitor_verdict, synthesize_monitor
 
 from helpers import ALPHA3, NAMES3, all_lassos, random_formula, unfold_eval
@@ -226,6 +230,77 @@ def test_built_formulas_at_the_limit_are_accepted(shape):
 def test_atoms_in_order_is_first_occurrence():
     phi = parse_formula("ev2 U (ev1 & ev2)", ALPHA3)
     assert atoms_in_order(phi) == ["ev2", "ev1"]
+
+
+# --- formula nodes ------------------------------------------------------------
+
+def test_nodes_refuse_children_that_are_not_formulas():
+    with pytest.raises(TypeError, match="not a formula: 3"):
+        And(Atom("ev1"), 3)
+    with pytest.raises(TypeError):
+        Not("ev1")
+    with pytest.raises(TypeError):
+        Until(Atom("ev1"), None)
+
+
+def test_node_contract():
+    text = "[](ev1 -> <>ev2) & !(ev3 U X ev1)"
+    phi, twin = parse_formula(text, ALPHA3), parse_formula(text, ALPHA3)
+    assert phi is not twin and phi == twin and hash(phi) == hash(twin)
+    assert phi != parse_formula("[](ev1 -> <>ev2) & !(ev3 U X ev2)", ALPHA3)
+    assert repr(And(Atom("ev1"), Not(TRUE))) == (
+        "And(left=Atom(name='ev1'), right=Not(arg=TrueFormula()))"
+    )
+    # depth counts operators above the deepest leaf; a negated atom is a leaf
+    assert (Atom("ev1").depth, Not(Atom("ev1")).depth, Not(Not(Atom("ev1"))).depth) == (0, 0, 1)
+    assert phi.depth == 4
+    with pytest.raises(AttributeError):
+        phi.left = TRUE
+    with pytest.raises(AttributeError):
+        del phi.right
+    with pytest.raises(AttributeError):
+        Atom("ev1").name = "ev2"
+    for copied in (pickle.loads(pickle.dumps(phi)), copy.deepcopy(phi)):
+        assert copied == phi and hash(copied) == hash(phi)
+        assert format_formula(copied) == format_formula(phi)
+    shared = And(phi, phi)
+    copied = copy.deepcopy(shared)
+    assert copied.left is copied.right
+    # the hash is stored, so a chain far past the depth limit hashes too
+    # (kept out of the assertions, whose failure message would print it)
+    chain = reduce(lambda f, _: Next(f), range(1500), Atom("ev1"))
+    twin = reduce(lambda f, _: Next(f), range(1500), Atom("ev1"))
+    chain_hash, twin_hash, depth = hash(chain), hash(twin), chain.depth
+    assert chain_hash == twin_hash and depth == 1500
+
+
+def _doubled(op, phi, levels):
+    for _ in range(levels):
+        phi = op(phi, phi)
+    return phi
+
+
+@pytest.mark.parametrize("op, text", [(And, "ev1"), (Or, "[](ev1 -> <>ev2)")])
+def test_shared_subtrees_are_walked_once(op, text):
+    """30 levels of f = op(f, f): 31 distinct nodes, 2^30 paths.  Every pass
+    visits a node once, so this takes milliseconds.  The DAG never appears
+    in an assertion, whose failure message would print all of it."""
+    base = parse_formula(text, ALPHA3)
+    dag = _doubled(op, base, 30)
+    started = time.perf_counter()
+    pmf = emit_monitor(synthesize_monitor(dag, ALPHA3))
+    elapsed = time.perf_counter() - started
+    assert pmf == emit_monitor(synthesize_monitor(base, ALPHA3))
+    assert elapsed < 1.0
+    validate_formula(dag, ALPHA3)
+    normal, negated = nnf(dag), negate_nnf(dag)
+    same_depth = normal.depth == negated.depth == dag.depth
+    assert same_depth
+    names = atoms_in_order(dag)
+    assert names == atoms_in_order(base)
+    for word in all_lassos(NAMES3, 1, 2):
+        value = lasso_eval(dag, word)
+        assert value == lasso_eval(base, word)
 
 
 # --- printing round trip ----------------------------------------------------
