@@ -5,7 +5,7 @@ and Wolper (1995), read as a transition-based automaton (Couvreur 1999;
 Giannakopoulou and Lerda 2002): a state is the set of obligations it owes
 from the next position on, each way of expanding it into literals to meet
 now and obligations to pass on is one edge, and acceptance marks sit on the
-edges, one mark per Until subformula.  The marks are kept as they are:
+edges, one mark per Until or F subformula.  The marks are kept as they are:
 emptiness and lasso membership check every mark directly, so no counter
 product is ever built.
 
@@ -22,14 +22,13 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .graphs import accepting_components, bits
+from .graphs import accepting_components
 from .ltl import (
     Alphabet,
     Always,
     And,
     Atom,
     Eventually,
-    FALSE,
     FalseFormula,
     Formula,
     Implies,
@@ -37,13 +36,12 @@ from .ltl import (
     Not,
     Or,
     Release,
-    TRUE,
     TrueFormula,
     UnknownAtomError,
     Until,
     _Binary,
-    _Unary,
     _check_depth,
+    children,
     subformulas,
 )
 
@@ -57,17 +55,14 @@ class Nba:
     index) the edge reads, ``marks`` the bitset of the acceptance marks
     0..num_marks-1 it carries.  A run is accepting iff it takes an edge of
     every mark infinitely often; with no marks at all, every infinite run is
-    accepting.  ``successor_masks[q][k]`` is the set of successors of state
-    ``q`` on the alphabet's ``k``-th event, as a bitset.
+    accepting.
 
     ``obligations[q]`` is a bitset such that ``obligations[p]`` being a subset
     of ``obligations[q]`` implies that every word accepted from ``q`` is also
     accepted from ``p``.  The tableau sets it to the obligations a state owes.
     """
 
-    __slots__ = (
-        "alphabet", "num_states", "initial", "edges", "num_marks", "successor_masks", "obligations"
-    )
+    __slots__ = ("alphabet", "num_states", "initial", "edges", "num_marks", "obligations")
 
     def __init__(
         self,
@@ -91,9 +86,7 @@ class Nba:
             if not 0 <= q < self.num_states:
                 raise ValueError(f"state {q} out of range")
         everything = (1 << len(alphabet)) - 1
-        masks = []
         for row in self.edges:
-            targets = [0] * len(alphabet)
             for guard, dst, marks in row:
                 if not 0 <= dst < self.num_states:
                     raise ValueError(f"edge target {dst} out of range")
@@ -101,48 +94,26 @@ class Nba:
                     raise ValueError(f"edge guard {guard:#b} is empty or reads unknown events")
                 if marks < 0 or marks >> num_marks:
                     raise ValueError(f"edge marks {marks:#b} out of range")
-                for k in bits(guard):
-                    targets[k] |= 1 << dst
-            masks.append(tuple(targets))
-        self.successor_masks = tuple(masks)
 
     @property
     def transitions(self) -> tuple[tuple[int, str, int], ...]:
         """Every (source, event, target) step, ordered by source, event
         index, then target; parallel edges give one step."""
-        events = self.alphabet.symbols
         return tuple(
-            (src, events[k], dst)
-            for src, row in enumerate(self.successor_masks)
-            for k, mask in enumerate(row)
-            for dst in bits(mask)
+            (src, event, dst)
+            for src in range(self.num_states)
+            for event in self.alphabet
+            for dst in self.successors(src, event)
         )
 
     def successors(self, state: int, event: str) -> tuple[int, ...]:
-        return tuple(bits(self.successor_masks[state][self.alphabet.index(event)]))
+        """The targets, in increasing order, of the edges from ``state`` reading ``event``."""
+        event_bit = 1 << self.alphabet.index(event)
+        return tuple(sorted({dst for guard, dst, _ in self.edges[state] if guard & event_bit}))
 
 
-def _expand_temporal_sugar(phi: Formula, done: dict[Formula, Formula]) -> Formula:
-    """Rewrite F/G into their Until/Release definitions for the tableau.
-    ``done`` maps each subformula already rewritten to its rewrite."""
-    got = done.get(phi)
-    if got is None:
-        if isinstance(phi, Eventually):
-            got = Until(TRUE, _expand_temporal_sugar(phi.arg, done))
-        elif isinstance(phi, Always):
-            got = Release(FALSE, _expand_temporal_sugar(phi.arg, done))
-        elif isinstance(phi, _Binary):
-            left = _expand_temporal_sugar(phi.left, done)
-            got = type(phi)(left, _expand_temporal_sugar(phi.right, done))
-        elif isinstance(phi, _Unary):
-            got = type(phi)(_expand_temporal_sugar(phi.arg, done))
-        else:
-            got = phi
-        done[phi] = got
-    return got
-
-
-# Obligation kinds of the integer-coded tableau.
+# Obligation kinds of the integer-coded tableau.  F r is read as true U r and
+# G r as false R r, with no bit for the constant side.
 _TRUE, _FALSE, _LITERAL, _NEXT, _AND, _OR, _UNTIL, _RELEASE = range(8)
 _KIND = {
     TrueFormula: _TRUE,
@@ -153,7 +124,9 @@ _KIND = {
     And: _AND,
     Or: _OR,
     Until: _UNTIL,
+    Eventually: _UNTIL,
     Release: _RELEASE,
+    Always: _RELEASE,
 }
 
 
@@ -166,12 +139,10 @@ def ltl_to_nba(phi: Formula, alphabet: Alphabet) -> Nba:
     the same formula always yields the identical automaton.
     """
     _check_depth(phi)
-    goal = _expand_temporal_sugar(phi, {})
-
     # Obligation i, the i-th subformula in canonical order, is bit i of an
     # obligation set; expanding the lowest bit first makes the expansion, and
     # therefore the state numbering, deterministic.
-    formulas = subformulas(goal)
+    formulas = subformulas(phi)
     order = {f: i for i, f in enumerate(formulas)}
     # The events each literal allows; an atom comes before its negation.
     allows = [0] * len(formulas)
@@ -186,11 +157,10 @@ def ltl_to_nba(phi: Formula, alphabet: Alphabet) -> Nba:
         elif isinstance(f, Not):
             allows[i] = everything & ~allows[order[f.arg]]
     kind = [_KIND[type(f)] for f in formulas]
-    left = [
-        order[f.arg if k == _NEXT else f.left] if k >= _NEXT else -1
-        for f, k in zip(formulas, kind)
-    ]
-    right = [order[f.right] if k > _NEXT else -1 for f, k in zip(formulas, kind)]
+    # Each obligation's operands as one-bit sets: the argument of X, F and G
+    # is its right operand, and their left one is 0.
+    lbits = [1 << order[f.left] if isinstance(f, _Binary) else 0 for f in formulas]
+    rbits = [1 << order[children(f)[-1]] if k >= _NEXT else 0 for f, k in zip(formulas, kind)]
 
     def expand(obligations: int) -> list[tuple[int, int, int]]:
         """GPVW expansion of one state: the (guard, old, next) sets of every
@@ -220,10 +190,10 @@ def ltl_to_nba(phi: Formula, alphabet: Alphabet) -> Nba:
                 if guard & allows[eta]:
                     pending.append((new, old | low, nxt, guard & allows[eta]))
             elif k == _NEXT:
-                pending.append((new, old | low, nxt | 1 << left[eta], guard))
+                pending.append((new, old | low, nxt | rbits[eta], guard))
             else:
                 old |= low
-                lbit, rbit = 1 << left[eta], 1 << right[eta]
+                lbit, rbit = lbits[eta], rbits[eta]
                 if k == _AND:
                     pending.append((new | ((lbit | rbit) & ~old), old, nxt, guard))
                 elif k == _OR:
@@ -232,25 +202,24 @@ def ltl_to_nba(phi: Formula, alphabet: Alphabet) -> Nba:
                         pending.append((new | (rbit & ~old), old, nxt, guard))
                     pending.append((new | (lbit & ~old), old, nxt, guard))
                 elif k == _UNTIL:
-                    # eta = l U r unfolds to r | (l & X eta)
+                    # eta = l U r unfolds to r | (l & X eta); F r's l = true owes nothing.
                     pending.append((new | (rbit & ~old), old, nxt, guard))
                     pending.append((new | (lbit & ~old), old, nxt | low, guard))
                 else:
-                    # eta = l R r unfolds to r & (l | X eta)
-                    pending.append((new | ((lbit | rbit) & ~old), old, nxt, guard))
+                    # eta = l R r unfolds to (l & r) | (r & X eta); G r has
+                    # l = false, so only the second branch.
+                    if lbit:
+                        pending.append((new | ((lbit | rbit) & ~old), old, nxt, guard))
                     pending.append((new | (rbit & ~old), old, nxt | low, guard))
         return covers
 
     # A state is the set of obligations it owes from the next position on;
     # the initial state owes the goal.  Each cover of a state's expansion is
     # one edge, reading the cover's guard, to the state owing its `next`.
-    # The edge carries the mark of every Until that the cover's `old` does
-    # not promise, or whose right side `old` already grants.
-    untils = [u for u in range(len(formulas)) if kind[u] == _UNTIL]
-    mark_of = {u: 1 << j for j, u in enumerate(untils)}
-    every_mark = (1 << len(untils)) - 1
-    until_bits = sum(1 << u for u in untils)
-    ids = {1 << order[goal]: 0}
+    # The edge carries mark j for the j-th Until or F unless the cover's `old`
+    # promises that Until without granting its right side.
+    untils = [(1 << u, rbits[u]) for u in range(len(formulas)) if kind[u] == _UNTIL]
+    ids = {1 << order[phi]: 0}
     owes = list(ids)
     edges = []
     for obligations in owes:
@@ -260,10 +229,10 @@ def ltl_to_nba(phi: Formula, alphabet: Alphabet) -> Nba:
             if dst is None:
                 dst = ids[nxt] = len(owes)
                 owes.append(nxt)
-            marks = every_mark
-            for u in bits(old & until_bits):
-                if not old >> right[u] & 1:
-                    marks ^= mark_of[u]
+            marks = 0
+            for j, (ubit, rbit) in enumerate(untils):
+                if not old & ubit or old & rbit:
+                    marks |= 1 << j
             # Covers reaching the same state with the same marks are one edge.
             key = (dst, marks)
             guards[key] = guards.get(key, 0) | guard

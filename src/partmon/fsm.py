@@ -71,8 +71,8 @@ def per_state_nonempty(automaton: Nba) -> frozenset[int]:
 def _live_subsets(automaton: Nba) -> tuple[int, Callable[[int], tuple[int, ...]]]:
     """The subset construction over the automaton's live states, as bitsets.
 
-    Returns the initial subset and a memoized function from a subset to its
-    successor subset per event.  Dead states can only reach dead states, so
+    Returns the initial subset and a function from a subset to its successor
+    subset per event.  Dead states can only reach dead states, so
     dropping them loses nothing: a subset accepts a prefix (has a satisfying
     continuation) exactly when it is nonempty.
 
@@ -83,14 +83,16 @@ def _live_subsets(automaton: Nba) -> tuple[int, Callable[[int], tuple[int, ...]]
     it, unchanged.
     """
     live = sum(1 << q for q in per_state_nonempty(automaton))
-    # Each state's successors on every event packed into one integer, event
-    # k in bits k*n .. k*n+n-1, so a subset's row is one OR per member.
+    # Each state's live successors on every event packed into one integer,
+    # event k in bits k*n .. k*n+n-1, so a subset's row is one OR per member.
     n = automaton.num_states
     lanes = range(0, n * len(automaton.alphabet), n)
-    packed = [
-        sum((mask & live) << lane for mask, lane in zip(row, lanes))
-        for row in automaton.successor_masks
-    ]
+    packed = [0] * n
+    for q, row in enumerate(automaton.edges):
+        for guard, dst, _ in row:
+            if live >> dst & 1:
+                for k in bits(guard):
+                    packed[q] |= 1 << (k * n + dst)
     owes = automaton.obligations
     # Sorted by obligation count, then number, a member comes after every
     # member that owes a strict subset of its obligations, or the same set
@@ -116,19 +118,14 @@ def _live_subsets(automaton: Nba) -> tuple[int, Callable[[int], tuple[int, ...]]
             weakest[subset] = got
         return got
 
-    rows: dict[int, tuple[int, ...]] = {}
-
     def row(subset: int) -> tuple[int, ...]:
-        got = rows.get(subset)
-        if got is None:
-            union = 0
-            rest = subset
-            while rest:
-                low = rest & -rest
-                union |= packed[low.bit_length() - 1]
-                rest ^= low
-            got = rows[subset] = tuple(reduce_subset((union >> lane) & live) for lane in lanes)
-        return got
+        union = 0
+        rest = subset
+        while rest:
+            low = rest & -rest
+            union |= packed[low.bit_length() - 1]
+            rest ^= low
+        return tuple(reduce_subset((union >> lane) & live) for lane in lanes)
 
     return reduce_subset(sum(1 << q for q in automaton.initial) & live), row
 

@@ -143,11 +143,23 @@ class Formula:
             return True
         if other.__class__ is not self.__class__:
             return NotImplemented
-        if self._hash != other._hash:
-            return False
-        for field in self._fields:
-            if getattr(self, field) != getattr(other, field):
+        # Walked without recursion, each pair of distinct nodes once: the pairs
+        # in `shown` are equal unless the walk stops at a difference first.
+        shown: set[tuple[int, int]] = set()
+        pending = [(self, other)]
+        while pending:
+            a, b = pending.pop()
+            if a is b or (id(a), id(b)) in shown:
+                continue
+            if a.__class__ is not b.__class__ or a._hash != b._hash:
                 return False
+            shown.add((id(a), id(b)))
+            for field in a._fields:
+                mine, theirs = getattr(a, field), getattr(b, field)
+                if isinstance(mine, Formula):
+                    pending.append((mine, theirs))
+                elif mine != theirs:
+                    return False
         return True
 
     def __reduce__(self):
@@ -557,7 +569,12 @@ def _fmt(phi: Formula, min_level: int) -> str:
 
 
 def format_formula(phi: Formula) -> str:
-    """Render a formula in the concrete syntax; re-parsing yields an equal tree.
+    """Render a formula in the concrete syntax.
+
+    Re-parsing yields an equal tree for every tree :func:`parse_formula`
+    returned, and for a tree built in code whose text nests at most
+    :data:`MAX_FORMULA_DEPTH` levels, parentheses counted: 50 levels of
+    ``X (ev2 | f)`` are a tree of depth 100 but text the parser refuses.
 
     Raises FormulaTooDeepError for a tree nested deeper than
     :data:`MAX_FORMULA_DEPTH`.

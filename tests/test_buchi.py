@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from partmon.buchi import Nba, ltl_to_nba, nba_accepts_lasso
 from partmon.fsm import per_state_nonempty
 from partmon.ltl import (
@@ -73,6 +75,24 @@ def test_oracle_equivalence_and_complement_split():
                 assert nba_accepts_lasso(nba_neg, word) == (not expected), (build, phi, word)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "<>true", "<>false", "[]true", "[]false",
+        "[]<>true", "<>[]false", "ev1 U true", "true U ev1",
+        "false R ev2", "ev2 R false", "<>(ev1 & []false)", "[](ev1 -> <>true)",
+    ],
+)
+def test_constant_side_expansions_match_the_evaluator(text):
+    """The tableau reads F r as true U r and G r as false R r with no
+    obligation for the constant side; literal constants meet that reading."""
+    phi = parse_formula(text, ALPHA3)
+    for goal in (nnf(phi), negate_nnf(phi)):
+        nba = ltl_to_nba(goal, ALPHA3)
+        for word in all_lassos(NAMES3, 2, 2):
+            assert nba_accepts_lasso(nba, word) == lasso_eval(goal, word), (goal, word)
+
+
 def test_construction_is_deterministic():
     rng = random.Random(31337)
     for _ in range(40):
@@ -86,8 +106,6 @@ def test_construction_is_deterministic():
 
 
 def test_rejects_non_nnf_input():
-    import pytest
-
     with pytest.raises(ValueError):
         ltl_to_nba(Not(Eventually(Atom("ev1"))), ALPHA3)
 
@@ -115,12 +133,15 @@ def test_nba_validates_structure():
 
 def test_transitions_round_trip_through_the_constructor():
     """Rebuilding from ``edges`` gives the same automaton, and the derived
-    successor bitsets and transitions list exactly the steps the edges allow."""
+    successors and transitions list exactly the steps the edges allow."""
     rng = random.Random(0xB17)
     for _ in range(20):
         nba = ltl_to_nba(nnf(random_formula(rng, 3)), ALPHA3)
         rebuilt = Nba(ALPHA3, nba.initial, nba.edges, nba.num_marks, nba.obligations)
-        assert rebuilt.successor_masks == nba.successor_masks
+        assert rebuilt.transitions == nba.transitions
+        for q in range(nba.num_states):
+            for event in NAMES3:
+                assert rebuilt.successors(q, event) == nba.successors(q, event)
         steps = {
             (src, event, dst)
             for src, row in enumerate(nba.edges)

@@ -303,6 +303,24 @@ def test_shared_subtrees_are_walked_once(op, text):
         assert value == lasso_eval(base, word)
 
 
+def test_equality_compares_each_pair_of_nodes_once():
+    """Trees built apart compare without recursion, each pair of distinct
+    nodes once: a 1,500-deep chain, also as a dict key, and 30 levels of
+    f = And(f, f) (2^30 paths).  The trees stay out of the assertions, whose
+    failure message would print them."""
+    chain = reduce(And, [Atom("ev1")] * 1500)
+    twin = reduce(And, [Atom("ev1")] * 1500)
+    equal, found = chain == twin, {chain: "found"}.get(twin)
+    assert equal and found == "found"
+    dag, same = _doubled(And, Atom("ev1"), 30), _doubled(And, Atom("ev1"), 30)
+    # one leaf differs: the rightmost path of `odd` ends in ev2
+    odd = Atom("ev2")
+    for level in range(30):
+        odd = And(_doubled(And, Atom("ev1"), level), odd)
+    equal, unequal = dag == same, dag != odd
+    assert equal and unequal
+
+
 # --- printing round trip ----------------------------------------------------
 
 _atoms = st.sampled_from([Atom(n) for n in NAMES3])
