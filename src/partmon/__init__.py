@@ -50,7 +50,6 @@ from .fsm import (
 from .partial import (
     Monitorability,
     MonitorabilityReport,
-    NotPartializedError,
     classify,
     partialize,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "Nba",
     "Next",
     "Not",
-    "NotPartializedError",
     "Or",
     "Release",
     "TRUE",

@@ -140,7 +140,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_classify(args) -> int:
     phi, alphabet = _load_formula(args)
-    report = classify(partialize(synthesize_monitor(phi, alphabet)))
+    report = classify(synthesize_monitor(phi, alphabet))
     print(json.dumps(report.as_dict(), indent=2))
     return EX_OK
 
@@ -150,12 +150,13 @@ def _cmd_run(parser: argparse.ArgumentParser, args) -> int:
         parser.error("exactly one of -m/--monitor or -f/--formula is required")
     if args.monitor:
         machine = parse_monitor(_read_text(args.monitor))
-        if not machine.partial:
-            machine = partialize(machine)
     else:
         _require_alphabet_choice(parser, args)
         phi, alphabet = _load_formula(args)
-        machine = partialize(synthesize_monitor(phi, alphabet))
+        machine = synthesize_monitor(phi, alphabet)
+    # FINAL on an empty trace reads the initial state's output, which must be
+    # the partialized one, as run_trace's verdicts are.
+    machine = partialize(machine)
     with _open_text(args.trace) as handle:
         # run_trace reads events only as far as it steps; the tee keeps the
         # names it read for the output lines.

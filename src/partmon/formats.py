@@ -52,12 +52,7 @@ def emit_monitor(machine: MooreMonitor) -> str:
 
 
 def parse_monitor(text: str) -> MooreMonitor:
-    """Parse PMF text back into a validated monitor.
-
-    The machine is four-valued iff some state carries the give-up output "x";
-    a machine without one parses as three-valued and can be partialized
-    afterwards (a no-op when it already was).
-    """
+    """Parse PMF text back into a validated monitor."""
     header_seen = False
     alphabet: Alphabet | None = None
     initial_name: str | None = None
@@ -144,16 +139,13 @@ def parse_monitor(text: str) -> MooreMonitor:
                     f"delta not total: state '{name}' has no transition on '{event}'"
                 )
 
-    outputs = [state_outputs[name] for name in state_order]
-    partial = any(out is Verdict.GIVEUP for out in outputs)
     try:
         return MooreMonitor(
             alphabet,
             len(state_order),
             ids[initial_name],
-            [[dst for dst in row] for row in delta],
-            outputs,
-            partial=partial,
+            delta,
+            [state_outputs[name] for name in state_order],
         )
     except ValueError as exc:
         raise ValidationError(str(exc)) from None

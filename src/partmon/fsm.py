@@ -12,7 +12,7 @@ from enum import Enum
 from typing import Callable, Sequence
 
 from .buchi import Nba, ltl_to_nba
-from .graphs import accepting_components, bits, reachable_from
+from .graphs import accepting_components, bits, can_reach, reachable_from
 from .ltl import Alphabet, Formula, negate_nnf, nnf
 
 
@@ -21,8 +21,8 @@ class Verdict(Enum):
 
     TOP and BOT are irrevocable: every infinite continuation satisfies
     (respectively violates) the property.  UNKNOWN means the trace is still
-    undecided, GIVEUP that no continuation can ever decide it.  Three-valued
-    machines never use GIVEUP.
+    undecided, GIVEUP that no continuation can ever decide it.  Synthesis
+    outputs only the first three; :func:`partialize` labels GIVEUP.
     """
 
     TOP = "TOP"
@@ -56,16 +56,12 @@ def per_state_nonempty(automaton: Nba) -> frozenset[int]:
     """
     adjacency = [[dst for _, dst, _ in row] for row in automaton.edges]
     marks = [[m for _, _, m in row] for row in automaton.edges]
-    reverse: list[list[int]] = [[] for _ in range(automaton.num_states)]
-    for src, targets in enumerate(adjacency):
-        for dst in targets:
-            reverse[dst].append(src)
     seeds = [
         q
         for component in accepting_components(adjacency, marks, automaton.num_marks)
         for q in component
     ]
-    return frozenset(reachable_from(reverse, seeds))
+    return can_reach(adjacency, seeds)
 
 
 def _live_subsets(automaton: Nba) -> tuple[int, Callable[[int], tuple[int, ...]]]:
@@ -134,8 +130,6 @@ class MooreMonitor:
     """Moore machine executing a monitor: total deterministic transitions and
     one verdict per state.
 
-    ``partial`` records the output domain: False for three-valued machines
-    (before give-up labeling), True once GIVEUP states are meaningful.
     All states must be reachable from the initial state.
 
     ``_compiled`` holds the flat stepping table that
@@ -143,7 +137,7 @@ class MooreMonitor:
     are never run, such as synthesis intermediates, never pay for it.
     """
 
-    __slots__ = ("alphabet", "num_states", "initial", "delta", "outputs", "partial", "_compiled")
+    __slots__ = ("alphabet", "num_states", "initial", "delta", "outputs", "_compiled")
 
     def __init__(
         self,
@@ -152,14 +146,12 @@ class MooreMonitor:
         initial: int,
         delta: Sequence[Sequence[int]],
         outputs: Sequence[Verdict],
-        partial: bool = False,
     ):
         self.alphabet = alphabet
         self.num_states = num_states
         self.initial = initial
         self.delta = tuple(tuple(row) for row in delta)
         self.outputs = tuple(outputs)
-        self.partial = partial
         self._compiled = None
         if not 0 <= initial < num_states:
             raise ValueError("initial state out of range")
@@ -174,8 +166,6 @@ class MooreMonitor:
         for out in self.outputs:
             if not isinstance(out, Verdict):
                 raise ValueError(f"not a verdict: {out!r}")
-            if out is Verdict.GIVEUP and not partial:
-                raise ValueError("three-valued machine cannot output a give-up verdict")
         reachable = reachable_from(self.delta, [initial])
         if len(reachable) != num_states:
             missing = [q for q in range(num_states) if q not in reachable]
@@ -288,5 +278,4 @@ def minimize_moore(machine: MooreMonitor) -> MooreMonitor:
         0,
         [[index_of[b] for b in rows[src]] for src in order],
         [machine.outputs[member[b]] for b in order],
-        machine.partial,
     )

@@ -76,6 +76,15 @@ def reachable_from(
     return parent
 
 
+def can_reach(adjacency: Sequence[Sequence[int]], targets: Iterable[int]) -> frozenset[int]:
+    """Nodes with a path, possibly empty, to one of the targets."""
+    reverse: list[list[int]] = [[] for _ in adjacency]
+    for src, row in enumerate(adjacency):
+        for dst in row:
+            reverse[dst].append(src)
+    return frozenset(reachable_from(reverse, targets))
+
+
 def bits(mask: int) -> Iterator[int]:
     """Indices of the set bits of ``mask``, ascending."""
     while mask:

@@ -3,7 +3,9 @@
 An inconclusive state that cannot reach any conclusive state will stay
 inconclusive forever; relabeling it GIVEUP lets the monitor announce that
 continuing is pointless.  The pass is a single backward reachability sweep
-from the conclusive states, linear in states plus edges.
+from the conclusive states, linear in states plus edges.  :func:`classify`
+and the runtime apply it themselves, so they treat a machine and its
+partialized form alike.
 """
 
 from __future__ import annotations
@@ -12,14 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .fsm import MooreMonitor, Verdict
-from .graphs import reachable_from
-
-
-class NotPartializedError(ValueError):
-    """A four-valued machine was required but a three-valued one was given."""
-
-    def __init__(self, message: str = "monitor has not been partialized (three-valued outputs)"):
-        super().__init__(message)
+from .graphs import can_reach, reachable_from
 
 
 class Monitorability(Enum):
@@ -59,39 +54,30 @@ def partialize(machine: MooreMonitor) -> MooreMonitor:
 
     States, transitions and conclusive outputs are untouched; an UNKNOWN state
     keeps its output iff some TOP or BOT state is reachable from it, and
-    becomes GIVEUP otherwise.  Idempotent: applying it twice changes nothing.
+    becomes GIVEUP otherwise.  A machine with no state to relabel is returned
+    as it is, so applying the pass twice returns the first result.
     """
-    reverse: list[list[int]] = [[] for _ in range(machine.num_states)]
-    for q in machine.states():
-        for dst in machine.delta[q]:
-            reverse[dst].append(q)
-
     conclusive = [q for q, out in enumerate(machine.outputs) if out.is_conclusive]
-    hopeful = reachable_from(reverse, conclusive)
+    hopeful = can_reach(machine.delta, conclusive)
     outputs = [
         out if out is not Verdict.UNKNOWN or q in hopeful else Verdict.GIVEUP
         for q, out in enumerate(machine.outputs)
     ]
+    if tuple(outputs) == machine.outputs:
+        return machine
     return MooreMonitor(
-        machine.alphabet,
-        machine.num_states,
-        machine.initial,
-        machine.delta,
-        outputs,
-        partial=True,
+        machine.alphabet, machine.num_states, machine.initial, machine.delta, outputs
     )
 
 
 def classify(machine: MooreMonitor) -> MonitorabilityReport:
-    """Classify a partialized machine by what it can still conclude.
+    """Classify the partialized machine by what it can still conclude.
 
     NON_MONITORABLE: the machine gives up on the empty trace already.
     EXISTS_PZ_ONLY: some traces can be decided, but give-up states exist.
     FORALL_PZ: every reachable state can still reach a conclusive verdict.
     """
-    if not machine.partial:
-        raise NotPartializedError()
-
+    machine = partialize(machine)
     giveup_count = sum(1 for out in machine.outputs if out is Verdict.GIVEUP)
     witness = _shortest_giveup_trace(machine)
     if machine.outputs[machine.initial] is Verdict.GIVEUP:

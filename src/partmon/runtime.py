@@ -1,12 +1,12 @@
 """Online execution of partial monitors: feed events, read verdicts, stop early.
 
-A session owns its position in the machine; the machine itself is shared and
-immutable, so many sessions can run over one monitor.  Once a session reaches
-a conclusive or give-up state it is concluded: further events are absorbed
-without changing the verdict, letting producers outlive the monitor.
-
-Every path here steps a :class:`CompiledMonitor`, the machine's transitions
-laid out as one flat table, built on first use and kept on the machine.
+Every entry point runs ``partialize(machine)``: it steps that machine's
+transitions laid out as one flat table (:class:`CompiledMonitor`), built on
+first use and kept on the machine.  A session owns its position in the
+machine; the machine itself is shared and immutable, so many sessions can run
+over one monitor.  Once a session reaches a conclusive or give-up state it is
+concluded: further events are absorbed without changing the verdict, letting
+producers outlive the monitor.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Iterable
 
 from .fsm import MooreMonitor, Verdict
 from .ltl import UnknownEventError
-from .partial import NotPartializedError
+from .partial import partialize
 
 
 class CompiledMonitor:
@@ -51,26 +51,20 @@ class CompiledMonitor:
 
 
 def compile_monitor(machine: MooreMonitor) -> CompiledMonitor:
-    """The machine's compiled table, built on first use and kept on the machine.
+    """The compiled table of ``partialize(machine)``, built on first use and
+    kept on the machine.
 
     Machines are immutable, so the table never goes stale.  Two threads that
     race here build equal tables and one of them is kept.
     """
     compiled = machine._compiled
     if compiled is None:
-        compiled = machine._compiled = CompiledMonitor(machine)
+        compiled = machine._compiled = CompiledMonitor(partialize(machine))
     return compiled
 
 
-def _require_partial(machine: MooreMonitor) -> None:
-    if not machine.partial:
-        raise NotPartializedError(
-            "cannot run a three-valued monitor; apply partialize() first"
-        )
-
-
 class MonitorSession:
-    """Single-owner stepping state over a partialized monitor.
+    """Single-owner stepping state over the partialized form of a monitor.
 
     ``steps`` counts the transitions taken, which stop at conclusion;
     ``position`` counts every event accepted, including those absorbed after
@@ -84,7 +78,6 @@ class MonitorSession:
     __slots__ = ("machine", "steps", "position", "_row", "_width", "_table", "_index", "_verdicts", "_live")
 
     def __init__(self, machine: MooreMonitor):
-        _require_partial(machine)
         compiled = compile_monitor(machine)
         self.machine = machine
         self.steps = 0
@@ -145,7 +138,6 @@ def run_trace(
     nor consumed.  Otherwise every event must be in the alphabet, including
     those absorbed after conclusion.
     """
-    _require_partial(machine)
     compiled = compile_monitor(machine)
     table, index, verdicts, live = compiled.table, compiled.index, compiled.verdicts, compiled.live
     row = compiled.initial

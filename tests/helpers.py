@@ -12,7 +12,7 @@ import random
 from collections import deque
 
 from partmon.buchi import Nba
-from partmon.fsm import MooreMonitor, Verdict, per_state_nonempty
+from partmon.fsm import MooreMonitor, Verdict, per_state_nonempty, synthesize_monitor
 from partmon.graphs import bits
 from partmon.ltl import (
     Alphabet,
@@ -148,7 +148,7 @@ def unfold_eval(phi: Formula, word: LassoWord) -> bool:
 
 # --- hand-built machines matching the documented monitor shapes -------------
 
-def eventually_ev1_machine(partial: bool = False) -> MooreMonitor:
+def eventually_ev1_machine() -> MooreMonitor:
     """Monitor for 'F ev1' over {ev1, ev2, ev3}: inconclusive start, TOP sink."""
     return MooreMonitor(
         ALPHA3,
@@ -156,7 +156,6 @@ def eventually_ev1_machine(partial: bool = False) -> MooreMonitor:
         0,
         [[1, 0, 0], [1, 1, 1]],
         [Verdict.UNKNOWN, Verdict.TOP],
-        partial,
     )
 
 
@@ -184,7 +183,7 @@ def mixed_branches_machine(partial: bool = False) -> MooreMonitor:
         [3, 3, 3, 3],
         [4, 4, 4, 4],
     ]
-    return MooreMonitor(ALPHA4, 5, 0, delta, outputs, partial)
+    return MooreMonitor(ALPHA4, 5, 0, delta, outputs)
 
 
 RADIATION_ALPHA = Alphabet(
@@ -217,15 +216,29 @@ def radiation_machine() -> MooreMonitor:
         [3, 3, 3, 3, 3, 3],
         [4, 4, 4, 4, 4, 4],
     ]
-    return MooreMonitor(RADIATION_ALPHA, 5, 0, delta, outputs, partial=True)
+    return MooreMonitor(RADIATION_ALPHA, 5, 0, delta, outputs)
 
 
 def giveup_only_machine(alphabet: Alphabet | None = None) -> MooreMonitor:
     """Single give-up state looping on every event."""
     alphabet = alphabet or ALPHA3
-    return MooreMonitor(
-        alphabet, 1, 0, [[0] * len(alphabet)], [Verdict.GIVEUP], partial=True
-    )
+    return MooreMonitor(alphabet, 1, 0, [[0] * len(alphabet)], [Verdict.GIVEUP])
+
+
+def three_valued_machines(seed: int, count: int = 30) -> list[MooreMonitor]:
+    """Machines as synthesis leaves them, before give-up labelling: the two
+    hand-written ones, then ``count`` seeded unminimized ones.  Every other
+    formula has a branch through a recurrence, so that many machines have
+    undecided states that can never conclude."""
+    rng = random.Random(seed)
+    machines = [eventually_ev1_machine(), mixed_branches_machine()]
+    for i in range(count):
+        phi = random_formula(rng, 4)
+        if i % 2:
+            late = And(Atom(rng.choice(NAMES3)), Always(Eventually(Atom(rng.choice(NAMES3)))))
+            phi = Or(random_formula(rng, 3), Until(phi, late))
+        machines.append(synthesize_monitor(phi, ALPHA3, minimize=False))
+    return machines
 
 
 # --- instruments -----------------------------------------------------------------

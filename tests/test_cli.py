@@ -1,15 +1,22 @@
 """Command-line behavior: output contracts and exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partmon.cli import main
-from partmon.formats import parse_monitor
-from partmon.fsm import Verdict, monitor_verdict
+from partmon.formats import emit_monitor, parse_monitor
+from partmon.fsm import Verdict, monitor_verdict, synthesize_monitor
+from partmon.ltl import Alphabet, parse_formula
 
 from helpers import eventually_ev1_machine, mixed_branches_machine, moore_isomorphic, RADIATION_FORMULA
 
@@ -26,7 +33,7 @@ def test_synth_writes_pmf_to_stdout(capsys):
     code, out, err = run_cli(capsys, "synth", "-f", "<>ev1", "-a", "ev1,ev2,ev3")
     assert code == 0 and err == ""
     machine = parse_monitor(out)
-    assert moore_isomorphic(machine, eventually_ev1_machine(partial=True))
+    assert moore_isomorphic(machine, eventually_ev1_machine())
     assert out.splitlines()[0] == "PMF 1"
 
 
@@ -214,14 +221,33 @@ def test_run_from_pmf_matches_in_memory_run(tmp_path, capsys):
     assert monitor_verdict(machine, ("ev1", "ev4", "ev2")) is Verdict.TOP
 
 
+# A three-valued machine: its only state is undecided and can never conclude.
+_HOPELESS_PMF = """\
+PMF 1
+ALPHABET ev1 ev2
+INITIAL s0
+STATE s0 ?
+TRANS s0 ev1 s0
+TRANS s0 ev2 s0
+"""
+
+
 def test_run_empty_trace_reports_initial_verdict(tmp_path, capsys):
+    """FINAL on an empty trace is the partialized machine's initial verdict,
+    whether the machine comes from a formula or from a three-valued file."""
     trace = tmp_path / "empty.trace"
     trace.write_text("")
-    code, out, _ = run_cli(
-        capsys, "run", "-f", "<>ev1", "-a", "ev1,ev2,ev3", "-t", str(trace)
-    )
-    assert out.splitlines() == ["FINAL ?"]
-    assert code == 2
+    pmf = tmp_path / "hopeless.pmf"
+    pmf.write_text(_HOPELESS_PMF)
+    cases = [
+        (("-f", "<>ev1", "-a", "ev1,ev2,ev3"), "FINAL ?", 2),
+        (("-f", "[]<>ev1", "-a", "ev1,ev2,ev3"), "FINAL x", 3),
+        (("-m", str(pmf)), "FINAL x", 3),
+    ]
+    for source, final, expected in cases:
+        code, out, _ = run_cli(capsys, "run", *source, "-t", str(trace))
+        assert out.splitlines() == [final], source
+        assert code == expected, source
 
 
 def test_run_unknown_trace_event_exits_65(tmp_path, capsys):
@@ -341,3 +367,99 @@ def test_synth_output_is_stable_across_interpreter_runs(tmp_path):
         )
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+# --- fuzzed command lines -------------------------------------------------------------
+
+_FUZZ_ALPHABET = Alphabet(["a", "b"])
+_FUZZ_PMF = emit_monitor(synthesize_monitor(parse_formula("<>a", _FUZZ_ALPHABET), _FUZZ_ALPHABET))
+_FUZZ_FORMULAS = ("<>a", "[](a->b)", "(", "é", "true U a")
+_FUZZ_EVENTS = ("", ",", "a,a", "a,b")
+# {name} stands for a file made fresh for every example; see _fuzz_paths.
+_FUZZ_PATHS = ("{pmf}", "{binary}", "{dir}", "{missing}", "-")
+_FUZZ_KIND = {
+    "-f": _FUZZ_FORMULAS,
+    "-a": _FUZZ_EVENTS,
+    "--stem": _FUZZ_EVENTS,
+    "--loop": _FUZZ_EVENTS,
+    "-m": _FUZZ_PATHS,
+    "-t": _FUZZ_PATHS,
+    "-o": _FUZZ_PATHS,
+    "--dot": _FUZZ_PATHS,
+}
+_FUZZ_VALUES = _FUZZ_FORMULAS + _FUZZ_EVENTS + _FUZZ_PATHS
+# Each subcommand's options; the first ones listed are the ones it requires.
+_FUZZ_OPTIONS = {
+    "synth": ("-f", "-a", "--infer-alphabet", "-o", "--dot", "--no-minimize"),
+    "classify": ("-f", "-a", "--infer-alphabet"),
+    "run": ("-t", "-m", "-f", "-a", "--infer-alphabet", "--stop-early"),
+    "oracle": ("-f", "--loop", "-a", "--stem"),
+}
+_FUZZ_REQUIRED = {"synth": 1, "classify": 1, "run": 1, "oracle": 2}
+_FUZZ_SWITCHES = ("--infer-alphabet", "--no-minimize", "--stop-early", "--help")
+_FUZZ_PIECES = (*_FUZZ_OPTIONS, *_FUZZ_KIND, *_FUZZ_SWITCHES, *_FUZZ_VALUES)
+
+
+def _fuzz_command(command):
+    """A subcommand, its required options and some of the others, each
+    valued option mostly with a value of its own kind."""
+    options = {}
+    for i, flag in enumerate(_FUZZ_OPTIONS[command]):
+        if flag in _FUZZ_KIND:
+            value = st.sampled_from(_FUZZ_KIND[flag]) | st.sampled_from(_FUZZ_VALUES)
+            options[flag] = value if i < _FUZZ_REQUIRED[command] else st.none() | value
+        elif flag == "--infer-alphabet":
+            options[flag] = st.just(False) | st.booleans()  # seldom next to -a
+        else:
+            options[flag] = st.booleans()
+
+    def argv(chosen):
+        pieces = [command]
+        for flag, value in chosen.items():
+            if value is True:
+                pieces.append(flag)
+            elif isinstance(value, str):
+                pieces += [flag, value]
+        return pieces
+
+    return st.fixed_dictionaries(options).map(argv)
+
+
+# Mostly well-shaped command lines, so that most reach a subcommand's body;
+# sometimes any pieces in any order.
+_FUZZ_ARGV = st.one_of(
+    *map(_fuzz_command, _FUZZ_OPTIONS), st.lists(st.sampled_from(_FUZZ_PIECES), max_size=6)
+)
+
+
+def _fuzz_paths(root: str) -> dict[str, str]:
+    paths = {name: os.path.join(root, name) for name in ("pmf", "binary", "dir")}
+    paths["missing"] = os.path.join(root, "no", "such", "file")
+    with open(paths["pmf"], "w", encoding="utf-8") as handle:
+        handle.write(_FUZZ_PMF)
+    with open(paths["binary"], "wb") as handle:
+        handle.write(bytes(range(256)))
+    os.mkdir(paths["dir"])
+    return paths
+
+
+@settings(max_examples=400, deadline=None)
+@given(_FUZZ_ARGV)
+def test_main_exits_with_a_documented_code(argv):
+    """Any command line returns, or exits with, a code the module documents;
+    no exception escapes main()."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as root, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()), \
+            mock.patch.object(sys, "stdin", io.StringIO("b a # c\n")):
+        paths = _fuzz_paths(root)
+        # -o and --dot may name a relative path: write it in the temporary directory.
+        os.chdir(root)
+        try:
+            code = main([piece.format(**paths) for piece in argv])
+        except SystemExit as exc:
+            code = exc.code
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2, 3, 64, 65), argv

@@ -18,10 +18,12 @@ from partmon.formats import (
 )
 from partmon.fsm import Verdict, synthesize_monitor
 from partmon.ltl import UnknownEventError, parse_formula
-from partmon.partial import partialize
+from partmon.partial import classify, partialize
+from partmon.runtime import run_trace
 
 from helpers import (
     ALPHA3,
+    NAMES3,
     RADIATION_ALPHA,
     RADIATION_FORMULA,
     eventually_ev1_machine,
@@ -62,12 +64,18 @@ def test_emission_is_deterministic():
 # --- PMF parsing round trip ----------------------------------------------------
 
 def test_round_trip_random_machines():
+    """A machine read back from PMF classifies and runs as the one written,
+    including partialized machines without a give-up state, such as <>ev1's."""
     rng = random.Random(3001)
-    for _ in range(100):
-        machine = partialize(synthesize_monitor(random_formula(rng, 4), ALPHA3))
+    formulas = [parse_formula("<>ev1", ALPHA3)] + [random_formula(rng, 4) for _ in range(100)]
+    for phi in formulas:
+        machine = partialize(synthesize_monitor(phi, ALPHA3))
         parsed = parse_monitor(emit_monitor(machine))
         assert moore_isomorphic(parsed, machine)
-        assert parsed.partial == any(v is Verdict.GIVEUP for v in machine.outputs)
+        assert classify(parsed) == classify(machine)
+        for _ in range(5):
+            word = rng.choices(NAMES3, k=rng.randrange(8))
+            assert run_trace(parsed, word) == run_trace(machine, word)
 
 
 def test_round_trip_radiation_machine():
@@ -107,7 +115,6 @@ TRANS s1 ev3 s1
 def test_parse_good_file():
     machine = parse_monitor(_GOOD)
     assert moore_isomorphic(machine, eventually_ev1_machine())
-    assert not machine.partial
 
 
 def test_parse_missing_transition_is_not_total():

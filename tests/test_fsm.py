@@ -389,6 +389,10 @@ def test_moore_monitor_validation():
     with pytest.raises(ValueError):
         MooreMonitor(ALPHA3, 2, 0, [[0, 0, 0], [1, 1, 1]], [Verdict.UNKNOWN, Verdict.TOP])  # unreachable
     with pytest.raises(ValueError):
-        MooreMonitor(
-            ALPHA3, 1, 0, [[0, 0, 0]], [Verdict.GIVEUP]
-        )  # give-up needs a four-valued machine
+        MooreMonitor(ALPHA3, 1, 1, [[0, 0, 0]], [Verdict.UNKNOWN])  # initial out of range
+    with pytest.raises(ValueError):
+        MooreMonitor(ALPHA3, 1, 0, [[0, 0, 1]], [Verdict.UNKNOWN])  # target out of range
+    with pytest.raises(ValueError):
+        MooreMonitor(ALPHA3, 1, 0, [[0, 0, 0]], ["?"])  # not a verdict
+    # every verdict is a valid output, give-up included
+    assert MooreMonitor(ALPHA3, 1, 0, [[0, 0, 0]], [Verdict.GIVEUP]).outputs == (Verdict.GIVEUP,)

@@ -7,7 +7,6 @@ import pytest
 from partmon.fsm import Verdict, minimize_moore, monitor_verdict, synthesize_monitor
 from partmon.partial import (
     Monitorability,
-    NotPartializedError,
     classify,
     partialize,
 )
@@ -20,12 +19,12 @@ from helpers import (
     RADIATION_ALPHA,
     RADIATION_FORMULA,
     all_words,
-    eventually_ev1_machine,
     mixed_branches_machine,
     giveup_only_machine,
     moore_isomorphic,
     random_formula,
     reachability_oracle,
+    three_valued_machines,
 )
 
 
@@ -53,7 +52,7 @@ def test_partialize_keeps_decidable_machines_unchanged():
     assert after.outputs == before.outputs
     assert after.delta == before.delta
     assert after.initial == before.initial
-    assert after.partial
+    assert after is before  # nothing to relabel: no new machine
 
 
 def test_partialize_is_structure_preserving_and_idempotent():
@@ -234,7 +233,6 @@ def test_witness_ties_break_by_alphabet_declaration_order():
         0,
         [[1, 2, 3], [1, 1, 1], [2, 2, 2], [3, 3, 3]],
         [Verdict.UNKNOWN, Verdict.GIVEUP, Verdict.GIVEUP, Verdict.TOP],
-        partial=True,
     )
     assert classify(machine).ugly_witness == ("b",)
 
@@ -268,9 +266,16 @@ def test_witness_is_the_first_word_that_gives_up():
     assert nonempty >= 20
 
 
-def test_classify_requires_partialized_machine():
-    with pytest.raises(NotPartializedError):
-        classify(eventually_ev1_machine())
+def test_classify_reports_on_the_partialized_machine():
+    """classify(m) == classify(partialize(m)) on three-valued machines, the
+    hand-written ones and 30 seeded unminimized ones."""
+    relabelled = 0
+    for machine in three_valued_machines(1019):
+        labelled = partialize(machine)
+        relabelled += labelled is not machine
+        assert classify(machine) == classify(labelled)
+    assert classify(mixed_branches_machine()).classification is Monitorability.EXISTS_PZ_ONLY
+    assert relabelled >= 10
 
 
 def test_classify_report_serialization():

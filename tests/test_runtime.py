@@ -7,7 +7,7 @@ import pytest
 from partmon.formats import parse_monitor
 from partmon.fsm import Verdict, monitor_verdict, synthesize_monitor
 from partmon.ltl import LassoWord, UnknownEventError, lasso_eval, parse_formula
-from partmon.partial import NotPartializedError, partialize
+from partmon.partial import partialize
 from partmon.runtime import MonitorSession, compile_monitor, run_trace, start
 
 from helpers import (
@@ -18,9 +18,10 @@ from helpers import (
     RADIATION_FORMULA,
     all_lassos,
     all_words,
-    eventually_ev1_machine,
+    mixed_branches_machine,
     random_formula,
     reference_states,
+    three_valued_machines,
 )
 
 
@@ -57,11 +58,28 @@ def test_start_concludes_top_for_trivial_property():
     assert session.verdict is Verdict.TOP
 
 
-def test_start_rejects_three_valued_machines():
-    with pytest.raises(NotPartializedError):
-        start(eventually_ev1_machine())
-    with pytest.raises(NotPartializedError):
-        MonitorSession(eventually_ev1_machine())
+def _session_view(machine, word):
+    session = MonitorSession(machine)
+    views = [(session.verdict, session.concluded, session.steps, session.position)]
+    for event in word:
+        session.step(event)
+        views.append((session.verdict, session.concluded, session.steps, session.position))
+    return views
+
+
+def test_three_valued_machines_run_as_their_partialized_form():
+    """run_trace and sessions on m give what they give on partialize(m): the
+    hand-written three-valued machines and 30 seeded unminimized ones."""
+    relabelled = 0
+    for machine in three_valued_machines(2716):
+        labelled = partialize(machine)
+        relabelled += labelled is not machine
+        for word in all_words(tuple(machine.alphabet), 4):
+            for stop_early in (False, True):
+                assert run_trace(machine, word, stop_early) == run_trace(labelled, word, stop_early)
+            assert _session_view(machine, word) == _session_view(labelled, word)
+    assert start(mixed_branches_machine()).step("ev3") is Verdict.GIVEUP
+    assert relabelled >= 10
 
 
 # --- stepping ------------------------------------------------------------------
