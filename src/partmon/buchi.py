@@ -4,8 +4,11 @@ The construction is the on-the-fly tableau expansion of Gerth, Peled, Vardi
 and Wolper (1995), read as a transition-based automaton (Couvreur 1999;
 Giannakopoulou and Lerda 2002): a state is the set of obligations it owes
 from the next position on, each way of expanding it into literals to meet
-now and obligations to pass on is one edge, and acceptance marks sit on the
-edges, one mark per Until or F subformula.  The marks are kept as they are:
+now and obligations to pass on gives an edge, and acceptance marks sit on the
+edges, one mark per Until or F subformula.  As in Gastin and Oddoux (2001),
+an edge is dropped when another edge of its state reads every event it
+reads, owes no more and carries every mark it carries, so the states only
+dominated edges lead to are never built.  The marks are kept as they are:
 emptiness and lasso membership check every mark directly, so no counter
 product is ever built.
 
@@ -214,10 +217,12 @@ def ltl_to_nba(phi: Formula, alphabet: Alphabet) -> Nba:
         return covers
 
     # A state is the set of obligations it owes from the next position on;
-    # the initial state owes the goal.  Each cover of a state's expansion is
-    # one edge, reading the cover's guard, to the state owing its `next`.
+    # the initial state owes the goal.  Each cover of a state's expansion
+    # gives an edge, reading the cover's guard, to the state owing its `next`.
     # The edge carries mark j for the j-th Until or F unless the cover's `old`
-    # promises that Until without granting its right side.
+    # promises that Until without granting its right side.  Covers with the
+    # same `next` and marks are one edge, and an edge that another edge of
+    # its row dominates is dropped before its target is numbered.
     untils = [(1 << u, rbits[u]) for u in range(len(formulas)) if kind[u] == _UNTIL]
     ids = {1 << order[phi]: 0}
     owes = list(ids)
@@ -225,22 +230,50 @@ def ltl_to_nba(phi: Formula, alphabet: Alphabet) -> Nba:
     for obligations in owes:
         guards: dict[tuple[int, int], int] = {}
         for guard, old, nxt in expand(obligations):
-            dst = ids.get(nxt)
-            if dst is None:
-                dst = ids[nxt] = len(owes)
-                owes.append(nxt)
             marks = 0
             for j, (ubit, rbit) in enumerate(untils):
                 if not old & ubit or old & rbit:
                     marks |= 1 << j
-            # Covers reaching the same state with the same marks are one edge.
-            key = (dst, marks)
+            key = (nxt, marks)
             guards[key] = guards.get(key, 0) | guard
-        edges.append([(guard, dst, marks) for (dst, marks), guard in guards.items()])
+        row = []
+        for (nxt, marks), guard in _undominated(guards):
+            dst = ids.get(nxt)
+            if dst is None:
+                dst = ids[nxt] = len(owes)
+                owes.append(nxt)
+            row.append((guard, dst, marks))
+        edges.append(row)
 
     # A state's language is the set of words satisfying everything it owes
     # (GPVW's correctness lemma), so owing less accepts more.
     return Nba(alphabet, [0], edges, len(untils), owes)
+
+
+def _undominated(guards: dict[tuple[int, int], int]) -> list[tuple[tuple[int, int], int]]:
+    """The ((next, marks), guard) edges of one state, in insertion order,
+    without those another edge dominates (Gastin and Oddoux 2001).
+
+    Edge e' dominates e when it reads every event e reads, owes a subset of
+    what e owes and carries every mark e carries: a word accepted through e
+    is accepted through e', since owing less accepts more.  The keys are
+    distinct, so domination is a strict partial order, and dropping every
+    non-maximal edge keeps one dominating edge for each dropped one.
+    """
+    row = list(guards.items())
+    if len(row) < 2:
+        return row
+    kept = []
+    for key, guard in row:
+        nxt, marks = key
+        for other, other_guard in row:
+            if guard | other_guard == other_guard and other is not key:
+                other_nxt, other_marks = other
+                if other_nxt | nxt == nxt and marks | other_marks == other_marks:
+                    break
+        else:
+            kept.append((key, guard))
+    return kept
 
 
 def nba_accepts_lasso(automaton: Nba, word) -> bool:

@@ -135,9 +135,12 @@ class MooreMonitor:
     ``_compiled`` holds the flat stepping table that
     :func:`partmon.runtime.compile_monitor` builds on first use; machines that
     are never run, such as synthesis intermediates, never pay for it.
+    ``_partialized`` likewise keeps the result of
+    :func:`partmon.partial.partialize` (a marker when that is the machine
+    itself), so a second call costs nothing.
     """
 
-    __slots__ = ("alphabet", "num_states", "initial", "delta", "outputs", "_compiled")
+    __slots__ = ("alphabet", "num_states", "initial", "delta", "outputs", "_compiled", "_partialized")
 
     def __init__(
         self,
@@ -153,6 +156,7 @@ class MooreMonitor:
         self.delta = tuple(tuple(row) for row in delta)
         self.outputs = tuple(outputs)
         self._compiled = None
+        self._partialized = None
         if not 0 <= initial < num_states:
             raise ValueError("initial state out of range")
         if len(self.delta) != num_states or len(self.outputs) != num_states:

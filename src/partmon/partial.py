@@ -49,25 +49,36 @@ class MonitorabilityReport:
         }
 
 
+# What a partialized machine keeps as its own partialized form: a reference
+# to itself would be a cycle that only the cyclic garbage collector frees.
+_ITSELF = True
+
+
 def partialize(machine: MooreMonitor) -> MooreMonitor:
     """Relabel hopeless inconclusive states with the give-up verdict.
 
     States, transitions and conclusive outputs are untouched; an UNKNOWN state
     keeps its output iff some TOP or BOT state is reachable from it, and
     becomes GIVEUP otherwise.  A machine with no state to relabel is returned
-    as it is, so applying the pass twice returns the first result.
+    as it is, so applying the pass twice returns the first result.  The result
+    is kept on the machine and on itself, so only the first call sweeps.
     """
-    conclusive = [q for q, out in enumerate(machine.outputs) if out.is_conclusive]
-    hopeful = can_reach(machine.delta, conclusive)
-    outputs = [
-        out if out is not Verdict.UNKNOWN or q in hopeful else Verdict.GIVEUP
-        for q, out in enumerate(machine.outputs)
-    ]
-    if tuple(outputs) == machine.outputs:
-        return machine
-    return MooreMonitor(
-        machine.alphabet, machine.num_states, machine.initial, machine.delta, outputs
-    )
+    known = machine._partialized
+    if known is None:
+        conclusive = [q for q, out in enumerate(machine.outputs) if out.is_conclusive]
+        hopeful = can_reach(machine.delta, conclusive)
+        outputs = [
+            out if out is not Verdict.UNKNOWN or q in hopeful else Verdict.GIVEUP
+            for q, out in enumerate(machine.outputs)
+        ]
+        if tuple(outputs) == machine.outputs:
+            known = machine._partialized = _ITSELF
+        else:
+            known = machine._partialized = MooreMonitor(
+                machine.alphabet, machine.num_states, machine.initial, machine.delta, outputs
+            )
+            known._partialized = _ITSELF
+    return machine if known is _ITSELF else known
 
 
 def classify(machine: MooreMonitor) -> MonitorabilityReport:

@@ -1,13 +1,16 @@
 """Büchi construction: language correctness against the lasso oracle."""
 
 import random
+from functools import reduce
 
 import pytest
 
 from partmon.buchi import Nba, ltl_to_nba, nba_accepts_lasso
 from partmon.fsm import per_state_nonempty
+from partmon.graphs import bits
 from partmon.ltl import (
     Alphabet,
+    And,
     Atom,
     Eventually,
     FALSE,
@@ -18,6 +21,7 @@ from partmon.ltl import (
     negate_nnf,
     nnf,
     parse_formula,
+    subformulas,
 )
 
 from helpers import ALPHA3, NAMES3, all_lassos, gpvw_nba, random_formula, state_nba
@@ -242,3 +246,77 @@ def test_tableau_has_one_state_per_obligation_set():
         nba = ltl_to_nba(goal, alphabet)
         assert nba.num_states == size
         assert len(set(nba.obligations)) == size
+
+
+# --- dominated edges ------------------------------------------------------------
+
+
+def _seeded_tableaux():
+    """The tableaux of 40 seeded random formulas and of their negations."""
+    rng = random.Random(3)
+    goals = []
+    for _ in range(40):
+        phi = random_formula(rng, 4)
+        goals += [nnf(phi), negate_nnf(phi)]
+    return [(goal, ltl_to_nba(goal, ALPHA3)) for goal in goals]
+
+
+def test_each_state_accepts_what_it_owes():
+    """GPVW's correctness lemma, which dropping dominated edges relies on and
+    must keep: the words accepted from a state are exactly the words that
+    satisfy the conjunction of the obligations it owes."""
+    lassos = random.Random(0x1E44A).sample(all_lassos(NAMES3, 2, 2), 40)
+    checks = 0
+    for goal, nba in _seeded_tableaux():
+        formulas = subformulas(goal)
+        for q, owed in enumerate(nba.obligations):
+            conjuncts = [formulas[i] for i in bits(owed)]
+            owes = reduce(And, conjuncts) if conjuncts else TRUE
+            start = Nba(ALPHA3, [q], nba.edges, nba.num_marks, nba.obligations)
+            for word in lassos:
+                assert nba_accepts_lasso(start, word) == lasso_eval(owes, word), (goal, q, word)
+                checks += 1
+    assert checks > 5000
+
+
+def test_no_edge_is_dominated_by_another_of_its_state():
+    """No edge reads a subset of another edge's events, owes a superset of
+    what the other owes and carries a subset of its marks."""
+    for goal, nba in _seeded_tableaux():
+        owes = nba.obligations
+        for q, row in enumerate(nba.edges):
+            assert len({(dst, marks) for _, dst, marks in row}) == len(row), (goal, q)
+            for guard, dst, marks in row:
+                for other_guard, other_dst, other_marks in row:
+                    if (other_dst, other_marks) != (dst, marks):
+                        assert not (
+                            not guard & ~other_guard
+                            and not owes[other_dst] & ~owes[dst]
+                            and not marks & ~other_marks
+                        ), (goal, q, (guard, dst, marks), (other_guard, other_dst, other_marks))
+
+
+_RESP4 = " & ".join(f"[](r{i} -> <>g{i})" for i in range(4))
+_RESP4_ALPHA = Alphabet([e for i in range(4) for e in (f"r{i}", f"g{i}")])
+
+
+@pytest.mark.parametrize(
+    "text, alphabet, side, states, edges",
+    [
+        # Keeping every merged edge would give 17 states / 205 edges,
+        (_RESP4, _RESP4_ALPHA, nnf, 17, 129),
+        # 36 / 310,
+        ("(<>(<>((ev2 -> ev3))) U ((true U <>(ev2)) U ev1))", ALPHA3, nnf, 15, 87),
+        # and 24 / 307.
+        (
+            "([](((true -> ev1) & (ev3 & ev2))) U ((true R <>(ev3)) -> (X (ev2) R ev2)))",
+            ALPHA3,
+            negate_nnf,
+            4,
+            8,
+        ),
+    ],
+)
+def test_dropping_dominated_edges_shrinks_the_tableau(text, alphabet, side, states, edges):
+    nba = ltl_to_nba(side(parse_formula(text, alphabet)), alphabet)
+    assert (nba.num_states, sum(len(row) for row in nba.edges)) == (states, edges)

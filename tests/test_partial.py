@@ -10,7 +10,9 @@ from partmon.partial import (
     classify,
     partialize,
 )
+from partmon.graphs import can_reach
 from partmon.ltl import Always, And, Atom, Eventually, Next, Or, Until, parse_formula
+from partmon.runtime import run_trace
 
 from helpers import (
     ALPHA3,
@@ -70,6 +72,35 @@ def test_partialize_is_structure_preserving_and_idempotent():
                 assert after is before
         again = partialize(partial)
         assert again.outputs == partial.outputs
+
+
+def test_partialize_sweeps_once_per_machine(monkeypatch):
+    """The first call keeps its result on the machine and on the result, so
+    partialize, classify and the runtime never sweep that machine again."""
+    import partmon.partial
+
+    sweeps = []
+
+    def counting_can_reach(adjacency, targets):
+        sweeps.append(len(adjacency))
+        return can_reach(adjacency, targets)
+
+    monkeypatch.setattr(partmon.partial, "can_reach", counting_can_reach)
+    relabelled = 0
+    for machine in three_valued_machines(0xCAC4E, count=10) + [giveup_only_machine()]:
+        outputs = machine.outputs
+        partial = partialize(machine)
+        assert len(sweeps) == 1
+        relabelled += partial is not machine
+        assert partialize(machine) is partial
+        assert partialize(partial) is partial
+        assert classify(machine) == classify(partial)
+        run_trace(machine, machine.alphabet.symbols[:1])
+        run_trace(partial, machine.alphabet.symbols[:1])
+        assert len(sweeps) == 1
+        assert machine.outputs == outputs
+        sweeps.clear()
+    assert relabelled >= 3
 
 
 def test_partialize_agrees_with_forward_oracle():
