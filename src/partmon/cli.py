@@ -9,16 +9,15 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import sys
-from itertools import tee
+from itertools import count, tee
 from typing import Sequence, TextIO
 
 from .fsm import Verdict, synthesize_monitor
-from .formats import emit_dot, emit_monitor, parse_monitor, trace_events
+from .formats import emit_dot, emit_monitor, line_batches, parse_monitor, trace_events
 from .ltl import Alphabet, Formula, atoms_in_order, parse_formula, LassoWord, lasso_eval
 from .partial import classify, partialize
-from .runtime import run_trace
+from .runtime import _verdicts
 
 EX_OK = 0
 EX_USAGE = 64
@@ -139,6 +138,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    import json  # only classify writes JSON: kept off the other commands' start-up
+
     phi, alphabet = _load_formula(args)
     report = classify(synthesize_monitor(phi, alphabet))
     print(json.dumps(report.as_dict(), indent=2))
@@ -158,18 +159,23 @@ def _cmd_run(parser: argparse.ArgumentParser, args) -> int:
     # the partialized one, as run_trace's verdicts are.
     machine = partialize(machine)
     with _open_text(args.trace) as handle:
-        # run_trace reads events only as far as it steps; the tee keeps the
+        # With --stop-early the trace is read line by line, so reading stops
+        # at the line that concludes; otherwise in batches of whole lines.
+        chunks = handle if args.stop_early else line_batches(handle)
+        # _verdicts reads events only as far as it steps; the tee keeps the
         # names it read for the output lines.
-        events, names = tee(trace_events(handle))
-        results = run_trace(machine, events, stop_early=args.stop_early)
+        events, names = tee(trace_events(chunks))
+        verdicts = _verdicts(machine, events, args.stop_early)
     # Nothing is written before the run ends, so a bad event leaves stdout empty.
     # Verdict.value is an enum property: look it up once per verdict, not per line.
     texts = {verdict: verdict.value for verdict in Verdict}
+    # The verdicts come first: zip stops when they run out, before it asks
+    # for a name, which would read the trace past the conclusion.
     lines = [
         f"{position} {event} {texts[verdict]}\n"
-        for (position, verdict), event in zip(results, names)
+        for position, verdict, event in zip(count(1), verdicts, names)
     ]
-    final = results[-1][1] if results else machine.output(machine.initial)
+    final = verdicts[-1] if verdicts else machine.output(machine.initial)
     lines.append(f"FINAL {final.value}\n")
     sys.stdout.write("".join(lines))
     return _VERDICT_EXIT[final]

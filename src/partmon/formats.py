@@ -15,7 +15,8 @@ Emission is deterministic: states in canonical order, transitions sorted by
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from itertools import chain
+from typing import Iterable, Iterator, TextIO
 
 from .fsm import MooreMonitor, Verdict
 from .ltl import Alphabet, UnknownEventError
@@ -206,20 +207,30 @@ def emit_dot(machine: MooreMonitor) -> str:
 
 
 def trace_events(chunks: Iterable[str]) -> Iterator[str]:
-    """Yield a trace's events one at a time, reading ``chunks`` (pieces of the
-    trace text that end at line breaks, such as a file's lines) only as far
-    as the events are asked for.
+    """A trace's events one at a time, reading ``chunks`` (pieces of the
+    trace text that end at line breaks, such as a file's lines or
+    :func:`line_batches`) only as far as the events are asked for.
+    """
+    return chain.from_iterable(map(_chunk_events, chunks))
+
+
+def _chunk_events(chunk: str) -> list[str]:
+    """The events of a piece of trace text that ends at a line break.
 
     Events are separated by whitespace and ``#`` starts a comment running to
     the end of its line.
     """
-    for chunk in chunks:
-        if "#" in chunk:
-            for line in chunk.splitlines():
-                yield from line.partition("#")[0].split()
-        else:
-            # every line break is whitespace to split()
-            yield from chunk.split()
+    if "#" in chunk:
+        return [event for line in chunk.splitlines() for event in line.partition("#")[0].split()]
+    # every line break is whitespace to split()
+    return chunk.split()
+
+
+def line_batches(handle: TextIO, size: int = 1 << 16) -> Iterator[str]:
+    """Read ``handle`` in pieces of whole lines: each piece ends at a line
+    break or at the end of the text, and all but the last are at least
+    ``size`` characters long."""
+    return iter(lambda: handle.read(size) + handle.readline(), "")
 
 
 def parse_trace(text: str, alphabet: Alphabet) -> tuple[str, ...]:
@@ -228,7 +239,7 @@ def parse_trace(text: str, alphabet: Alphabet) -> tuple[str, ...]:
     Raises UnknownEventError with the 1-based token position for events
     outside the alphabet.
     """
-    events = tuple(trace_events(text.splitlines()))
+    events = tuple(trace_events((text,)))
     known = set(alphabet)
     for position, event in enumerate(events, start=1):
         if event not in known:

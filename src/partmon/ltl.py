@@ -9,7 +9,6 @@ single-event transition labels used throughout the monitor pipeline.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 _WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -637,18 +636,54 @@ def is_nnf(phi: Formula) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class LassoWord:
+class _Record:
+    """An immutable slotted record, compared, hashed, shown and pickled by
+    its fields (the subclass's ``__slots__``, in order), as a frozen
+    dataclass is, but without importing :mod:`dataclasses`."""
+
+    __slots__ = ()
+
+    def _set_fields(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class LassoWord(_Record):
     """Ultimately periodic infinite word stem · loop^ω; the loop must be nonempty."""
 
+    __slots__ = ("stem", "loop")
     stem: tuple[str, ...]
     loop: tuple[str, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "stem", tuple(self.stem))
-        object.__setattr__(self, "loop", tuple(self.loop))
-        if not self.loop:
+    def __init__(self, stem: Iterable[str], loop: Iterable[str]):
+        stem, loop = tuple(stem), tuple(loop)
+        if not loop:
             raise ValueError("lasso loop must be nonempty")
+        self._set_fields(stem, loop)
 
 
 def lasso_eval(phi: Formula, word: LassoWord) -> bool:

@@ -10,11 +10,11 @@ partialized form alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .fsm import MooreMonitor, Verdict
 from .graphs import can_reach, reachable_from
+from .ltl import _Record
 
 
 class Monitorability(Enum):
@@ -23,20 +23,40 @@ class Monitorability(Enum):
     FORALL_PZ = "FORALL_PZ"
 
 
-@dataclass(frozen=True)
-class MonitorabilityReport:
+class MonitorabilityReport(_Record):
     """What the synthesized machine can still conclude, and from where.
 
     ``ugly_witness`` is a shortest trace leading to a give-up state (empty for
     machines that give up immediately, None when no give-up state exists).
     """
 
+    __slots__ = (
+        "classification",
+        "can_reach_top",
+        "can_reach_bot",
+        "state_count",
+        "giveup_state_count",
+        "ugly_witness",
+    )
     classification: Monitorability
     can_reach_top: bool
     can_reach_bot: bool
     state_count: int
     giveup_state_count: int
     ugly_witness: tuple[str, ...] | None
+
+    def __init__(
+        self,
+        classification: Monitorability,
+        can_reach_top: bool,
+        can_reach_bot: bool,
+        state_count: int,
+        giveup_state_count: int,
+        ugly_witness: tuple[str, ...] | None,
+    ):
+        self._set_fields(
+            classification, can_reach_top, can_reach_bot, state_count, giveup_state_count, ugly_witness
+        )
 
     def as_dict(self) -> dict:
         return {

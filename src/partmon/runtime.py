@@ -138,6 +138,11 @@ def run_trace(
     nor consumed.  Otherwise every event must be in the alphabet, including
     those absorbed after conclusion.
     """
+    return list(zip(count(1), _verdicts(machine, trace, stop_early)))
+
+
+def _verdicts(machine: MooreMonitor, trace: Iterable[str], stop_early: bool) -> list[Verdict]:
+    """The verdict after each event :func:`run_trace` replays, without positions."""
     compiled = compile_monitor(machine)
     table, index, verdicts, live = compiled.table, compiled.index, compiled.verdicts, compiled.live
     row = compiled.initial
@@ -158,4 +163,4 @@ def run_trace(
                     break
     except KeyError:
         raise UnknownEventError(event, len(out) + 1) from None
-    return list(zip(count(1), out))
+    return out

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -14,11 +15,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partmon.cli import main
-from partmon.formats import emit_monitor, parse_monitor
+from partmon.formats import emit_monitor, parse_monitor, parse_trace
 from partmon.fsm import Verdict, monitor_verdict, synthesize_monitor
-from partmon.ltl import Alphabet, parse_formula
+from partmon.ltl import Alphabet, UnknownEventError, parse_formula
+from partmon.runtime import run_trace
 
-from helpers import eventually_ev1_machine, mixed_branches_machine, moore_isomorphic, RADIATION_FORMULA
+from helpers import (
+    ALPHA3,
+    NAMES3,
+    RADIATION_FORMULA,
+    eventually_ev1_machine,
+    mixed_branches_machine,
+    moore_isomorphic,
+)
 
 
 def run_cli(capsys, *argv):
@@ -298,6 +307,97 @@ def test_run_stop_early_stops_reading_at_conclusion(monkeypatch, capsys):
     assert code == 0
 
 
+def _long_trace(violate_from: int | None, events: int = 60_000) -> str:
+    """A trace text several 64 KiB batches long in the layouts a trace file
+    may take: several events a line, ``#`` comments, blank lines, CRLF line
+    breaks and no final newline.  Every ev1 is answered at once by ev2,
+    except the first one from event ``violate_from`` on."""
+    rng = random.Random(11)
+    trace = []
+    while len(trace) < events:
+        trace.append(rng.choice(NAMES3))
+        if trace[-1] == "ev1":
+            trace.append("ev2")
+    if violate_from is not None:
+        trace[trace.index("ev1", violate_from) + 1] = "ev3"
+    lines = []
+    for lo in range(0, len(trace), 7):
+        line = " ".join(trace[lo : lo + 7])
+        shape = lo % 5
+        if shape == 1:
+            line += "   # ev1 ev1 ev1"
+        elif shape == 3:
+            line = "\t" + line + "\r\n# a comment line"
+        lines.append(line)
+        if shape == 4:
+            lines.append("")
+    return "\r\n".join(lines)
+
+
+def _write_response_pmf(tmp_path):
+    """A monitor of "every ev1 is followed at once by ev2", which concludes BOT only."""
+    pmf = tmp_path / "response.pmf"
+    phi = parse_formula("[](ev1 -> X ev2)", ALPHA3)
+    pmf.write_text(emit_monitor(synthesize_monitor(phi, ALPHA3)))
+    return pmf
+
+
+def test_run_reads_a_multi_batch_trace_as_parse_trace_does(tmp_path, capsys):
+    """A trace longer than one read batch prints what run_trace gives on
+    parse_trace of the whole text, with and without --stop-early; the
+    conclusion lies in a later batch."""
+    pmf = _write_response_pmf(tmp_path)
+    machine = parse_monitor(pmf.read_text())
+    text = _long_trace(violate_from=30_000)
+    assert len(text.encode()) > 3 * (1 << 16)
+    trace = tmp_path / "long.trace"
+    trace.write_bytes(text.encode())
+    events = parse_trace(text, ALPHA3)
+    for stop_early in (False, True):
+        results = run_trace(machine, events, stop_early=stop_early)
+        final = results[-1][1]
+        expected = "".join(f"{p} {e} {v.value}\n" for (p, v), e in zip(results, events))
+        expected += f"FINAL {final.value}\n"
+        flag = ("--stop-early",) if stop_early else ()
+        code, out, _ = run_cli(capsys, "run", "-m", str(pmf), "-t", str(trace), *flag)
+        assert out == expected, stop_early
+        assert code == 1
+    assert 30_000 < len(results) < len(events)
+
+
+class _CountedStdin(io.StringIO):
+    """Stand-in for stdin that fails on its read call number ``limit + 1``."""
+
+    def __init__(self, text, limit):
+        super().__init__(text)
+        self.left = limit
+
+    def read(self, size=-1):
+        if self.left == 0:
+            raise AssertionError("read past the batch with the unknown event")
+        self.left -= 1
+        return super().read(size)
+
+
+def test_run_unknown_event_in_a_later_batch_exits_65(tmp_path, capsys, monkeypatch):
+    """An unknown event in the second batch exits 65 with nothing on stdout,
+    and from stdin it does so without reading the third batch."""
+    pmf = _write_response_pmf(tmp_path)
+    text = _long_trace(violate_from=None)
+    at = text.index(" ev3 ", 80_000) + 1
+    bad = text[:at] + "warp" + text[at + 3 :]
+    assert (1 << 16) < at < 2 * (1 << 16) < len(bad) - (1 << 16)
+    with pytest.raises(UnknownEventError) as expected:
+        parse_trace(bad, ALPHA3)
+    trace = tmp_path / "bad.trace"
+    trace.write_bytes(bad.encode())
+    code, out, err = run_cli(capsys, "run", "-m", str(pmf), "-t", str(trace))
+    assert (code, out, err) == (65, "", f"error: {expected.value}\n")
+    monkeypatch.setattr(sys, "stdin", _CountedStdin(bad, limit=2))
+    code, out, err = run_cli(capsys, "run", "-m", str(pmf), "-t", "-")
+    assert (code, out, err) == (65, "", f"error: {expected.value}\n")
+
+
 def test_run_requires_exactly_one_source(tmp_path):
     trace = tmp_path / "t.trace"
     trace.write_text("ev1\n")
@@ -367,6 +467,39 @@ def test_synth_output_is_stable_across_interpreter_runs(tmp_path):
         )
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+def _src_env():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
+
+def test_cli_start_up_imports_neither_dataclasses_nor_json():
+    """A fresh interpreter (without site, so only partmon's own imports
+    count) loads neither module for the CLI; classify imports json itself
+    and prints the report's JSON."""
+    probe = "import sys, partmon.cli; print(sorted({'dataclasses', 'json'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=_src_env(), check=True
+    )
+    assert proc.stdout == "[]\n"
+    argv = ["classify", "-f", "(ev1 & <>ev2) | (ev3 & []<>ev4)", "-a", "ev1,ev2,ev3,ev4"]
+    proc = subprocess.run(
+        [sys.executable, "-S", "-m", "partmon", *argv], capture_output=True, text=True, env=_src_env()
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == """\
+{
+  "classification": "EXISTS_PZ_ONLY",
+  "can_reach_top": true,
+  "can_reach_bot": true,
+  "state_count": 5,
+  "giveup_state_count": 1,
+  "ugly_witness": [
+    "ev3"
+  ]
+}
+"""
 
 
 # --- fuzzed command lines -------------------------------------------------------------

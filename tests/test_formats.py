@@ -12,6 +12,7 @@ from partmon.formats import (
     ValidationError,
     emit_dot,
     emit_monitor,
+    line_batches,
     parse_monitor,
     parse_trace,
     trace_events,
@@ -251,3 +252,19 @@ def test_trace_events_read_line_by_line_match_whole_text(text):
     file_lines = io.StringIO(text, newline=None)  # how open() reads a trace file
     assert tuple(trace_events(file_lines)) == expected
     assert tuple(trace_events(text.splitlines())) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="ab #\n\r\t\x0b\x85", max_size=60), st.integers(1, 8))
+def test_line_batches_end_at_line_breaks(text, size):
+    """``partmon run`` reads a trace in batches of whole lines: each batch
+    but the last is at least ``size`` characters and ends at a line break,
+    and the batches hold the events of the whole text."""
+    batches = list(line_batches(io.StringIO(text, newline=None), size))
+    read = text.replace("\r\n", "\n").replace("\r", "\n")  # how open() reads a trace file
+    assert "".join(batches) == read
+    assert all(len(batch) >= size and batch.endswith("\n") for batch in batches[:-1])
+    expected = tuple(
+        event for line in text.splitlines() for event in line.split("#", 1)[0].split()
+    )
+    assert tuple(trace_events(batches)) == tuple(trace_events((text,))) == expected

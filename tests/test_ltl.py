@@ -71,6 +71,24 @@ def test_lasso_requires_nonempty_loop():
     assert word.stem == () and word.loop == ("ev1",)
 
 
+def test_lasso_word_is_an_immutable_value():
+    word = LassoWord(["ev1"], ("ev2", "ev3"))
+    same = LassoWord(stem=("ev1",), loop=["ev2", "ev3"])
+    assert word == same and hash(word) == hash(same)
+    assert word != LassoWord(("ev1",), ("ev3", "ev2"))
+    assert word != (("ev1",), ("ev2", "ev3"))
+    assert len({word, same, LassoWord((), ("ev1",))}) == 2
+    assert repr(word) == "LassoWord(stem=('ev1',), loop=('ev2', 'ev3'))"
+    for field in ("stem", "loop", "other"):
+        with pytest.raises(AttributeError):
+            setattr(word, field, ())
+    with pytest.raises(AttributeError):
+        del word.stem
+    assert word.stem == ("ev1",) and word.loop == ("ev2", "ev3")
+    for copied in (pickle.loads(pickle.dumps(word)), copy.deepcopy(word)):
+        assert copied == word
+
+
 # --- parsing ----------------------------------------------------------------
 
 def test_parse_eventually():

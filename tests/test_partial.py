@@ -321,6 +321,23 @@ def test_classify_report_serialization():
     }
 
 
+def test_classify_report_is_an_immutable_value():
+    report = classify(mixed_branches_machine())
+    assert report == classify(mixed_branches_machine())
+    assert hash(report) == hash(classify(mixed_branches_machine()))
+    assert report != classify(giveup_only_machine())
+    assert repr(report) == (
+        "MonitorabilityReport(classification=<Monitorability.EXISTS_PZ_ONLY: 'EXISTS_PZ_ONLY'>,"
+        " can_reach_top=True, can_reach_bot=True, state_count=5, giveup_state_count=1,"
+        " ugly_witness=('ev3',))"
+    )
+    with pytest.raises(AttributeError):
+        report.state_count = 0
+    with pytest.raises(AttributeError):
+        del report.ugly_witness
+    assert report.state_count == 5 and report.ugly_witness == ("ev3",)
+
+
 def test_classification_invariants_on_random_formulas():
     rng = random.Random(1021)
     for _ in range(40):
