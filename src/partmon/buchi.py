@@ -263,16 +263,6 @@ def _undominated(guards: dict[tuple[int, int], int]) -> list[tuple[tuple[int, in
     row = list(guards.items())
     if len(row) < 2:
         return row
-    if len(row) == 2:
-        # The most common row with more than one edge: of two distinct
-        # edges, at most one dominates the other.
-        ((nxt, marks), guard), ((other_nxt, other_marks), other_guard) = row
-        either = guard | other_guard
-        if either == other_guard and other_nxt | nxt == nxt and marks | other_marks == other_marks:
-            return row[1:]
-        if either == guard and nxt | other_nxt == other_nxt and marks | other_marks == marks:
-            return row[:1]
-        return row
     kept = []
     for key, guard in row:
         nxt, marks = key

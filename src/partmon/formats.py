@@ -226,11 +226,15 @@ def _chunk_events(chunk: str) -> list[str]:
     return chunk.split()
 
 
-def line_batches(handle: TextIO, size: int = 1 << 16) -> Iterator[str]:
+#: The least number of characters :func:`line_batches` reads at a time.
+_BATCH = 1 << 16
+
+
+def line_batches(handle: TextIO) -> Iterator[str]:
     """Read ``handle`` in pieces of whole lines: each piece ends at a line
     break or at the end of the text, and all but the last are at least
-    ``size`` characters long."""
-    return iter(lambda: handle.read(size) + handle.readline(), "")
+    ``_BATCH`` characters long."""
+    return iter(lambda: handle.read(_BATCH) + handle.readline(), "")
 
 
 def parse_trace(text: str, alphabet: Alphabet) -> tuple[str, ...]:

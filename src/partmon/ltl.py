@@ -114,7 +114,44 @@ class Alphabet:
         return f"Alphabet({list(self.symbols)!r})"
 
 
-class Formula:
+class Record:
+    """An immutable slotted value: compared, hashed, shown and pickled by its
+    ``_fields``, in order, as a frozen dataclass is, without importing
+    :mod:`dataclasses`.  A subclass's constructor stores its fields with
+    ``_set_fields``, past the ``__setattr__`` that refuses changes."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set_fields(self, *values: object) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def _immutable(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot change field {name!r}: {self.__class__.__name__} is immutable")
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class Formula(Record):
     """Base class for formula nodes: immutable, hashable, compared by structure.
 
     ``depth``, the number of operators nested above the deepest leaf (a
@@ -123,16 +160,10 @@ class Formula:
     """
 
     __slots__ = ("depth", "_hash")
-    _fields: tuple[str, ...] = ()
 
     def __init__(self):
         _set_depth(self, 0)
         _set_hash(self, hash(self.__class__))
-
-    def _immutable(self, name: str, *value: object) -> None:
-        raise AttributeError(f"cannot change field {name!r}: formulas are immutable")
-
-    __setattr__ = __delattr__ = _immutable
 
     def __hash__(self) -> int:
         return self._hash
@@ -160,13 +191,6 @@ class Formula:
                 elif mine != theirs:
                     return False
         return True
-
-    def __reduce__(self):
-        return self.__class__, tuple(getattr(self, field) for field in self._fields)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in self._fields)
-        return f"{self.__class__.__name__}({fields})"
 
     def __str__(self) -> str:
         return format_formula(self)
@@ -636,46 +660,10 @@ def is_nnf(phi: Formula) -> bool:
     )
 
 
-class _Record:
-    """An immutable slotted record, compared, hashed, shown and pickled by
-    its fields (the subclass's ``__slots__``, in order), as a frozen
-    dataclass is, but without importing :mod:`dataclasses`."""
-
-    __slots__ = ()
-
-    def _set_fields(self, *values: object) -> None:
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __reduce__(self):
-        return self.__class__, self._values()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{self.__class__.__qualname__}({fields})"
-
-
-class LassoWord(_Record):
+class LassoWord(Record):
     """Ultimately periodic infinite word stem · loop^ω; the loop must be nonempty."""
 
-    __slots__ = ("stem", "loop")
+    __slots__ = _fields = ("stem", "loop")
     stem: tuple[str, ...]
     loop: tuple[str, ...]
 

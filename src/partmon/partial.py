@@ -14,7 +14,7 @@ from enum import Enum
 
 from .fsm import MooreMonitor, Verdict
 from .graphs import can_reach, reachable_from
-from .ltl import _Record
+from .ltl import Record
 
 
 class Monitorability(Enum):
@@ -23,14 +23,14 @@ class Monitorability(Enum):
     FORALL_PZ = "FORALL_PZ"
 
 
-class MonitorabilityReport(_Record):
+class MonitorabilityReport(Record):
     """What the synthesized machine can still conclude, and from where.
 
     ``ugly_witness`` is a shortest trace leading to a give-up state (empty for
     machines that give up immediately, None when no give-up state exists).
     """
 
-    __slots__ = (
+    __slots__ = _fields = (
         "classification",
         "can_reach_top",
         "can_reach_bot",

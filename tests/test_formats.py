@@ -2,11 +2,13 @@
 
 import io
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from partmon import formats
 from partmon.formats import (
     FormatError,
     ValidationError,
@@ -259,11 +261,14 @@ def test_trace_events_read_line_by_line_match_whole_text(text):
 def test_line_batches_end_at_line_breaks(text, size):
     """``partmon run`` reads a trace in batches of whole lines: each batch
     but the last is at least ``size`` characters and ends at a line break,
+    no batch runs past the line that its first ``size`` characters end in,
     and the batches hold the events of the whole text."""
-    batches = list(line_batches(io.StringIO(text, newline=None), size))
+    with mock.patch.object(formats, "_BATCH", size):
+        batches = list(line_batches(io.StringIO(text, newline=None)))
     read = text.replace("\r\n", "\n").replace("\r", "\n")  # how open() reads a trace file
     assert "".join(batches) == read
     assert all(len(batch) >= size and batch.endswith("\n") for batch in batches[:-1])
+    assert not any("\n" in batch[size:-1] for batch in batches)
     expected = tuple(
         event for line in text.splitlines() for event in line.split("#", 1)[0].split()
     )
