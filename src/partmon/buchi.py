@@ -1,24 +1,22 @@
 """Translation of LTL formulas into generalized Büchi automata.
 
-The construction is the on-the-fly tableau expansion of Gerth, Peled, Vardi
-and Wolper (1995), read as a transition-based automaton (Couvreur 1999;
-Giannakopoulou and Lerda 2002): a state is the set of obligations it owes
-from the next position on, each way of expanding it into literals to meet
-now and obligations to pass on gives an edge, and acceptance marks sit on the
-edges, one mark per Until or F subformula.  As in Gastin and Oddoux (2001),
-an edge is dropped when another edge of its state reads every event it
-reads, owes no more and carries every mark it carries, so the states only
-dominated edges lead to are never built.  The marks are kept as they are:
-emptiness and lasso membership check every mark directly, so no counter
-product is ever built.
+The construction is the compositional tableau of Gastin and Oddoux (2001),
+read as a transition-based automaton (Couvreur 1999; Giannakopoulou and Lerda
+2002): a state is the set of obligations it owes from the next position on,
+and acceptance marks sit on the edges, one mark per Until or F subformula.
+Every subformula gets a move list, built once from its operands' lists: each
+move reads a guard now, owes a set of obligations from the next position on,
+and leaves pending the marks of the Untils it promised without granting.  A
+state's edges are the product of the move lists of everything it owes.  A
+move is dropped when another move reads every event it reads, owes no more
+and leaves no more marks pending, so the states only dominated moves lead to
+are never built.  The marks are kept as they are: emptiness and lasso
+membership check every mark directly, so no counter product is ever built.
 
-The expansion works on integers throughout: every subformula is numbered by
-its position in the canonical subformula order, and obligation sets are
-bitsets over those numbers.
-
-Edge guards are sets of concrete events, not of proposition sets: an event
-satisfies an edge's literal obligations iff every positive literal equals
-the event and no negative literal does.
+Obligation sets are bitsets over the subformulas' positions in the canonical
+subformula order.  Edge guards are sets of concrete events, not of
+proposition sets: an event satisfies a literal iff it equals the literal's
+atom, or, for a negated atom, differs from it.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from .ltl import (
     Eventually,
     FalseFormula,
     Formula,
-    Implies,
     Next,
     Not,
     Or,
@@ -42,7 +39,6 @@ from .ltl import (
     TrueFormula,
     UnknownAtomError,
     Until,
-    _Binary,
     _check_depth,
     children,
     subformulas,
@@ -115,22 +111,7 @@ class Nba:
         return tuple(sorted({dst for guard, dst, _ in self.edges[state] if guard & event_bit}))
 
 
-# Obligation kinds of the integer-coded tableau.  F r is read as true U r and
-# G r as false R r, with no bit for the constant side.
-_TRUE, _FALSE, _LITERAL, _NEXT, _AND, _OR, _UNTIL, _RELEASE = range(8)
-_KIND = {
-    TrueFormula: _TRUE,
-    FalseFormula: _FALSE,
-    Atom: _LITERAL,
-    Not: _LITERAL,
-    Next: _NEXT,
-    And: _AND,
-    Or: _OR,
-    Until: _UNTIL,
-    Eventually: _UNTIL,
-    Release: _RELEASE,
-    Always: _RELEASE,
-}
+_Move = tuple[int, int, int]
 
 
 def ltl_to_nba(phi: Formula, alphabet: Alphabet) -> Nba:
@@ -143,136 +124,122 @@ def ltl_to_nba(phi: Formula, alphabet: Alphabet) -> Nba:
     """
     _check_depth(phi)
     # Obligation i, the i-th subformula in canonical order, is bit i of an
-    # obligation set; expanding the lowest bit first makes the expansion, and
-    # therefore the state numbering, deterministic.
+    # obligation set.  Children come before their parents, so one pass in
+    # that order builds every subformula's move list from its operands'.
     formulas = subformulas(phi)
     order = {f: i for i, f in enumerate(formulas)}
-    # The events each literal allows; an atom comes before its negation.
-    allows = [0] * len(formulas)
     everything = (1 << len(alphabet)) - 1
+    stay: list[_Move] = [(everything, 0, 0)]
+    moves: list[list[_Move]] = []
+    untils = 0
     for i, f in enumerate(formulas):
-        if isinstance(f, Atom):
+        args = [moves[order[c]] for c in children(f)]
+        if isinstance(f, TrueFormula):
+            got = stay
+        elif isinstance(f, FalseFormula):
+            got = []
+        elif isinstance(f, Atom):
             if f.name not in alphabet:
                 raise UnknownAtomError(f.name)
-            allows[i] = 1 << alphabet.index(f.name)
-        elif isinstance(f, Implies) or (isinstance(f, Not) and not isinstance(f.arg, Atom)):
+            got = [(1 << alphabet.index(f.name), 0, 0)]
+        elif isinstance(f, Not) and isinstance(f.arg, Atom):
+            # Over a one-event alphabet the negation allows nothing.
+            allows = everything & ~(1 << alphabet.index(f.arg.name))
+            got = [(allows, 0, 0)] if allows else []
+        elif isinstance(f, Next):
+            got = [(everything, 1 << order[f.arg], 0)]
+        elif isinstance(f, And):
+            got = _product(*args)
+        elif isinstance(f, Or):
+            got = _undominated(args[0] + args[1])
+        elif isinstance(f, (Until, Eventually)):
+            # f = l U r unfolds to r | (l & X f), where F r's l is true.  The
+            # second branch promises r without granting it: its mark pends.
+            left, right = args if isinstance(f, Until) else (stay, args[0])
+            pend = 1 << untils
+            untils += 1
+            got = _undominated(right + [(g, n | 1 << i, p | pend) for g, n, p in left])
+        elif isinstance(f, (Release, Always)):
+            # f = l R r unfolds to (l & r) | (r & X f), where G r's l is false.
+            left, right = args if isinstance(f, Release) else ([], args[0])
+            got = _undominated(_product(left, right) + [(g, n | 1 << i, p) for g, n, p in right])
+        else:
             raise ValueError("formula must be in negation normal form")
-        elif isinstance(f, Not):
-            allows[i] = everything & ~allows[order[f.arg]]
-    kind = [_KIND[type(f)] for f in formulas]
-    # Each obligation's operands as one-bit sets: the argument of X, F and G
-    # is its right operand, and their left one is 0.
-    lbits = [1 << order[f.left] if isinstance(f, _Binary) else 0 for f in formulas]
-    rbits = [1 << order[children(f)[-1]] if k >= _NEXT else 0 for f, k in zip(formulas, kind)]
-
-    def expand(obligations: int) -> list[tuple[int, int, int]]:
-        """GPVW expansion of one state: the (guard, old, next) sets of every
-        cover it splits into, in order of completion.  ``guard`` is the set
-        of events that satisfy the literals in ``old``: every positive one
-        equals the event and no negative one does.  A branch whose guard
-        becomes empty can meet no event and is dropped at once."""
-        covers = []
-        pending = [(obligations, 0, 0, everything)]
-        while pending:
-            new, old, nxt, guard = pending.pop()
-            if not new:
-                covers.append((guard, old, nxt))
-                continue
-            low = new & -new
-            eta = low.bit_length() - 1
-            new ^= low
-            k = kind[eta]
-            if k == _TRUE:
-                # Recorded like any granted obligation: an Until whose right
-                # side is literally true must see it in `old` to count as
-                # fulfilled.
-                pending.append((new, old | low, nxt, guard))
-            elif k == _FALSE:
-                pass  # contradiction: drop this branch
-            elif k == _LITERAL:
-                if guard & allows[eta]:
-                    pending.append((new, old | low, nxt, guard & allows[eta]))
-            elif k == _NEXT:
-                pending.append((new, old | low, nxt | rbits[eta], guard))
-            else:
-                old |= low
-                lbit, rbit = lbits[eta], rbits[eta]
-                if k == _AND:
-                    pending.append((new | ((lbit | rbit) & ~old), old, nxt, guard))
-                elif k == _OR:
-                    # l | l has one branch: a second would repeat every cover.
-                    if rbit != lbit:
-                        pending.append((new | (rbit & ~old), old, nxt, guard))
-                    pending.append((new | (lbit & ~old), old, nxt, guard))
-                elif k == _UNTIL:
-                    # eta = l U r unfolds to r | (l & X eta); F r's l = true owes nothing.
-                    pending.append((new | (rbit & ~old), old, nxt, guard))
-                    pending.append((new | (lbit & ~old), old, nxt | low, guard))
-                else:
-                    # eta = l R r unfolds to (l & r) | (r & X eta); G r has
-                    # l = false, so only the second branch.
-                    if lbit:
-                        pending.append((new | ((lbit | rbit) & ~old), old, nxt, guard))
-                    pending.append((new | (rbit & ~old), old, nxt | low, guard))
-        return covers
+        moves.append(got)
 
     # A state is the set of obligations it owes from the next position on;
-    # the initial state owes the goal.  Each cover of a state's expansion
-    # gives an edge, reading the cover's guard, to the state owing its `next`.
-    # The edge carries mark j for the j-th Until or F unless the cover's `old`
-    # promises that Until without granting its right side.  Covers with the
-    # same `next` and marks are one edge, and an edge that another edge of
-    # its row dominates is dropped before its target is numbered.
-    untils = [(1 << u, rbits[u]) for u in range(len(formulas)) if kind[u] == _UNTIL]
+    # the initial state owes the goal.  Its row is the product of the move
+    # lists of everything it owes, taken lowest obligation first; each
+    # partial product is kept, so states owing the same low obligations share
+    # it.  A move gives an edge, reading its guard, to the state owing its
+    # `next`, and carrying mark j unless it leaves the j-th Until or F
+    # pending.  A dominated move is dropped before its target is numbered.
+    products: dict[int, list[_Move]] = {0: stay}
+    all_marks = (1 << untils) - 1
     ids = {1 << order[phi]: 0}
     owes = list(ids)
     edges = []
     for obligations in owes:
-        guards: dict[tuple[int, int], int] = {}
-        for guard, old, nxt in expand(obligations):
-            marks = 0
-            for j, (ubit, rbit) in enumerate(untils):
-                if not old & ubit or old & rbit:
-                    marks |= 1 << j
-            key = (nxt, marks)
-            guards[key] = guards.get(key, 0) | guard
-        row = []
-        for (nxt, marks), guard in _undominated(guards):
+        prefix, row = 0, stay
+        rest = obligations
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            prefix |= low
+            got = products.get(prefix)
+            if got is None:
+                got = products[prefix] = _product(row, moves[low.bit_length() - 1])
+            row = got
+        out = []
+        for guard, nxt, pending in row:
             dst = ids.get(nxt)
             if dst is None:
                 dst = ids[nxt] = len(owes)
                 owes.append(nxt)
-            row.append((guard, dst, marks))
-        edges.append(row)
+            out.append((guard, dst, all_marks ^ pending))
+        edges.append(out)
 
     # A state's language is the set of words satisfying everything it owes
     # (GPVW's correctness lemma), so owing less accepts more.
-    return Nba(alphabet, [0], edges, len(untils), owes)
+    return Nba(alphabet, [0], edges, untils, owes)
 
 
-def _undominated(guards: dict[tuple[int, int], int]) -> list[tuple[tuple[int, int], int]]:
-    """The ((next, marks), guard) edges of one state, in insertion order,
-    without those another edge dominates (Gastin and Oddoux 2001).
+def _product(left: list[_Move], right: list[_Move]) -> list[_Move]:
+    """The moves that make one move of each list at once."""
+    return _undominated(
+        [(g & h, n | m, p | q) for g, n, p in left for h, m, q in right if g & h]
+    )
 
-    Edge e' dominates e when it reads every event e reads, owes a subset of
-    what e owes and carries every mark e carries: a word accepted through e
-    is accepted through e', since owing less accepts more.  The keys are
-    distinct, so domination is a strict partial order, and dropping every
-    non-maximal edge keeps one dominating edge for each dropped one.
+
+def _undominated(moves: list[_Move]) -> list[_Move]:
+    """The (guard, next, pending) moves, merged by (next, pending) in order
+    of first occurrence, without those another move dominates (Gastin and
+    Oddoux 2001).
+
+    Move e' dominates e when it reads every event e reads, owes a subset of
+    what e owes and leaves a subset of e's marks pending: a word accepted
+    through e is accepted through e', since owing less accepts more.  The
+    merged keys are distinct, so domination is a strict partial order, and
+    dropping every non-maximal move keeps one dominating move for each
+    dropped one.
     """
+    if len(moves) < 2:
+        return moves
+    guards: dict[tuple[int, int], int] = {}
+    for guard, nxt, pending in moves:
+        key = (nxt, pending)
+        guards[key] = guards.get(key, 0) | guard
     row = list(guards.items())
-    if len(row) < 2:
-        return row
     kept = []
     for key, guard in row:
-        nxt, marks = key
+        nxt, pending = key
         for other, other_guard in row:
             if guard | other_guard == other_guard and other is not key:
-                other_nxt, other_marks = other
-                if other_nxt | nxt == nxt and marks | other_marks == other_marks:
+                other_nxt, other_pending = other
+                if other_nxt | nxt == nxt and other_pending | pending == pending:
                     break
         else:
-            kept.append((key, guard))
+            kept.append((guard, nxt, pending))
     return kept
 
 

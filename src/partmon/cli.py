@@ -150,6 +150,8 @@ def _cmd_run(parser: argparse.ArgumentParser, args) -> int:
     if bool(args.monitor) == bool(args.formula):
         parser.error("exactly one of -m/--monitor or -f/--formula is required")
     if args.monitor:
+        if args.alphabet or args.infer_alphabet:
+            parser.error("-m/--monitor takes its alphabet from the PMF: drop -a/--infer-alphabet")
         machine = parse_monitor(_read_text(args.monitor))
     else:
         _require_alphabet_choice(parser, args)

@@ -296,18 +296,20 @@ def test_no_edge_is_dominated_by_another_of_its_state():
                         ), (goal, q, (guard, dst, marks), (other_guard, other_dst, other_marks))
 
 
-_RESP4 = " & ".join(f"[](r{i} -> <>g{i})" for i in range(4))
-_RESP4_ALPHA = Alphabet([e for i in range(4) for e in (f"r{i}", f"g{i}")])
+def _resp(n):
+    """resp-n, the conjunction of [](r_i -> <>g_i) for i < n, and its alphabet."""
+    text = " & ".join(f"[](r{i} -> <>g{i})" for i in range(n))
+    return text, Alphabet([e for i in range(n) for e in (f"r{i}", f"g{i}")])
 
 
 @pytest.mark.parametrize(
     "text, alphabet, side, states, edges",
     [
         # Keeping every merged edge would give 17 states / 205 edges,
-        (_RESP4, _RESP4_ALPHA, nnf, 17, 129),
+        (*_resp(4), nnf, 17, 129),
         # 36 / 310,
         ("(<>(<>((ev2 -> ev3))) U ((true U <>(ev2)) U ev1))", ALPHA3, nnf, 15, 87),
-        # and 24 / 307.
+        # 24 / 307,
         (
             "([](((true -> ev1) & (ev3 & ev2))) U ((true R <>(ev3)) -> (X (ev2) R ev2)))",
             ALPHA3,
@@ -315,8 +317,24 @@ _RESP4_ALPHA = Alphabet([e for i in range(4) for e in (f"r{i}", f"g{i}")])
             4,
             8,
         ),
+        # and 129 / 7,418.
+        (*_resp(7), nnf, 129, 2763),
     ],
 )
 def test_dropping_dominated_edges_shrinks_the_tableau(text, alphabet, side, states, edges):
     nba = ltl_to_nba(side(parse_formula(text, alphabet)), alphabet)
     assert (nba.num_states, sum(len(row) for row in nba.edges)) == (states, edges)
+
+
+_ONE_EVENT = Alphabet(["a"])
+
+
+@pytest.mark.parametrize("text", ["[] !a", "<> !a", "!a U a", "a R !a", "(a | !a) U a"])
+def test_a_literal_no_event_satisfies_has_no_moves(text):
+    """Over the one-event alphabet {a}, no event satisfies !a: its move list
+    is empty, and every formula built on it still gets its language right."""
+    phi = parse_formula(text, _ONE_EVENT)
+    for goal in (nnf(phi), negate_nnf(phi)):
+        nba = ltl_to_nba(goal, _ONE_EVENT)
+        for word in all_lassos(("a",), 2, 2):
+            assert nba_accepts_lasso(nba, word) == lasso_eval(goal, word), (goal, word)

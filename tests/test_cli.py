@@ -406,6 +406,25 @@ def test_run_requires_exactly_one_source(tmp_path):
     assert exc.value.code == 64
 
 
+@pytest.mark.parametrize(
+    "option",
+    [["-a", "x,y"], ["-a", "ev1,ev2,ev3"], ["--infer-alphabet"]],
+    ids=["other_alphabet", "same_alphabet", "infer_alphabet"],
+)
+def test_run_monitor_with_an_alphabet_option_exits_64(tmp_path, capsys, option):
+    """A PMF carries its own alphabet: naming another one next to -m is a
+    usage error, even when it is the PMF's own, not an option silently dropped."""
+    pmf = tmp_path / "m.pmf"
+    pmf.write_text(emit_monitor(eventually_ev1_machine()))
+    trace = tmp_path / "t.trace"
+    trace.write_text("ev1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "-m", str(pmf), *option, "-t", str(trace)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 64
+    assert captured.out == "" and "-m/--monitor" in captured.err
+
+
 def test_run_missing_file_exits_65(capsys):
     code, _, err = run_cli(
         capsys, "run", "-m", "/no/such/file.pmf", "-t", "/no/such/trace"
