@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .graphs import accepting_components
+from .graphs import fair_nodes
 from .ltl import (
     Alphabet,
     Always,
@@ -259,12 +259,11 @@ def nba_accepts_lasso(automaton: Nba, word) -> bool:
     for q in sorted(automaton.initial):
         ids[(q, 0)] = len(nodes)
         nodes.append((q, 0))
-    adjacency: list[list[int]] = []
-    marks: list[list[int]] = []
+    rows: list[list[tuple[int, int, int]]] = []
     for q, pos in nodes:
         nxt = pos + 1 if pos + 1 < n else loop_entry
         event = 1 << events[pos]
-        out, out_marks = [], []
+        row = []
         for guard, dst, edge_marks in automaton.edges[q]:
             if guard & event:
                 key = (dst, nxt)
@@ -272,9 +271,8 @@ def nba_accepts_lasso(automaton: Nba, word) -> bool:
                 if got is None:
                     got = ids[key] = len(nodes)
                     nodes.append(key)
-                out.append(got)
-                out_marks.append(edge_marks)
-        adjacency.append(out)
-        marks.append(out_marks)
+                row.append((guard, got, edge_marks))
+        rows.append(row)
 
-    return bool(accepting_components(adjacency, marks, automaton.num_marks))
+    # Every node is reachable from a start, so any fair node is on a run.
+    return bool(fair_nodes(rows, automaton.num_marks))

@@ -184,18 +184,17 @@ def _cmd_run(parser: argparse.ArgumentParser, args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    word = LassoWord(_split_events(args.stem), _split_events(args.loop))
+    events = word.stem + word.loop
     if args.alphabet:
         alphabet = Alphabet(_split_events(args.alphabet))
         phi = parse_formula(args.formula, alphabet)
     else:
         phi = parse_formula(args.formula)
-        alphabet = None
-    stem = _split_events(args.stem)
-    loop = _split_events(args.loop)
-    if alphabet is not None:
-        for event in stem + loop:
-            alphabet.index(event)  # raises UnknownEventError
-    word = LassoWord(tuple(stem), tuple(loop))
+        # The formula's events and the word's, checked as -a names are.
+        alphabet = Alphabet(dict.fromkeys(atoms_in_order(phi) + list(events)))
+    for event in events:
+        alphabet.index(event)  # raises UnknownEventError
     print("SAT" if lasso_eval(phi, word) else "UNSAT")
     return EX_OK
 

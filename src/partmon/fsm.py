@@ -12,7 +12,7 @@ from enum import Enum
 from typing import Callable, Sequence
 
 from .buchi import Nba, ltl_to_nba
-from .graphs import accepting_components, bits, can_reach, reachable_from
+from .graphs import bits, fair_nodes, reachable_from
 from .ltl import Alphabet, Formula, negate_nnf, nnf
 
 
@@ -50,18 +50,13 @@ class Verdict(Enum):
 def per_state_nonempty(automaton: Nba) -> frozenset[int]:
     """States that generate a nonempty omega-language when made initial.
 
-    Computed by SCC decomposition: a state qualifies iff it can reach an SCC
-    with an internal edge (which for a singleton component means a
-    self-loop) whose internal edges carry every acceptance mark.
+    These are the states with a run that takes an edge of every acceptance
+    mark infinitely often, found by the Emerson-Lei fixpoint of
+    :func:`partmon.graphs.fair_nodes` on the automaton's edges: each round
+    runs one backward search per mark and keeps the states that reach every
+    mark's edges, until no state is dropped.
     """
-    adjacency = [[dst for _, dst, _ in row] for row in automaton.edges]
-    marks = [[m for _, _, m in row] for row in automaton.edges]
-    seeds = [
-        q
-        for component in accepting_components(adjacency, marks, automaton.num_marks)
-        for q in component
-    ]
-    return can_reach(adjacency, seeds)
+    return fair_nodes(automaton.edges, automaton.num_marks)
 
 
 def _live_subsets(automaton: Nba) -> tuple[int, Callable[[int], tuple[int, ...]]]:

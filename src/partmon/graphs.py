@@ -6,56 +6,6 @@ from collections import deque
 from typing import Iterable, Iterator, Sequence
 
 
-def strongly_connected_components(adjacency: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Tarjan's algorithm, iteratively, over an integer adjacency list."""
-    n = len(adjacency)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = 0
-
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            v, child_pos = work[-1]
-            if child_pos == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            descended = False
-            neighbours = adjacency[v]
-            for i in range(child_pos, len(neighbours)):
-                w = neighbours[i]
-                if index[w] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    descended = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if descended:
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-            if low[v] == index[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    component.append(w)
-                    if w == v:
-                        break
-                sccs.append(component)
-    return sccs
-
-
 def reachable_from(
     adjacency: Sequence[Sequence[int]], starts: Iterable[int]
 ) -> dict[int, int | None]:
@@ -93,25 +43,37 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def accepting_components(
-    adjacency: Sequence[Sequence[int]],
-    marks: Sequence[Sequence[int]],
-    num_marks: int,
-) -> list[list[int]]:
-    """SCCs with at least one internal edge, whose internal edges carry every
-    mark 0..num_marks-1 between them.  ``marks[v][i]`` is the mark bitset of
-    the edge from ``v`` to ``adjacency[v][i]``."""
-    every_mark = (1 << num_marks) - 1
-    found = []
-    for component in strongly_connected_components(adjacency):
-        inside = set(component)
-        internal = False
-        carried = 0
-        for v in component:
-            for w, m in zip(adjacency[v], marks[v]):
-                if w in inside:
-                    internal = True
-                    carried |= m
-        if internal and carried == every_mark:
-            found.append(component)
-    return found
+def fair_nodes(
+    rows: Sequence[Sequence[tuple[object, int, int]]], num_marks: int
+) -> frozenset[int]:
+    """Nodes with an infinite path that takes an edge of every mark
+    0..num_marks-1 infinitely often; with no marks, any infinite path.
+
+    ``rows[v]`` lists the edges leaving ``v`` as ``(label, dst, marks)``
+    triples, ``marks`` being the edge's mark bitset; labels are not read.
+    The result is the greatest set Z in which every node can reach, inside
+    Z, an edge of each mark whose two ends are in Z (the Emerson-Lei
+    fixpoint).  Each round keeps the nodes of Z that reach, inside Z, the
+    sources of every mark's edges, one backward search per mark, until Z
+    stops shrinking.
+    """
+    # With no marks, every edge counts as carrying mark 0.
+    pad = 0 if num_marks else 1
+    fair = set(range(len(rows)))
+    while True:
+        reverse: list[list[int]] = [[] for _ in rows]
+        carried = [0] * len(rows)
+        for v in fair:
+            got = 0
+            for _, w, m in rows[v]:
+                if w in fair:
+                    reverse[w].append(v)
+                    got |= m | pad
+            carried[v] = got
+        kept = set(fair)
+        for i in range(num_marks or 1):
+            sources = [v for v in fair if carried[v] >> i & 1]
+            kept.intersection_update(reachable_from(reverse, sources))
+        if len(kept) == len(fair):
+            return frozenset(kept)
+        fair = kept

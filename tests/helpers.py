@@ -2,7 +2,8 @@
 a second, deliberately naive semantics evaluator used to cross-check the
 fixpoint one, machine isomorphism and a forward reachability check, and the
 plain route that synthesis is checked against: a state-based GPVW tableau,
-the subset construction and a pair-per-state product.
+per-state emptiness from its definition, the subset construction and a
+pair-per-state product.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ import random
 from collections import deque
 
 from partmon.buchi import Nba
-from partmon.fsm import MooreMonitor, Verdict, per_state_nonempty, synthesize_monitor
-from partmon.graphs import bits
+from partmon.fsm import MooreMonitor, Verdict, synthesize_monitor
+from partmon.graphs import bits, reachable_from
 from partmon.ltl import (
     Alphabet,
     Always,
@@ -510,6 +511,32 @@ def gpvw_nba(phi: Formula, alphabet: Alphabet) -> Nba:
 
 # --- plain synthesis route --------------------------------------------------------
 
+def reference_nonempty(nba: Nba) -> frozenset[int]:
+    """States with a nonempty omega-language, straight from the definition.
+
+    A state is live iff it reaches a state ``u`` whose class of mutually
+    reachable states (the states ``u`` reaches that reach ``u`` back) has an
+    internal edge and carries every mark on its internal edges.  One search
+    per state, so quadratic: for tests only.
+    """
+    successors = [[dst for _, dst, _ in row] for row in nba.edges]
+    reach = [reachable_from(successors, [q]) for q in range(nba.num_states)]
+    every_mark = (1 << nba.num_marks) - 1
+    accepting = set()
+    for u, reached in enumerate(reach):
+        mutual = {v for v in reached if u in reach[v]}
+        internal = False
+        carried = 0
+        for v in mutual:
+            for _, w, marks in nba.edges[v]:
+                if w in mutual:
+                    internal = True
+                    carried |= marks
+        if internal and carried == every_mark:
+            accepting.add(u)
+    return frozenset(q for q, reached in enumerate(reach) if not accepting.isdisjoint(reached))
+
+
 class ReferenceDfa:
     """Subset automaton of an NBA read over finite words: state ``i`` is the
     subset ``subsets[i]`` of NBA states, and it is final iff it holds a state
@@ -530,7 +557,7 @@ class ReferenceDfa:
 def determinize(nba: Nba) -> ReferenceDfa:
     """Rabin–Scott subset construction over every NBA state, dead ones
     included, with frozensets; the empty subset is the non-final sink."""
-    live = per_state_nonempty(nba)
+    live = reference_nonempty(nba)
     start = frozenset(nba.initial)
     ids = {start: 0}
     subsets = [start]
@@ -556,7 +583,7 @@ def prefix_accepts(nba: Nba, word) -> bool:
     current = set(nba.initial)
     for event in word:
         current = {dst for q in current for dst in nba.successors(q, event)}
-    return bool(current & per_state_nonempty(nba))
+    return bool(current & reference_nonempty(nba))
 
 
 def reference_monitor(phi: Formula, alphabet: Alphabet) -> MooreMonitor:

@@ -458,6 +458,18 @@ def test_oracle_empty_loop_exits_65(capsys):
     assert code == 65 and "loop" in err
 
 
+@pytest.mark.parametrize("token", ["!!", "X", "1x"])
+@pytest.mark.parametrize("option", ["--stem", "--loop"])
+def test_oracle_without_alphabet_refuses_an_invalid_event_name(capsys, option, token):
+    """Without -a, the word's names are checked as -a names are: a token
+    that is no identifier, a reserved word and a leading digit exit 65."""
+    word = {"--stem": "ev1", "--loop": "ev1", option: token}
+    code, out, err = run_cli(
+        capsys, "oracle", "-f", "<>ev1", "--stem", word["--stem"], "--loop", word["--loop"]
+    )
+    assert code == 65 and out == "" and "invalid event name" in err
+
+
 # --- whole-pipeline determinism ----------------------------------------------------
 
 def test_synth_output_is_stable_across_interpreter_runs(tmp_path):

@@ -41,6 +41,7 @@ from helpers import (
     prefix_accepts,
     random_formula,
     reference_monitor,
+    reference_nonempty,
     state_nba,
 )
 
@@ -92,6 +93,36 @@ def test_per_state_nonempty_matches_lasso_membership():
         for state in range(nba.num_states):
             shifted = Nba(ALPHA3, [state], nba.edges, nba.num_marks, nba.obligations)
             assert any(nba_accepts_lasso(shifted, w) for w in family) == (state in live)
+
+
+def _family_formulas():
+    """The synthesis families over their alphabets: radiation, resp-2/3,
+    <>(a & X^k b) for k = 4..10 and the conjunction of []<>e_i for n = 2..5."""
+    rad = "rad_low U ((rad_high & <>mv_dec) | (rad_medium & []<>(insp_t1 | insp_t2)))"
+    cases = [(rad, ["rad_low", "rad_high", "rad_medium", "mv_dec", "insp_t1", "insp_t2"])]
+    for n in (2, 3):
+        events = [e for i in range(n) for e in (f"r{i}", f"g{i}")] + ["idle"]
+        cases.append((" & ".join(f"[](r{i} -> <>g{i})" for i in range(n)), events))
+    cases += [("<>(a & " + "X " * k + "b)", ["a", "b", "c"]) for k in range(4, 11)]
+    for n in range(2, 6):
+        events = [f"e{i}" for i in range(n)] + ["z"]
+        cases.append((" & ".join(f"[]<>e{i}" for i in range(n)), events))
+    return [(parse_formula(text, Alphabet(events)), Alphabet(events)) for text, events in cases]
+
+
+def test_per_state_nonempty_matches_the_definition():
+    """The fixpoint's live states are those the definition-based reference
+    finds, on both sides of the families, the 200-formula corpus and 300
+    deeper random draws."""
+    cases = _family_formulas()
+    rng = random.Random(0xACCE55)
+    cases += [(random_formula(rng, 4), ALPHA3) for _ in range(200)]
+    rng = random.Random(7)
+    cases += [(random_formula(rng, 5), ALPHA3) for _ in range(300)]
+    for phi, alphabet in cases:
+        for side, formula in (("formula", nnf(phi)), ("negation", negate_nnf(phi))):
+            nba = ltl_to_nba(formula, alphabet)
+            assert per_state_nonempty(nba) == reference_nonempty(nba), (phi, side)
 
 
 # --- prefixes with a continuation (plain reference route) -------------------------

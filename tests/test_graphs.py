@@ -1,6 +1,15 @@
-"""Graph helpers: the breadth-first search every Moore-machine pass runs on."""
+"""Graph helpers: the breadth-first search every graph pass runs on, and the
+fair-node fixpoint that per-state emptiness is built from."""
 
-from partmon.graphs import reachable_from
+import pytest
+
+from partmon import graphs
+from partmon.buchi import Nba
+from partmon.fsm import per_state_nonempty
+from partmon.graphs import fair_nodes, reachable_from
+from partmon.ltl import Alphabet
+
+from helpers import reference_nonempty
 
 # 0 -> 2, 1    1 -> 3    2 -> 3, 0    3 -> 3    4 -> 0 (not reached from 0)
 ADJACENCY = [[2, 1], [3], [3, 0], [3], [0]]
@@ -27,3 +36,78 @@ def test_a_repeated_start_is_kept_once():
     parent = reachable_from(ADJACENCY, [1, 1, 3, 1])
     assert list(parent) == [1, 3]
     assert parent == {1: None, 3: None}
+
+
+# --- fair nodes: the Emerson-Lei fixpoint --------------------------------------
+#
+# Each graph lists, per node, its out-edges as (target, mark bitset) pairs, with
+# the number of marks and the fair set written out by hand.  The same graph is
+# also read as a one-event automaton, whose live states per_state_nonempty and
+# the definition-based reference_nonempty must both give.
+
+# Four SCCs in a chain, 0,1 -> 2,3 -> 4,5 -> 6,7, whose internal edges carry
+# mark 0, 1, 0, 1 in turn, and apart from them node 8 with a self-loop carrying
+# both.  Each round drops the last SCC of the chain: it cannot reach, inside
+# what is left, the mark its own edges lack.
+CHAIN = (
+    [
+        [(1, 0b01)], [(0, 0b01), (2, 0)],
+        [(3, 0b10)], [(2, 0b10), (4, 0)],
+        [(5, 0b01)], [(4, 0b01), (6, 0)],
+        [(7, 0b10)], [(6, 0b10)],
+        [(8, 0b11)],
+    ],
+    2,
+    {8},
+)
+# No marks: every infinite path is fair.  0 -> 1 -> 2 -> 3 ends in 3, which
+# has no edge, one more node dropping each round; 5 -> 4 and 4 loops.
+ZERO_MARK_CHAIN = ([[(1, 0)], [(2, 0)], [(3, 0)], [], [(4, 0)], [(4, 0)]], 0, {4, 5})
+# One SCC, 0 -> 1 -> 2 -> 0, with mark 0 on one edge and mark 1 on another;
+# 3 leads into it.
+MARKS_ON_DIFFERENT_EDGES = ([[(1, 0b01)], [(2, 0b10)], [(0, 0)], [(0, 0)]], 2, {0, 1, 2, 3})
+# 0 reaches the fair self-loop on 3 only through the unmarked cycle 1 <-> 2,
+# which also leads to the dead end 4; 5 reaches only the dead end.
+THROUGH_UNFAIR = (
+    [[(1, 0)], [(2, 0), (4, 0)], [(1, 0), (3, 0)], [(3, 1)], [], [(4, 0)]],
+    1,
+    {0, 1, 2, 3},
+)
+SINGLETONS = [
+    ([[(0, 0)]], 0, {0}),
+    ([[]], 0, set()),
+    ([[(0, 1)]], 1, {0}),
+    ([[(0, 0)]], 1, set()),
+    ([[]], 1, set()),
+]
+GRAPHS = [CHAIN, ZERO_MARK_CHAIN, MARKS_ON_DIFFERENT_EDGES, THROUGH_UNFAIR, *SINGLETONS]
+
+
+def _rows(graph):
+    return [[(1, dst, marks) for dst, marks in out] for out in graph]
+
+
+@pytest.mark.parametrize("graph, num_marks, expected", GRAPHS)
+def test_fair_nodes_on_hand_built_graphs(graph, num_marks, expected):
+    assert fair_nodes(_rows(graph), num_marks) == expected
+
+
+@pytest.mark.parametrize("graph, num_marks, expected", GRAPHS)
+def test_live_states_of_hand_built_automata(graph, num_marks, expected):
+    nba = Nba(Alphabet(["a"]), [0], _rows(graph), num_marks, [0] * len(graph))
+    assert per_state_nonempty(nba) == reference_nonempty(nba) == expected
+
+
+def test_fair_nodes_peels_one_scc_of_the_chain_per_round(monkeypatch):
+    """Four rounds drop the chain's four SCCs, a fifth finds nothing to
+    drop; every round runs one backward search per mark."""
+    searches = []
+
+    def counted(adjacency, starts):
+        searches.append(starts)
+        return reachable_from(adjacency, starts)
+
+    monkeypatch.setattr(graphs, "reachable_from", counted)
+    graph, num_marks, expected = CHAIN
+    assert fair_nodes(_rows(graph), num_marks) == expected
+    assert len(searches) == 5 * num_marks
