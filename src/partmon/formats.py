@@ -8,18 +8,20 @@ PMF (Partial Monitor Format) is line-oriented:
     STATE <id> <output>        one line per state; outputs TOP, BOT, ?, x
     TRANS <from> <event> <to>  one line per (state, event) pair
 
-Blank lines are ignored and ``#`` starts a comment running to end of line.
+Blank lines are ignored and ``#`` starts a comment running to end of line;
+a line ends at LF, CR LF or CR, in PMF and trace text alike.
 Emission is deterministic: states in canonical order, transitions sorted by
 (state, alphabet order), so equal machines serialize to identical bytes.
 """
 
 from __future__ import annotations
 
+import re
 from itertools import chain
 from typing import Iterable, Iterator, TextIO
 
 from .fsm import MooreMonitor, Verdict
-from .ltl import Alphabet, UnknownEventError
+from .ltl import COMMENT_RE, Alphabet, UnknownEventError
 
 PMF_VERSION = 1
 
@@ -61,7 +63,7 @@ def parse_monitor(text: str) -> MooreMonitor:
     state_order: list[str] = []
     trans: list[tuple[str, str, str, int]] = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(re.split(r"\r\n?|\n", text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -218,10 +220,10 @@ def _chunk_events(chunk: str) -> list[str]:
     """The events of a piece of trace text that ends at a line break.
 
     Events are separated by whitespace and ``#`` starts a comment running to
-    the end of its line.
+    the next LF, CR LF or CR.
     """
     if "#" in chunk:
-        return [event for line in chunk.splitlines() for event in line.partition("#")[0].split()]
+        return COMMENT_RE.sub("", chunk).split()
     # every line break is whitespace to split()
     return chunk.split()
 

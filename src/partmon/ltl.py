@@ -353,6 +353,11 @@ def validate_formula(phi: Formula, alphabet: Alphabet) -> None:
 #
 # Whitespace is insignificant; "#" starts a comment running to end of line.
 
+#: A ``#`` comment in formula, trace and PMF text: it runs to the next line
+#: break, ``\n``, ``\r\n`` or ``\r``, the universal newlines that ``open()``
+#: reads a file with.
+COMMENT_RE = re.compile(r"#[^\r\n]*")
+
 _KEYWORDS = {
     "true": "TRUE",
     "false": "FALSE",
@@ -374,8 +379,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         if c.isspace():
             i += 1
         elif c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
+            i = COMMENT_RE.match(text, i).end()
         elif c in _SINGLE:
             tokens.append((_SINGLE[c], c, i))
             i += 1

@@ -307,6 +307,28 @@ def test_run_stop_early_stops_reading_at_conclusion(monkeypatch, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "text, final, code",
+    [
+        ("ev1 # skip\fev2\n", "FINAL ?", 2),
+        ("ev1 # skip\x85ev2\n", "FINAL ?", 2),
+        ("ev1 # skip\u2028ev2\n", "FINAL ?", 2),
+        ("ev1 # skip\rev2\n", "FINAL TOP", 0),
+    ],
+)
+def test_run_trace_comment_ends_at_lf_crlf_or_cr(tmp_path, capsys, monkeypatch, text, final, code):
+    """A trace comment ends at the same line break whether the trace is a
+    file, read with universal newlines, or stdin, split at LF only."""
+    trace = tmp_path / "t.trace"
+    trace.write_bytes(text.encode())
+    for stop_early in ((), ("--stop-early",)):
+        got, out, _ = run_cli(capsys, *MIXED_RUN, "-t", str(trace), *stop_early)
+        assert (out.splitlines()[-1], got) == (final, code)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text, newline="\n"))
+        got, out, _ = run_cli(capsys, *MIXED_RUN, "-t", "-", *stop_early)
+        assert (out.splitlines()[-1], got) == (final, code)
+
+
 def _long_trace(violate_from: int | None, events: int = 60_000) -> str:
     """A trace text several 64 KiB batches long in the layouts a trace file
     may take: several events a line, ``#`` comments, blank lines, CRLF line

@@ -2,6 +2,7 @@
 
 import io
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -97,6 +98,19 @@ def test_parse_accepts_comments_and_blank_lines():
     text = emit_monitor(eventually_ev1_machine())
     noisy = "# monitor file\n\n" + text.replace("INITIAL s0", "INITIAL s0  # start here")
     assert moore_isomorphic(parse_monitor(noisy), eventually_ev1_machine())
+
+
+@pytest.mark.parametrize("separator", ["\f", "\x85", "\u2028"])
+def test_pmf_lines_end_only_at_lf_crlf_or_cr(separator):
+    """Other line separators neither end a comment nor count as a line."""
+    text = emit_monitor(eventually_ev1_machine())
+    hidden = text.replace("INITIAL s0", f"INITIAL s0 # {separator}STATE s9 TOP")
+    assert moore_isomorphic(parse_monitor(hidden), eventually_ev1_machine())
+    crs = text.replace("\n", " # a comment ended by CR\r")
+    assert moore_isomorphic(parse_monitor(crs), eventually_ev1_machine())
+    with pytest.raises(FormatError) as err:
+        parse_monitor(f"PMF 1 # {separator}\r\nALPHABET ev1 # {separator}\rBOGUS\n")
+    assert err.value.line == 3
 
 
 # --- PMF validation errors -------------------------------------------------------
@@ -242,18 +256,33 @@ def test_parse_trace_multiline_with_comments():
     assert parse_trace(text, ALPHA3) == ("ev1", "ev2", "ev3", "ev1")
 
 
+@pytest.mark.parametrize("separator", ["\f", "\x85", "\u2028"])
+def test_trace_comment_runs_to_lf_crlf_or_cr(separator):
+    assert parse_trace(f"ev1 # skip{separator}ev2\nev3", ALPHA3) == ("ev1", "ev3")
+    assert parse_trace(f"ev1 # skip{separator}ev2\rev3", ALPHA3) == ("ev1", "ev3")
+    assert parse_trace(f"ev1 #{separator}\r\nev2", ALPHA3) == ("ev1", "ev2")
+
+
+def _plain_events(text):
+    """The plain rule: lines end at LF, CR LF or CR; drop each line's
+    comment, then split on whitespace."""
+    lines = re.split(r"\r\n|\r|\n", text)
+    return tuple(event for line in lines for event in line.split("#", 1)[0].split())
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.text(alphabet="ab #\n\r\t\x0b\x0c\x85\u2028", max_size=40))
+@given(st.text(alphabet="ab #\n\r\t\x0b\x0c\x1c\x85\u2028\u2029", max_size=40))
 def test_trace_events_read_line_by_line_match_whole_text(text):
     """``partmon run`` reads a trace file line by line; ``parse_trace`` splits
-    the whole text.  Both must yield the events of the plain rule: drop each
-    line's comment, then split on whitespace."""
-    expected = tuple(
-        event for line in text.splitlines() for event in line.split("#", 1)[0].split()
-    )
+    the whole text.  Both must yield the events of the plain rule, whether
+    the lines come from a file or from stdin, which splits lines at LF only
+    and leaves CR as it is."""
+    expected = _plain_events(text)
     file_lines = io.StringIO(text, newline=None)  # how open() reads a trace file
+    stdin_lines = io.StringIO(text, newline="\n")  # how sys.stdin reads on POSIX
     assert tuple(trace_events(file_lines)) == expected
-    assert tuple(trace_events(text.splitlines())) == expected
+    assert tuple(trace_events(stdin_lines)) == expected
+    assert tuple(trace_events((text,))) == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -269,7 +298,5 @@ def test_line_batches_end_at_line_breaks(text, size):
     assert "".join(batches) == read
     assert all(len(batch) >= size and batch.endswith("\n") for batch in batches[:-1])
     assert not any("\n" in batch[size:-1] for batch in batches)
-    expected = tuple(
-        event for line in text.splitlines() for event in line.split("#", 1)[0].split()
-    )
+    expected = _plain_events(text)
     assert tuple(trace_events(batches)) == tuple(trace_events((text,))) == expected

@@ -1,6 +1,7 @@
 """Formula layer: nodes, grammar, normal forms, and the lasso-word evaluator."""
 
 import copy
+import hashlib
 import pickle
 import random
 import time
@@ -128,6 +129,10 @@ def test_parse_precedence():
 def test_parse_comments_and_whitespace():
     text = "ev1  # leading event\n  U ev2   # until the second one"
     assert parse_formula(text, ALPHA3) == Until(Atom("ev1"), Atom("ev2"))
+    # a comment ends at LF, CR LF or CR, and at no other line separator
+    assert parse_formula("ev1 # c\r& ev2", ALPHA3) == And(Atom("ev1"), Atom("ev2"))
+    for separator in ("\f", "\x85", "\u2028"):
+        assert parse_formula(f"ev1 # c{separator}& ev2", ALPHA3) == Atom("ev1")
 
 
 def test_parse_unknown_atom():
@@ -182,6 +187,49 @@ _DEEP_SHAPES = {
     "conjunction_chain": lambda n: " & ".join(["ev1"] * (n + 1)),
     "implication_chain": lambda n: " -> ".join(["ev1"] * (n + 1)),
 }
+
+
+# Pieces of formula text: operators, keywords, the lone "-", "<" and "[",
+# names inside and outside ALPHA3, a non-ASCII letter, a digit, whitespace
+# and comments.  The pieces that end the text at once are drawn less often,
+# so that most texts reach the parser.
+_SOUP_PIECES = (
+    "!", "&", "|", "->", "<>", "[]", "(", ")", "X", "F", "G", "U", "R", "true", "false",
+    "ev1", "ev3", "zork", " ", " ", " ", "\f", "\r", "\n", "# c\n",
+) * 8 + ("-", "<", "[", "é", "7", "#")
+
+
+def _syntax_texts():
+    rng = random.Random(14)
+    for _ in range(20_000):
+        yield "".join(rng.choices(_SOUP_PIECES, k=rng.randint(0, 14)))
+    for _ in range(1_000):
+        yield format_formula(random_formula(rng, 4))
+    for shape in sorted(_DEEP_SHAPES):
+        for depth in range(MAX_FORMULA_DEPTH - 2, MAX_FORMULA_DEPTH + 3):
+            yield _DEEP_SHAPES[shape](depth)
+
+
+def _syntax_outcome(text, alphabet):
+    try:
+        return format_formula(parse_formula(text, alphabet))
+    except (FormulaSyntaxError, UnknownAtomError) as exc:
+        return type(exc).__name__, str(exc), exc.position
+
+
+# sha256 over the outcome of parsing each of _syntax_texts(), once without an
+# alphabet and once over ALPHA3: the printed tree, or the error's class,
+# message and position.  A rewrite of the tokenizer, parser or printer must
+# accept and print the same texts and reject the others with the same errors.
+SYNTAX_SHA256 = "1e23ea006d019c9c706c7345d97be6ef2b3e1683b90b9ab528b1e292664b71a7"
+
+
+def test_parse_and_print_outcomes_are_unchanged():
+    digest = hashlib.sha256()
+    for text in _syntax_texts():
+        for alphabet in (None, ALPHA3):
+            digest.update(repr(_syntax_outcome(text, alphabet)).encode() + b"\n")
+    assert digest.hexdigest() == SYNTAX_SHA256
 
 
 @pytest.mark.parametrize("shape", sorted(_DEEP_SHAPES))
