@@ -14,10 +14,6 @@ from typing import Iterable, Iterator
 _WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NAME_RE = re.compile(_WORD_RE.pattern + r"\Z")
 
-#: Words with a fixed meaning in the concrete syntax; they cannot name events.
-RESERVED_WORDS = frozenset({"true", "false", "X", "F", "G", "U", "R"})
-
-
 class FormulaSyntaxError(ValueError):
     """Formula text that does not match the grammar.
 
@@ -343,74 +339,68 @@ def validate_formula(phi: Formula, alphabet: Alphabet) -> None:
 
 # --- concrete syntax -------------------------------------------------------
 #
-# formula := impl
-# impl    := or ("->" impl)?                    right-associative
-# or      := and ("|" and)*
-# and     := until ("&" until)*
-# until   := unary (("U" | "R") until)?         right-associative
-# unary   := ("!" | "X" | "F" | "G" | "<>" | "[]") unary | primary
-# primary := "true" | "false" | identifier | "(" formula ")"
-#
-# Whitespace is insignificant; "#" starts a comment running to end of line.
+# One table fixes each operator's spellings, binding level and grouping, for
+# the tokenizer, the parser and the printer alike.  A binary operator has its
+# spelling, its level (a higher level binds tighter) and whether it groups to
+# the right.  A unary operator has the prefix it is printed with, then its
+# spellings; it binds tighter than every binary operator.  U and R bind
+# tightest of the binary operators and group to the right, so their left
+# operand is always unary: "a U b U c" is "a U (b U c)" and "!a U b" is
+# "(!a) U b".  Whitespace is insignificant.
+
+_BINARY = {
+    Implies: ("->", 0, True),
+    Or: ("|", 1, False),
+    And: ("&", 2, False),
+    Until: ("U", 3, True),
+    Release: ("R", 3, True),
+}
+_UNARY = {
+    Not: ("!", "!"),
+    Next: ("X ", "X"),
+    Eventually: ("F ", "F", "<>"),
+    Always: ("G ", "G", "[]"),
+}
+_UNARY_LEVEL = 1 + max(level for _, level, _ in _BINARY.values())
+
+_SPELLINGS = {spelling: op for op, (spelling, _, _) in _BINARY.items()}
+_SPELLINGS.update((s, op) for op, (_, *spellings) in _UNARY.items() for s in spellings)
+_CONSTANTS = {"true": TRUE, "false": FALSE}
+
+#: Words with a fixed meaning in the concrete syntax; they cannot name events.
+RESERVED_WORDS = frozenset(word for word in (*_CONSTANTS, *_SPELLINGS) if word.isidentifier())
 
 #: A ``#`` comment in formula, trace and PMF text: it runs to the next line
 #: break, ``\n``, ``\r\n`` or ``\r``, the universal newlines that ``open()``
 #: reads a file with.
 COMMENT_RE = re.compile(r"#[^\r\n]*")
 
-_KEYWORDS = {
-    "true": "TRUE",
-    "false": "FALSE",
-    "X": "NEXT",
-    "F": "EVENTUALLY",
-    "G": "ALWAYS",
-    "U": "UNTIL",
-    "R": "RELEASE",
-}
-
-_SINGLE = {"(": "LPAREN", ")": "RPAREN", "!": "NOT", "&": "AND", "|": "OR"}
+# Each match is the whitespace and comments before a token (group 1), then
+# the token (group 2), empty at the end of the text, or a character that
+# starts no token (group 3).  Words come first, so "Xa" is one name.  Words
+# are ASCII, as event names are: any other letter is an unexpected character.
+_TOKEN_RE = re.compile(
+    rf"((?:\s|{COMMENT_RE.pattern})*)"
+    rf"(?:({_WORD_RE.pattern}|{'|'.join(map(re.escape, _SPELLINGS))}|[()]|\Z)|(.))",
+    re.DOTALL,
+)
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens: list[tuple[str, str, int]] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c == "#":
-            i = COMMENT_RE.match(text, i).end()
-        elif c in _SINGLE:
-            tokens.append((_SINGLE[c], c, i))
-            i += 1
-        elif c == "-":
-            if text.startswith("->", i):
-                tokens.append(("IMPLIES", "->", i))
-                i += 2
-            else:
-                raise FormulaSyntaxError("expected '->'", i)
-        elif c == "<":
-            if text.startswith("<>", i):
-                tokens.append(("EVENTUALLY", "<>", i))
-                i += 2
-            else:
-                raise FormulaSyntaxError("expected '<>'", i)
-        elif c == "[":
-            if text.startswith("[]", i):
-                tokens.append(("ALWAYS", "[]", i))
-                i += 2
-            else:
-                raise FormulaSyntaxError("expected '[]'", i)
-        else:
-            # Words are ASCII, as event names are; any other letter is an
-            # unexpected character, not the start of an invalid name.
-            match = _WORD_RE.match(text, i)
-            if match is None:
-                raise FormulaSyntaxError(f"unexpected character {c!r}", i)
-            word = match.group()
-            tokens.append((_KEYWORDS.get(word, "NAME"), word, i))
-            i = match.end()
-    tokens.append(("END", "", n))
+def _tokenize(text: str) -> list[tuple[str, int]]:
+    """Each token and its position, ending with ``("", len(text))``."""
+    tokens = []
+    at = 0
+    for skipped, token, stray in _TOKEN_RE.findall(text):
+        at += len(skipped)
+        if stray:
+            # a stray "-", "<" or "[" is the start of a spelling cut short
+            longer = [spelling for spelling in _SPELLINGS if spelling[0] == stray]
+            message = f"expected {longer[0]!r}" if longer else f"unexpected character {stray!r}"
+            raise FormulaSyntaxError(message, at)
+        tokens.append((token, at))
+        if not token:
+            break
+        at += len(token)
     return tokens
 
 
@@ -433,20 +423,12 @@ class _Parser:
         self.alphabet = alphabet
         self.open = 0  # levels the parser is nested in right now
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def descend(self, at: int, parse) -> _Parsed:
+    def descend(self, at: int, parse, *args) -> _Parsed:
         """Parse a subformula one nesting level further down."""
         self.open += 1
         if self.open > MAX_FORMULA_DEPTH:
             raise _too_deep(at)
-        parsed = parse()
+        parsed = parse(*args)
         self.open -= 1
         return parsed
 
@@ -462,72 +444,53 @@ class _Parser:
         return op(*(phi for phi, _ in parts)), self.level(at, *(d for _, d in parts))
 
     def parse(self) -> Formula:
-        phi, _ = self.implication()
-        kind, text, at = self.peek()
-        if kind != "END":
+        phi, _ = self.binary(0)
+        text, at = self.tokens[self.pos]
+        if text:
             raise FormulaSyntaxError(f"unexpected {text!r} after formula", at)
         return phi
 
-    def implication(self) -> _Parsed:
-        left = self.disjunction()
-        if self.peek()[0] == "IMPLIES":
-            at = self.advance()[2]
-            return self.node(Implies, at, left, self.descend(at, self.implication))
-        return left
-
-    def disjunction(self) -> _Parsed:
-        left = self.conjunction()
-        while self.peek()[0] == "OR":
-            at = self.advance()[2]
-            left = self.node(Or, at, left, self.conjunction())
-        return left
-
-    def conjunction(self) -> _Parsed:
-        left = self.until()
-        while self.peek()[0] == "AND":
-            at = self.advance()[2]
-            left = self.node(And, at, left, self.until())
-        return left
-
-    def until(self) -> _Parsed:
+    def binary(self, min_level: int) -> _Parsed:
+        """Operands joined by binary operators of ``min_level`` or above.  An
+        operator that groups to the right takes the rest at its own level as
+        its right operand, one nesting level down; one that groups to the
+        left takes only what binds tighter, and the loop goes on."""
         left = self.unary()
-        kind, _, at = self.peek()
-        if kind in ("UNTIL", "RELEASE"):
-            self.advance()
-            right = self.descend(at, self.until)
-            return self.node(Until if kind == "UNTIL" else Release, at, left, right)
-        return left
+        while True:
+            text, at = self.tokens[self.pos]
+            op = _SPELLINGS.get(text)
+            if op not in _BINARY or _BINARY[op][1] < min_level:
+                return left
+            self.pos += 1
+            _, level, right_assoc = _BINARY[op]
+            if right_assoc:
+                right = self.descend(at, self.binary, level)
+            else:
+                right = self.binary(level + 1)
+            left = self.node(op, at, left, right)
 
     def unary(self) -> _Parsed:
-        kind, _, at = self.peek()
-        op = _UNARY_TOKENS.get(kind)
-        if op is None:
-            return self.primary()
-        self.advance()
-        return self.node(op, at, self.descend(at, self.unary))
-
-    def primary(self) -> _Parsed:
-        kind, text, at = self.advance()
-        if kind == "TRUE":
-            return TRUE, 0
-        if kind == "FALSE":
-            return FALSE, 0
-        if kind == "NAME":
+        text, at = self.tokens[self.pos]
+        self.pos += 1
+        op = _SPELLINGS.get(text)
+        if op in _UNARY:
+            return self.node(op, at, self.descend(at, self.unary))
+        if text in _CONSTANTS:
+            return _CONSTANTS[text], 0
+        if text.isidentifier() and text not in RESERVED_WORDS:
             if self.alphabet is not None and text not in self.alphabet:
                 raise UnknownAtomError(text, at)
             return Atom(text), 0
-        if kind == "LPAREN":
-            phi, depth = self.descend(at, self.implication)
-            k, t, p = self.advance()
-            if k != "RPAREN":
+        if text == "(":
+            phi, depth = self.descend(at, self.binary, 0)
+            t, p = self.tokens[self.pos]
+            self.pos += 1
+            if t != ")":
                 raise FormulaSyntaxError(f"expected ')', found {t!r}" if t else "expected ')'", p)
             return phi, self.level(at, depth)
-        if kind == "END":
+        if not text:
             raise FormulaSyntaxError("expected a formula, found end of input", at)
         raise FormulaSyntaxError(f"expected a formula, found {text!r}", at)
-
-
-_UNARY_TOKENS = {"NOT": Not, "NEXT": Next, "EVENTUALLY": Eventually, "ALWAYS": Always}
 
 
 def _too_deep(at: int) -> FormulaSyntaxError:
@@ -546,53 +509,24 @@ def parse_formula(text: str, alphabet: Alphabet | None = None) -> Formula:
     return _Parser(text, alphabet).parse()
 
 
-_LEVEL_IMPL, _LEVEL_OR, _LEVEL_AND, _LEVEL_UNTIL, _LEVEL_UNARY, _LEVEL_ATOM = range(6)
-
-
-def _level(phi: Formula) -> int:
-    if isinstance(phi, Implies):
-        return _LEVEL_IMPL
-    if isinstance(phi, Or):
-        return _LEVEL_OR
-    if isinstance(phi, And):
-        return _LEVEL_AND
-    if isinstance(phi, (Until, Release)):
-        return _LEVEL_UNTIL
-    if isinstance(phi, (Not, Next, Eventually, Always)):
-        return _LEVEL_UNARY
-    return _LEVEL_ATOM
-
-
 def _fmt(phi: Formula, min_level: int) -> str:
-    if isinstance(phi, TrueFormula):
-        s = "true"
-    elif isinstance(phi, FalseFormula):
-        s = "false"
-    elif isinstance(phi, Atom):
-        s = phi.name
-    elif isinstance(phi, Not):
-        s = "!" + _fmt(phi.arg, _LEVEL_UNARY)
-    elif isinstance(phi, Next):
-        s = "X " + _fmt(phi.arg, _LEVEL_UNARY)
-    elif isinstance(phi, Eventually):
-        s = "F " + _fmt(phi.arg, _LEVEL_UNARY)
-    elif isinstance(phi, Always):
-        s = "G " + _fmt(phi.arg, _LEVEL_UNARY)
-    elif isinstance(phi, Until):
-        s = _fmt(phi.left, _LEVEL_UNARY) + " U " + _fmt(phi.right, _LEVEL_UNTIL)
-    elif isinstance(phi, Release):
-        s = _fmt(phi.left, _LEVEL_UNARY) + " R " + _fmt(phi.right, _LEVEL_UNTIL)
-    elif isinstance(phi, And):
-        s = _fmt(phi.left, _LEVEL_AND) + " & " + _fmt(phi.right, _LEVEL_UNTIL)
-    elif isinstance(phi, Or):
-        s = _fmt(phi.left, _LEVEL_OR) + " | " + _fmt(phi.right, _LEVEL_AND)
-    elif isinstance(phi, Implies):
-        s = _fmt(phi.left, _LEVEL_OR) + " -> " + _fmt(phi.right, _LEVEL_IMPL)
+    op = phi.__class__
+    if op in _BINARY:
+        spelling, level, right_assoc = _BINARY[op]
+        left = _fmt(phi.left, level + right_assoc)
+        s = f"{left} {spelling} {_fmt(phi.right, level + (not right_assoc))}"
+    elif op in _UNARY:
+        level = _UNARY_LEVEL
+        s = _UNARY[op][0] + _fmt(phi.arg, level)
+    elif op is Atom:
+        return phi.name
+    elif op is TrueFormula:
+        return "true"
+    elif op is FalseFormula:
+        return "false"
     else:
         raise TypeError(f"not a formula: {phi!r}")
-    if _level(phi) < min_level:
-        return "(" + s + ")"
-    return s
+    return f"({s})" if level < min_level else s
 
 
 def format_formula(phi: Formula) -> str:
@@ -607,7 +541,7 @@ def format_formula(phi: Formula) -> str:
     :data:`MAX_FORMULA_DEPTH`.
     """
     _check_depth(phi)
-    return _fmt(phi, _LEVEL_IMPL)
+    return _fmt(phi, 0)
 
 
 # The operator each one becomes when a negation is pushed through it.
@@ -655,13 +589,6 @@ def negate_nnf(phi: Formula) -> Formula:
     """
     _check_depth(phi)
     return _nnf(phi, True, {})
-
-
-def is_nnf(phi: Formula) -> bool:
-    return not any(
-        isinstance(f, Implies) or (isinstance(f, Not) and not isinstance(f.arg, Atom))
-        for f in subformulas(phi)
-    )
 
 
 class LassoWord(Record):

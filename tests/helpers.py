@@ -34,7 +34,6 @@ from partmon.ltl import (
     TrueFormula,
     UnknownEventError,
     Until,
-    is_nnf,
     negate_nnf,
     nnf,
     subformulas,
@@ -382,6 +381,15 @@ _KIND = {
     Until: _UNTIL,
     Release: _RELEASE,
 }
+
+
+def is_nnf(phi: Formula) -> bool:
+    """Whether ``phi`` is in negation normal form: no implication, and
+    negation only on atoms."""
+    return not any(
+        isinstance(f, Implies) or (isinstance(f, Not) and not isinstance(f.arg, Atom))
+        for f in subformulas(phi)
+    )
 
 
 def gpvw_nba(phi: Formula, alphabet: Alphabet) -> Nba:

@@ -19,6 +19,7 @@ from partmon.ltl import (
     Atom,
     Eventually,
     FALSE,
+    Formula,
     FormulaSyntaxError,
     FormulaTooDeepError,
     Implies,
@@ -26,13 +27,13 @@ from partmon.ltl import (
     Next,
     Not,
     Or,
+    RESERVED_WORDS,
     Release,
     TRUE,
     UnknownAtomError,
     Until,
     atoms_in_order,
     format_formula,
-    is_nnf,
     lasso_eval,
     negate_nnf,
     nnf,
@@ -43,7 +44,7 @@ from partmon.ltl import (
 from partmon.formats import emit_monitor
 from partmon.fsm import monitor_verdict, synthesize_monitor
 
-from helpers import ALPHA3, NAMES3, all_lassos, random_formula, unfold_eval
+from helpers import ALPHA3, NAMES3, all_lassos, is_nnf, random_formula, unfold_eval
 
 
 # --- alphabets and words ----------------------------------------------------
@@ -412,6 +413,45 @@ _formulas = st.recursive(
 @given(_formulas)
 def test_format_parse_round_trip(phi):
     assert parse_formula(format_formula(phi), ALPHA3) == phi
+
+
+_EV1, _EV2 = Atom("ev1"), Atom("ev2")
+
+# Every node class: its spellings, the printed one first, and its tree.
+_SPELLED = [
+    (("!ev1",), Not(_EV1)),
+    (("X ev1",), Next(_EV1)),
+    (("F ev1", "<>ev1", "<> ev1", "F(ev1)"), Eventually(_EV1)),
+    (("G ev1", "[]ev1", "[] ev1", "G(ev1)"), Always(_EV1)),
+    (("ev1 & ev2",), And(_EV1, _EV2)),
+    (("ev1 | ev2",), Or(_EV1, _EV2)),
+    (("ev1 -> ev2",), Implies(_EV1, _EV2)),
+    (("ev1 U ev2",), Until(_EV1, _EV2)),
+    (("ev1 R ev2",), Release(_EV1, _EV2)),
+    (("true",), TRUE),
+    (("false",), FALSE),
+    (("ev1",), _EV1),
+]
+
+
+@pytest.mark.parametrize("texts, phi", _SPELLED, ids=[type(phi).__name__ for _, phi in _SPELLED])
+def test_every_spelling_parses_to_its_class_and_prints_canonically(texts, phi):
+    for text in texts:
+        assert parse_formula(text, ALPHA3) == phi
+    assert format_formula(phi) == texts[0]
+
+
+def test_reserved_words_are_the_spelled_words():
+    assert RESERVED_WORDS == {"true", "false", "X", "F", "G", "U", "R"}
+
+
+def test_format_refuses_a_node_class_outside_the_table():
+    class Odd(Formula):
+        __slots__ = ()
+
+    for phi in (Odd(), And(_EV1, Not(Odd()))):
+        with pytest.raises(TypeError, match="not a formula"):
+            format_formula(phi)
 
 
 # --- negation normal form ---------------------------------------------------

@@ -6,7 +6,7 @@ CHECKOUT is the root of the partmon checkout to measure (default: the one
 this script is in); its ``src``, ``tests`` and root are put first on
 ``sys.path``, so two checkouts are compared by running the script once on
 each.  The tableaux are built first, untimed; then every tableau set is
-timed ``--repeats`` times (default 15) and the median and the quartiles of
+timed ``--repeats`` times (default 15, at least 2) and the median and the quartiles of
 the whole set's time are printed, in milliseconds.
 
 Tableau sets: both sides of the 14 synthesis families and of the
@@ -52,6 +52,8 @@ def main() -> None:
     parser.add_argument("checkout", nargs="?", default=here)
     parser.add_argument("--repeats", type=int, default=15)
     args = parser.parse_args()
+    if args.repeats < 2:
+        parser.error("--repeats must be at least 2: the quartiles need two samples")
     root = args.checkout
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "tests"), root]
     from partmon.fsm import per_state_nonempty
