@@ -10,14 +10,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
-from itertools import count, tee
+from itertools import count
 from typing import Sequence, TextIO
 
 from .fsm import Verdict, synthesize_monitor
 from .formats import emit_dot, emit_monitor, line_batches, parse_monitor, trace_events
 from .ltl import Alphabet, Formula, atoms_in_order, parse_formula, LassoWord, lasso_eval
 from .partial import classify, partialize
-from .runtime import _verdicts
+from .runtime import _replay, compile_monitor
 
 EX_OK = 0
 EX_USAGE = 64
@@ -157,27 +157,20 @@ def _cmd_run(parser: argparse.ArgumentParser, args) -> int:
         _require_alphabet_choice(parser, args)
         phi, alphabet = _load_formula(args)
         machine = synthesize_monitor(phi, alphabet)
-    # FINAL on an empty trace reads the initial state's output, which must be
-    # the partialized one, as run_trace's verdicts are.
-    machine = partialize(machine)
+    compiled = compile_monitor(machine)
+    # The text each slot's line has after its position; the start slot's
+    # entry is never written.
+    names, width = list(compiled.index), compiled.width
+    tails = [f" {names[slot % width]} {verdict.value}\n" for slot, verdict in enumerate(compiled.after)]
     with _open_text(args.trace) as handle:
         # With --stop-early the trace is read line by line, so reading stops
         # at the line that concludes; otherwise in batches of whole lines.
         chunks = handle if args.stop_early else line_batches(handle)
-        # _verdicts reads events only as far as it steps; the tee keeps the
-        # names it read for the output lines.
-        events, names = tee(trace_events(chunks))
-        verdicts = _verdicts(machine, events, args.stop_early)
+        written, slot = _replay(compiled, trace_events(chunks), args.stop_early, tails)
     # Nothing is written before the run ends, so a bad event leaves stdout empty.
-    # Verdict.value is an enum property: look it up once per verdict, not per line.
-    texts = {verdict: verdict.value for verdict in Verdict}
-    # The verdicts come first: zip stops when they run out, before it asks
-    # for a name, which would read the trace past the conclusion.
-    lines = [
-        f"{position} {event} {texts[verdict]}\n"
-        for position, verdict, event in zip(count(1), verdicts, names)
-    ]
-    final = verdicts[-1] if verdicts else machine.output(machine.initial)
+    # The last slot taken, or the start slot on an empty trace, gives FINAL.
+    final = compiled.after[slot]
+    lines = [f"{position}{tail}" for position, tail in zip(count(1), written)]
     lines.append(f"FINAL {final.value}\n")
     sys.stdout.write("".join(lines))
     return _VERDICT_EXIT[final]

@@ -320,8 +320,9 @@ def atoms_in_order(phi: Formula) -> list[str]:
 
 
 def _check_depth(phi: Formula) -> None:
-    """Refuse a tree that a pass would have to recurse too deep into."""
-    if not isinstance(phi, Formula):
+    """Refuse anything but a node class, subclasses of them included, and a
+    tree that a pass would have to recurse too deep into."""
+    if phi.__class__ not in _NODES:
         raise TypeError(f"not a formula: {phi!r}")
     if phi.depth > MAX_FORMULA_DEPTH:
         raise FormulaTooDeepError()
@@ -362,6 +363,8 @@ _UNARY = {
     Always: ("G ", "G", "[]"),
 }
 _UNARY_LEVEL = 1 + max(level for _, level, _ in _BINARY.values())
+#: The classes every pass knows; each pass refuses any other.
+_NODES = frozenset({TrueFormula, FalseFormula, Atom, *_UNARY, *_BINARY})
 
 _SPELLINGS = {spelling: op for op, (spelling, _, _) in _BINARY.items()}
 _SPELLINGS.update((s, op) for op, (_, *spellings) in _UNARY.items() for s in spellings)

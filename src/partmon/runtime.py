@@ -1,53 +1,56 @@
 """Online execution of partial monitors: feed events, read verdicts, stop early.
 
 Every entry point runs ``partialize(machine)``: it steps that machine's
-transitions laid out as one flat table (:class:`CompiledMonitor`), built on
-first use and kept on the machine.  A session owns its position in the
-machine; the machine itself is shared and immutable, so many sessions can run
-over one monitor.  Once a session reaches a conclusive or give-up state it is
-concluded: further events are absorbed without changing the verdict, letting
-producers outlive the monitor.
+transitions laid out as one flat table of transition slots
+(:class:`CompiledMonitor`), built on first use and kept on the machine.  A
+session owns its position in the machine; the machine itself is shared and
+immutable, so many sessions can run over one monitor.  Once a session
+reaches a conclusive or give-up state it is concluded: further events are
+absorbed without changing the verdict, letting producers outlive the monitor.
 """
 
 from __future__ import annotations
 
 from itertools import count
-from typing import Iterable
+from typing import Iterable, Sequence, TypeVar
 
 from .fsm import MooreMonitor, Verdict
 from .ltl import UnknownEventError
 from .partial import partialize
 
+_Label = TypeVar("_Label")
+
 
 class CompiledMonitor:
-    """A monitor's transitions as one flat table over row offsets.
+    """A monitor's transitions as one flat table over transition slots.
 
-    State ``q`` owns the row starting at offset ``q * width``; from row offset
-    ``r`` the event with column ``c`` (``index[event]``) leads to row offset
-    ``table[r + c]``.  The row of every final state (TOP, BOT or give-up)
-    points back to itself, so stepping a concluded state leaves it where it
-    is without a test.  ``verdicts`` and ``live`` repeat each state's verdict,
-    and whether it is still undecided (1) or final (0), across its whole row,
-    so a row offset reads either with one subscript.
+    State ``q`` owns the row starting at offset ``q * width``, and the slot
+    ``row + index[event]`` is the transition taking ``event`` from that row:
+    ``table[slot]`` is the row offset of its target state.  The row of every
+    final state (TOP, BOT or give-up) points back to itself, so stepping a
+    concluded state leaves it where it is without a test.  One more slot,
+    ``start``, past the last row, stands for arriving at the initial state:
+    its ``table`` entry is the initial row.  ``after[slot]`` is the verdict
+    of the state a slot leads to, and ``live_after[slot]`` whether that state
+    is still undecided (1) or final (0), so a slot reads either with one
+    subscript.
     """
 
-    __slots__ = ("index", "width", "initial", "table", "verdicts", "live")
+    __slots__ = ("index", "width", "start", "table", "after", "live_after")
 
     def __init__(self, machine: MooreMonitor):
         width = len(machine.alphabet)
+        outputs = machine.outputs
         self.index = {event: column for column, event in enumerate(machine.alphabet)}
         self.width = width
-        self.initial = machine.initial * width
-        self.table: list[int] = []
-        self.verdicts: list[Verdict] = []
-        self.live: list[int] = []
-        for q, verdict in enumerate(machine.outputs):
-            if verdict.is_final:
-                self.table += [q * width] * width
-            else:
-                self.table += [dst * width for dst in machine.delta[q]]
-            self.verdicts += [verdict] * width
-            self.live += [int(not verdict.is_final)] * width
+        self.start = machine.num_states * width
+        targets: list[int] = []
+        for q, verdict in enumerate(outputs):
+            targets += [q] * width if verdict.is_final else machine.delta[q]
+        targets.append(machine.initial)
+        self.table = [dst * width for dst in targets]
+        self.after = [outputs[dst] for dst in targets]
+        self.live_after = [int(not verdict.is_final) for verdict in self.after]
 
 
 def compile_monitor(machine: MooreMonitor) -> CompiledMonitor:
@@ -75,33 +78,33 @@ class MonitorSession:
     between calls.
     """
 
-    __slots__ = ("machine", "steps", "position", "_row", "_width", "_table", "_index", "_verdicts", "_live")
+    __slots__ = ("machine", "steps", "position", "_slot", "_width", "_table", "_index", "_after", "_live_after")
 
     def __init__(self, machine: MooreMonitor):
         compiled = compile_monitor(machine)
         self.machine = machine
         self.steps = 0
         self.position = 0
-        self._row = compiled.initial
+        self._slot = compiled.start
         self._width = compiled.width
         self._table = compiled.table
         self._index = compiled.index
-        self._verdicts = compiled.verdicts
-        self._live = compiled.live
+        self._after = compiled.after
+        self._live_after = compiled.live_after
 
     @property
     def current(self) -> int:
         """The machine's id of the state the session is in."""
-        return self._row // self._width
+        return self._table[self._slot] // self._width
 
     @property
     def verdict(self) -> Verdict:
-        return self._verdicts[self._row]
+        return self._after[self._slot]
 
     @property
     def concluded(self) -> bool:
         """True once the verdict can no longer change."""
-        return not self._live[self._row]
+        return not self._live_after[self._slot]
 
     def step(self, event: str) -> Verdict:
         """Consume one event and return the verdict afterwards.
@@ -109,14 +112,14 @@ class MonitorSession:
         After conclusion the event is ignored and the settled verdict is
         returned unchanged.
         """
-        row = self._row
+        slot = self._slot
         try:
-            self._row = after = self._table[row + self._index[event]]
+            self._slot = taken = self._table[slot] + self._index[event]
         except KeyError:
             raise UnknownEventError(event, self.position + 1) from None
         self.position += 1
-        self.steps += self._live[row]
-        return self._verdicts[after]
+        self.steps += self._live_after[slot]
+        return self._after[taken]
 
 
 def start(machine: MooreMonitor) -> MonitorSession:
@@ -138,29 +141,34 @@ def run_trace(
     nor consumed.  Otherwise every event must be in the alphabet, including
     those absorbed after conclusion.
     """
-    return list(zip(count(1), _verdicts(machine, trace, stop_early)))
-
-
-def _verdicts(machine: MooreMonitor, trace: Iterable[str], stop_early: bool) -> list[Verdict]:
-    """The verdict after each event :func:`run_trace` replays, without positions."""
     compiled = compile_monitor(machine)
-    table, index, verdicts, live = compiled.table, compiled.index, compiled.verdicts, compiled.live
-    row = compiled.initial
-    out: list[Verdict] = []
+    verdicts, _ = _replay(compiled, trace, stop_early, compiled.after)
+    return list(zip(count(1), verdicts))
+
+
+def _replay(
+    compiled: CompiledMonitor, trace: Iterable[str], stop_early: bool, labels: Sequence[_Label]
+) -> tuple[list[_Label], int]:
+    """Step ``trace`` as :func:`run_trace` does, returning ``labels[slot]``
+    for the slot each event took, and the last slot taken (``start`` on an
+    empty replay)."""
+    table, index, live_after = compiled.table, compiled.index, compiled.live_after
+    slot = compiled.start
+    out: list[_Label] = []
     append = out.append
     try:
         # Final rows point back to themselves, so the full replay needs no
         # test per event; only stop_early pays for one.
         if not stop_early:
             for event in trace:
-                row = table[row + index[event]]
-                append(verdicts[row])
-        elif live[row]:
+                slot = table[slot] + index[event]
+                append(labels[slot])
+        elif live_after[slot]:
             for event in trace:
-                row = table[row + index[event]]
-                append(verdicts[row])
-                if not live[row]:
+                slot = table[slot] + index[event]
+                append(labels[slot])
+                if not live_after[slot]:
                     break
     except KeyError:
         raise UnknownEventError(event, len(out) + 1) from None
-    return out
+    return out, slot

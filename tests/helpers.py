@@ -74,6 +74,31 @@ def all_lassos(names, max_stem: int, max_loop: int) -> list[LassoWord]:
     return [LassoWord(s, l) for s in stems for l in loops]
 
 
+# s2 (TOP) and s3 (give-up) have edges back to undecided states; a session that
+# reaches either must stay there.
+LEAKY_FINALS_PMF = """\
+PMF 1
+ALPHABET ev1 ev2 ev3
+INITIAL s0
+STATE s0 ?
+STATE s1 ?
+STATE s2 TOP
+STATE s3 x
+TRANS s0 ev1 s2
+TRANS s0 ev2 s3
+TRANS s0 ev3 s1
+TRANS s1 ev1 s0
+TRANS s1 ev2 s1
+TRANS s1 ev3 s2
+TRANS s2 ev1 s0
+TRANS s2 ev2 s1
+TRANS s2 ev3 s3
+TRANS s3 ev1 s0
+TRANS s3 ev2 s1
+TRANS s3 ev3 s2
+"""
+
+
 def unfold_eval(phi: Formula, word: LassoWord) -> bool:
     """Evaluate by recursive unfolding of the temporal fixpoint equations,
     cut off after 2 * (|stem| + |loop|) unrollings.

@@ -18,15 +18,19 @@ from partmon.cli import main
 from partmon.formats import emit_monitor, parse_monitor, parse_trace
 from partmon.fsm import Verdict, monitor_verdict, synthesize_monitor
 from partmon.ltl import Alphabet, UnknownEventError, parse_formula
+from partmon.partial import partialize
 from partmon.runtime import run_trace
 
 from helpers import (
     ALPHA3,
+    LEAKY_FINALS_PMF,
     NAMES3,
     RADIATION_FORMULA,
+    all_words,
     eventually_ev1_machine,
     mixed_branches_machine,
     moore_isomorphic,
+    random_formula,
 )
 
 
@@ -418,6 +422,61 @@ def test_run_unknown_event_in_a_later_batch_exits_65(tmp_path, capsys, monkeypat
     monkeypatch.setattr(sys, "stdin", _CountedStdin(bad, limit=2))
     code, out, err = run_cli(capsys, "run", "-m", str(pmf), "-t", "-")
     assert (code, out, err) == (65, "", f"error: {expected.value}\n")
+
+
+# --- run against run_trace ------------------------------------------------------
+
+_EXIT_CODES = {Verdict.TOP: 0, Verdict.BOT: 1, Verdict.UNKNOWN: 2, Verdict.GIVEUP: 3}
+
+
+def _expected_run(machine, trace, stop_early):
+    """partmon run's stdout and exit code, built from run_trace."""
+    try:
+        results = run_trace(machine, trace, stop_early=stop_early)
+    except UnknownEventError:
+        return "", 65
+    final = results[-1][1] if results else partialize(machine).output(machine.initial)
+    lines = [f"{i} {e} {v.value}\n" for (i, v), e in zip(results, trace)]
+    return "".join(lines) + f"FINAL {final.value}\n", _EXIT_CODES[final]
+
+
+def _differential_pmfs():
+    """The leaky-finals PMF, whose final states' TRANS lines lead elsewhere,
+    the mixed-branches monitor, which gives up, and three partialized
+    random-formula monitors of four states or more."""
+    rng = random.Random(1507)
+    machines = [mixed_branches_machine()]
+    while len(machines) < 4:
+        machine = synthesize_monitor(random_formula(rng, 4), ALPHA3)
+        if machine.num_states >= 4:
+            machines.append(machine)
+    return [LEAKY_FINALS_PMF] + [emit_monitor(partialize(machine)) for machine in machines]
+
+
+@pytest.mark.parametrize(
+    "pmf", _differential_pmfs(), ids=["leaky-finals", "mixed-branches", "random0", "random1", "random2"]
+)
+def test_run_prints_what_run_trace_gives(tmp_path, capsys, monkeypatch, pmf):
+    """partmon run -m writes run_trace's verdicts and exits with the final
+    one, with and without --stop-early, on every word of up to four events;
+    an unknown event, put at every cut of every word of up to three, exits
+    65 with nothing on stdout unless --stop-early concludes before it."""
+    path = tmp_path / "m.pmf"
+    path.write_text(pmf)
+    machine = parse_monitor(pmf)
+    names = list(machine.alphabet)
+    traces = all_words(names, 4) + [
+        word[:cut] + ("zz",) + word[cut:] for word in all_words(names, 3) for cut in range(len(word) + 1)
+    ]
+    codes = set()
+    for trace in traces:
+        for flag in ((), ("--stop-early",)):
+            expected = _expected_run(machine, trace, bool(flag))
+            monkeypatch.setattr(sys, "stdin", io.StringIO("".join(f"{e}\n" for e in trace)))
+            code, out, _ = run_cli(capsys, "run", "-m", str(path), "-t", "-", *flag)
+            assert (out, code) == expected, (trace, flag)
+            codes.add(code)
+    assert {2, 65} < codes  # some trace concluded, one was refused
 
 
 def test_run_requires_exactly_one_source(tmp_path):

@@ -41,6 +41,7 @@ from partmon.ltl import (
     validate_formula,
 )
 
+from partmon.buchi import ltl_to_nba
 from partmon.formats import emit_monitor
 from partmon.fsm import monitor_verdict, synthesize_monitor
 
@@ -452,6 +453,36 @@ def test_format_refuses_a_node_class_outside_the_table():
     for phi in (Odd(), And(_EV1, Not(Odd()))):
         with pytest.raises(TypeError, match="not a formula"):
             format_formula(phi)
+
+
+class _Foreign(Formula):
+    """A formula class that is not a node class."""
+
+    __slots__ = ()
+
+
+class _ForeignAnd(And):
+    """A subclass of a node class: no pass knows it either."""
+
+    __slots__ = ()
+
+
+_PASSES = {
+    "nnf": nnf,
+    "negate_nnf": negate_nnf,
+    "validate_formula": lambda phi: validate_formula(phi, ALPHA3),
+    "format_formula": format_formula,
+    "ltl_to_nba": lambda phi: ltl_to_nba(phi, ALPHA3),
+    "synthesize_monitor": lambda phi: synthesize_monitor(phi, ALPHA3),
+    "lasso_eval": lambda phi: lasso_eval(phi, LassoWord([], ["ev1"])),
+}
+
+
+@pytest.mark.parametrize("phi", [_Foreign(), _ForeignAnd(_EV1, Atom("ev2"))], ids=["Formula", "And"])
+@pytest.mark.parametrize("run", list(_PASSES.values()), ids=list(_PASSES))
+def test_every_pass_refuses_a_class_that_is_not_a_node_class(run, phi):
+    with pytest.raises(TypeError, match=r"^not a formula: _Foreign"):
+        run(phi)
 
 
 # --- negation normal form ---------------------------------------------------

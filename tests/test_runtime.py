@@ -13,6 +13,7 @@ from partmon.runtime import MonitorSession, compile_monitor, run_trace, start
 from helpers import (
     ALPHA3,
     ALPHA4,
+    LEAKY_FINALS_PMF,
     NAMES3,
     RADIATION_ALPHA,
     RADIATION_FORMULA,
@@ -275,33 +276,8 @@ def test_compiled_runtime_matches_reference_without_minimization():
         _assert_matches_reference(machine, words)
 
 
-# s2 (TOP) and s3 (give-up) have edges back to undecided states; a session that
-# reaches either must stay there.
-_LEAKY_FINALS_PMF = """\
-PMF 1
-ALPHABET ev1 ev2 ev3
-INITIAL s0
-STATE s0 ?
-STATE s1 ?
-STATE s2 TOP
-STATE s3 x
-TRANS s0 ev1 s2
-TRANS s0 ev2 s3
-TRANS s0 ev3 s1
-TRANS s1 ev1 s0
-TRANS s1 ev2 s1
-TRANS s1 ev3 s2
-TRANS s2 ev1 s0
-TRANS s2 ev2 s1
-TRANS s2 ev3 s3
-TRANS s3 ev1 s0
-TRANS s3 ev2 s1
-TRANS s3 ev3 s2
-"""
-
-
 def test_final_states_stay_put_despite_their_edges():
-    machine = parse_monitor(_LEAKY_FINALS_PMF)
+    machine = parse_monitor(LEAKY_FINALS_PMF)
     assert run_trace(machine, ("ev1", "ev1", "ev3")) == [
         (1, Verdict.TOP),
         (2, Verdict.TOP),
@@ -314,9 +290,16 @@ def test_final_states_stay_put_despite_their_edges():
     _assert_matches_reference(machine, all_words(NAMES3, 5))
 
 
+def test_replay_starts_at_an_initial_state_that_is_not_state_0():
+    machine = parse_monitor(LEAKY_FINALS_PMF.replace("INITIAL s0", "INITIAL s1"))
+    assert machine.initial == 1
+    assert run_trace(machine, ("ev1",)) == [(1, Verdict.UNKNOWN)]
+    _assert_matches_reference(machine, all_words(NAMES3, 5))
+
+
 def test_unknown_event_positions_match_reference():
     rng = random.Random(2715)
-    machines = [parse_monitor(_LEAKY_FINALS_PMF)] + [
+    machines = [parse_monitor(LEAKY_FINALS_PMF)] + [
         partialize(synthesize_monitor(random_formula(rng, 4), ALPHA3)) for _ in range(10)
     ]
     traces = [
