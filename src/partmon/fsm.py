@@ -59,13 +59,16 @@ def per_state_nonempty(automaton: Nba) -> frozenset[int]:
     return fair_nodes(automaton.edges, automaton.num_marks)
 
 
-def _live_subsets(automaton: Nba) -> tuple[int, Callable[[int], tuple[int, ...]]]:
+def _live_subsets(automaton: Nba) -> tuple[int, Callable[[int], tuple[int, ...]], int]:
     """The subset construction over the automaton's live states, as bitsets.
 
-    Returns the initial subset and a function from a subset to its successor
-    subset per event.  Dead states can only reach dead states, so
-    dropping them loses nothing: a subset accepts a prefix (has a satisfying
-    continuation) exactly when it is nonempty.
+    Returns the initial subset, a function from a subset to its successor
+    subset per event, and the looping mask: the live states whose self-loop
+    edges together read every event.  Dead states can only reach dead
+    states, so dropping them loses nothing: a subset accepts a prefix (has a
+    satisfying continuation) exactly when it is nonempty.  A looping state is
+    in every successor of a subset that holds it, before the antichain cut
+    below, so no word empties such a subset.
 
     Every subset is also cut down to an antichain of its weakest members: a
     member that owes a strict superset of another member's obligations, or
@@ -79,11 +82,18 @@ def _live_subsets(automaton: Nba) -> tuple[int, Callable[[int], tuple[int, ...]]
     n = automaton.num_states
     lanes = range(0, n * len(automaton.alphabet), n)
     packed = [0] * n
+    everything = (1 << len(automaton.alphabet)) - 1
+    looping = 0
     for q, row in enumerate(automaton.edges):
+        stays = 0
         for guard, dst, _ in row:
             if live >> dst & 1:
+                if dst == q:
+                    stays |= guard
                 for k in bits(guard):
                     packed[q] |= 1 << (k * n + dst)
+        if stays == everything:
+            looping |= 1 << q
     owes = automaton.obligations
     # Sorted by obligation count, then number, a member comes after every
     # member that owes a strict subset of its obligations, or the same set
@@ -118,7 +128,7 @@ def _live_subsets(automaton: Nba) -> tuple[int, Callable[[int], tuple[int, ...]]
             rest ^= low
         return tuple(reduce_subset((union >> lane) & live) for lane in lanes)
 
-    return reduce_subset(sum(1 << q for q in automaton.initial) & live), row
+    return reduce_subset(sum(1 << q for q in automaton.initial) & live), row, looping
 
 
 class MooreMonitor:
@@ -189,17 +199,29 @@ def synthesize_monitor(
     product of their live subset constructions in one breadth-first pass.  A
     product state outputs TOP when the negation side's subset is empty (no
     continuation violates), BOT when the formula side's is (no continuation
-    satisfies), UNKNOWN otherwise.  Conclusive verdicts never change, so all
-    TOP states are one absorbing sink, and all BOT states another.  With
+    satisfies), UNKNOWN otherwise.  A side whose subset holds a looping state
+    can never empty again, so it decides nothing more: it becomes a marker
+    that is no longer stepped.  Conclusive verdicts never change, so all TOP
+    states are one absorbing sink, and all BOT states another; a pair with
+    the marker on both sides is a third sink, which outputs UNKNOWN.  The
+    pass numbers states breadth-first, events in alphabet order.  With
     ``minimize`` (the default) the result is the unique minimal machine.
     """
-    pos_start, pos_row = _live_subsets(ltl_to_nba(nnf(phi), alphabet))
-    neg_start, neg_row = _live_subsets(ltl_to_nba(negate_nnf(phi), alphabet))
+    pos_start, pos_row, pos_looping = _live_subsets(ltl_to_nba(nnf(phi), alphabet))
+    neg_start, neg_row, neg_looping = _live_subsets(ltl_to_nba(negate_nnf(phi), alphabet))
 
-    # Sink keys cannot collide with a pair of two nonempty subsets.
+    # -1, which no subset bitset equals, marks a side whose subset holds a
+    # looping state.  Every later subset of that side holds the state too
+    # before the antichain cut, and the cut keeps a subset's language, so
+    # the side never empties and is no longer stepped.  (-1, 0) is the TOP
+    # sink, (0, -1) the BOT sink and (-1, -1) the sink that reaches neither.
     top, bot = (-1, 0), (0, -1)
 
     def key(pos: int, neg: int) -> tuple[int, int]:
+        if pos & pos_looping:
+            pos = -1
+        if neg & neg_looping:
+            neg = -1
         if pos and neg:
             return (pos, neg)
         if pos:
@@ -208,19 +230,22 @@ def synthesize_monitor(
             return bot
         raise AssertionError("internal error: product state is dead on both sides")
 
+    never = (-1,) * len(alphabet)
     start = key(pos_start, neg_start)
     ids: dict[tuple[int, int], int] = {start: 0}
     pairs: list[tuple[int, int]] = [start]
     delta_rows: list[list[int]] = []
     outputs: list[Verdict] = []
     for state, (pos, neg) in enumerate(pairs):
-        if pos < 0 or neg < 0:
-            outputs.append(Verdict.TOP if neg == 0 else Verdict.BOT)
+        if pos <= 0 and neg <= 0:
+            outputs.append(Verdict.TOP if neg == 0 else Verdict.BOT if pos == 0 else Verdict.UNKNOWN)
             delta_rows.append([state] * len(alphabet))
             continue
         outputs.append(Verdict.UNKNOWN)
         row = []
-        for target in map(key, pos_row(pos), neg_row(neg)):
+        pos_next = pos_row(pos) if pos > 0 else never
+        neg_next = neg_row(neg) if neg > 0 else never
+        for target in map(key, pos_next, neg_next):
             dst_id = ids.get(target)
             if dst_id is None:
                 dst_id = ids[target] = len(pairs)
@@ -247,7 +272,10 @@ def minimize_moore(machine: MooreMonitor) -> MooreMonitor:
 
     Starts from the partition induced by state outputs and splits blocks until
     every block is closed under the transition function, then rebuilds the
-    quotient machine with canonical numbering.
+    quotient machine with canonical numbering: breadth-first from the initial
+    state, events in alphabet order.  A machine that is already minimal and
+    numbered that way, as the product of :func:`synthesize_monitor` often
+    is, is returned as it is.
     """
     classes = sorted({out for out in machine.outputs}, key=lambda v: v.value)
     block = [classes.index(out) for out in machine.outputs]
@@ -263,6 +291,12 @@ def minimize_moore(machine: MooreMonitor) -> MooreMonitor:
         if len(ids) == count:
             break
         block, count = new_block, len(ids)
+    if (
+        count == machine.num_states
+        and machine.initial == 0
+        and list(reachable_from(machine.delta, [0])) == list(range(count))
+    ):
+        return machine
 
     # The partition is stable, so any state of a block gives its row.
     # Numbering the blocks breadth-first from the initial one, events in

@@ -286,11 +286,15 @@ FALSE = FalseFormula()
 
 
 def children(phi: Formula) -> tuple[Formula, ...]:
-    if isinstance(phi, _Binary):
+    """The operands of a node; TypeError for a class outside the node classes."""
+    op = phi.__class__
+    if op in _BINARY:
         return (phi.left, phi.right)
-    if isinstance(phi, _Unary):
+    if op in _UNARY:
         return (phi.arg,)
-    return ()
+    if op in _NODES:
+        return ()
+    raise TypeError(f"not a formula: {phi!r}")
 
 
 def subformulas(phi: Formula) -> list[Formula]:
@@ -320,8 +324,10 @@ def atoms_in_order(phi: Formula) -> list[str]:
 
 
 def _check_depth(phi: Formula) -> None:
-    """Refuse anything but a node class, subclasses of them included, and a
-    tree that a pass would have to recurse too deep into."""
+    """Refuse a root outside the node classes, subclasses of them included,
+    and a tree that a pass would have to recurse too deep into.  Below the
+    root, each pass's own walk refuses such a class: :func:`children`,
+    ``_nnf``, ``_fmt`` and :func:`lasso_eval` dispatch on the exact class."""
     if phi.__class__ not in _NODES:
         raise TypeError(f"not a formula: {phi!r}")
     if phi.depth > MAX_FORMULA_DEPTH:
@@ -553,23 +559,26 @@ _DUAL.update({dual: op for op, dual in _DUAL.items()})
 
 
 def _nnf(f: Formula, neg: bool, done: dict[tuple[Formula, bool], Formula]) -> Formula:
-    if isinstance(f, Atom):
+    op = f.__class__
+    if op is Atom:
         return Not(f) if neg else f
-    if isinstance(f, Not):
+    if op is Not:
         return _nnf(f.arg, not neg, done)
     out = done.get((f, neg))
     if out is None:
-        if isinstance(f, Implies):
+        if op is Implies:
             # l -> r is rewritten as !l | r before pushing negations.
             out = (And if neg else Or)(_nnf(f.left, not neg, done), _nnf(f.right, neg, done))
+        elif op not in _NODES:
+            raise TypeError(f"not a formula: {f!r}")
         else:
-            op = _DUAL[f.__class__] if neg else f.__class__
-            if isinstance(f, _Binary):
-                out = op(_nnf(f.left, neg, done), _nnf(f.right, neg, done))
-            elif isinstance(f, _Unary):
-                out = op(_nnf(f.arg, neg, done))
+            dual = _DUAL[op] if neg else op
+            if op in _BINARY:
+                out = dual(_nnf(f.left, neg, done), _nnf(f.right, neg, done))
+            elif op in _UNARY:
+                out = dual(_nnf(f.arg, neg, done))
             else:
-                out = op()
+                out = dual()
         done[f, neg] = out
     return out
 
@@ -642,45 +651,48 @@ def lasso_eval(phi: Formula, word: LassoWord) -> bool:
         got = cache.get(f)
         if got is not None:
             return got
-        if isinstance(f, TrueFormula):
+        op = f.__class__
+        if op is TrueFormula:
             v = full
-        elif isinstance(f, FalseFormula):
+        elif op is FalseFormula:
             v = 0
-        elif isinstance(f, Atom):
+        elif op is Atom:
             v = 0
             for i, ev in enumerate(events):
                 if ev == f.name:
                     v |= 1 << i
-        elif isinstance(f, Not):
+        elif op is Not:
             v = full & ~values(f.arg)
-        elif isinstance(f, And):
+        elif op is And:
             v = values(f.left) & values(f.right)
-        elif isinstance(f, Or):
+        elif op is Or:
             v = values(f.left) | values(f.right)
-        elif isinstance(f, Implies):
+        elif op is Implies:
             v = (full & ~values(f.left)) | values(f.right)
-        elif isinstance(f, Next):
+        elif op is Next:
             v = shift(values(f.arg))
-        elif isinstance(f, (Until, Eventually)):
+        elif op is Until or op is Eventually:
             # Until, or Eventually: F a is true U a.
-            lv = values(f.left) if isinstance(f, Until) else full
-            rv = values(f.right) if isinstance(f, Until) else values(f.arg)
+            lv = values(f.left) if op is Until else full
+            rv = values(f.right) if op is Until else values(f.arg)
             v = 0
             while True:
                 nv = rv | (lv & shift(v))
                 if nv == v:
                     break
                 v = nv
-        else:
+        elif op is Release or op is Always:
             # Release, or Always: G a is false R a.
-            lv = values(f.left) if isinstance(f, Release) else 0
-            rv = values(f.right) if isinstance(f, Release) else values(f.arg)
+            lv = values(f.left) if op is Release else 0
+            rv = values(f.right) if op is Release else values(f.arg)
             v = full
             while True:
                 nv = rv & (lv | shift(v))
                 if nv == v:
                     break
                 v = nv
+        else:
+            raise TypeError(f"not a formula: {f!r}")
         cache[f] = v
         return v
 

@@ -1,5 +1,7 @@
 """Prefix automata and Moore-machine synthesis."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -9,11 +11,13 @@ from partmon.formats import emit_monitor
 from partmon.fsm import (
     MooreMonitor,
     Verdict,
+    _live_subsets,
     minimize_moore,
     monitor_verdict,
     per_state_nonempty,
     synthesize_monitor,
 )
+from partmon.graphs import bits, reachable_from
 from partmon.ltl import (
     Alphabet,
     LassoWord,
@@ -24,7 +28,7 @@ from partmon.ltl import (
     nnf,
     parse_formula,
 )
-from partmon.partial import partialize
+from partmon.partial import classify, partialize
 
 from helpers import (
     ALPHA3,
@@ -39,6 +43,7 @@ from helpers import (
     mixed_branches_machine,
     moore_isomorphic,
     prefix_accepts,
+    radiation_machine,
     random_formula,
     reference_monitor,
     reference_nonempty,
@@ -247,7 +252,7 @@ def test_response_blowup_case_synthesizes_to_one_state():
     """resp-4, the conjunction of four response properties, is non-monitorable
     and minimizes to one give-up state.  A regression case for the subset
     blow-up: a degeneralized automaton made this take tens of seconds."""
-    from partmon.partial import Monitorability, classify
+    from partmon.partial import Monitorability
 
     text = " & ".join(f"[](r{i} -> <>g{i})" for i in range(4))
     alpha = Alphabet([e for i in range(4) for e in (f"r{i}", f"g{i}")])
@@ -271,8 +276,95 @@ def test_antichain_product_of_next_chain(k):
 
 
 def test_antichain_product_of_radiation():
+    """The rad_medium branch's formula side holds a looping state once
+    []<>(insp_t1 | insp_t2) is owed, so that side is no longer stepped."""
     phi = parse_formula(RADIATION_FORMULA, RADIATION_ALPHA)
-    assert synthesize_monitor(phi, RADIATION_ALPHA, minimize=False).num_states == 6
+    assert synthesize_monitor(phi, RADIATION_ALPHA, minimize=False).num_states == 5
+
+
+# --- sides that can no longer empty --------------------------------------------
+
+def test_a_subset_holding_a_looping_state_never_empties():
+    """The looping mask is the live states with a self-loop on every event.
+    On both sides of the families and the corpus, no reduced subset that a
+    word leads to from a looping state alone is empty."""
+    rng = random.Random(0xACCE55)
+    cases = _family_formulas() + [(random_formula(rng, 4), ALPHA3) for _ in range(200)]
+    searched = 0
+    for phi, alphabet in cases:
+        for formula in (nnf(phi), negate_nnf(phi)):
+            nba = ltl_to_nba(formula, alphabet)
+            _, row, looping = _live_subsets(nba)
+            assert set(bits(looping)) == {
+                q
+                for q in per_state_nonempty(nba)
+                if all(q in nba.successors(q, event) for event in alphabet)
+            }
+            for q in bits(looping):
+                seen = {1 << q}
+                frontier = list(seen)
+                while frontier:
+                    frontier = list({s for subset in frontier for s in row(subset)} - seen)
+                    seen.update(frontier)
+                assert 0 not in seen, (phi, formula, q)
+                searched += 1
+    assert searched > 100
+
+
+# --- minimization of a machine that is already minimal --------------------------
+
+
+def _alternating_machine(initial: int) -> MooreMonitor:
+    """States 0 and 1 swap on ev1; ev2 takes 0 to TOP (2) and 1 to BOT (3).
+    Minimal, and numbered breadth-first from state 0."""
+    return MooreMonitor(
+        ALPHA3,
+        4,
+        initial,
+        [[1, 2, 0], [0, 3, 1], [2, 2, 2], [3, 3, 3]],
+        [Verdict.UNKNOWN, Verdict.UNKNOWN, Verdict.TOP, Verdict.BOT],
+    )
+
+
+def test_minimize_returns_a_minimal_canonically_numbered_machine_as_it_is():
+    for machine in (radiation_machine(), _alternating_machine(0)):
+        assert minimize_moore(machine) is machine
+    for k in (4, 6):
+        raw = synthesize_monitor(parse_formula("<>(a & " + "X " * k + "b)", ABC), ABC, minimize=False)
+        assert minimize_moore(raw) is raw
+
+
+@pytest.mark.parametrize(
+    "machine",
+    [_alternating_machine(1), mixed_branches_machine()],
+    ids=["initial-1", "not-breadth-first"],
+)
+def test_minimize_renumbers_a_minimal_machine_numbered_otherwise(machine):
+    """Minimal, but its initial state is not 0, or a breadth-first walk
+    from it does not visit 0, 1, 2, ... in order."""
+    result = minimize_moore(machine)
+    assert result is not machine
+    assert result.initial == 0
+    assert list(reachable_from(result.delta, [0])) == list(result.states())
+    assert moore_isomorphic(result, machine)
+
+
+# sha256 over each family formula's and each of 300 seeded depth-5 draws'
+# partialized PMF text followed by its classify report as JSON, taken before
+# synthesis stopped stepping sides that never empty.  Every minimal machine
+# and every report must stay byte-identical.
+FAMILIES_AND_DRAWS_SHA256 = "d9c7a330288c6481a7d9b3b975a312cf3965826361b115b5afcd70e2b92233d6"
+
+
+def test_family_and_draw_pmfs_and_reports_are_unchanged():
+    rng = random.Random(0xD16E57)
+    cases = _family_formulas() + [(random_formula(rng, 5), ALPHA3) for _ in range(300)]
+    digest = hashlib.sha256()
+    for phi, alphabet in cases:
+        machine = synthesize_monitor(phi, alphabet)
+        digest.update(_pmf(machine).encode())
+        digest.update(json.dumps(classify(machine).as_dict()).encode() + b"\n")
+    assert digest.hexdigest() == FAMILIES_AND_DRAWS_SHA256
 
 
 # --- synthesis ---------------------------------------------------------------

@@ -478,9 +478,20 @@ _PASSES = {
 }
 
 
-@pytest.mark.parametrize("phi", [_Foreign(), _ForeignAnd(_EV1, Atom("ev2"))], ids=["Formula", "And"])
+@pytest.mark.parametrize(
+    "phi",
+    [
+        _Foreign(),
+        _ForeignAnd(_EV1, Atom("ev2")),
+        And(Atom("ev2"), _Foreign()),
+        Until(_EV1, Not(_ForeignAnd(_EV1, Atom("ev2")))),
+        Always(Implies(_Foreign(), Next(_EV1))),
+    ],
+    ids=["Formula", "And", "Formula-below", "And-below", "Formula-in-implies"],
+)
 @pytest.mark.parametrize("run", list(_PASSES.values()), ids=list(_PASSES))
 def test_every_pass_refuses_a_class_that_is_not_a_node_class(run, phi):
+    """At the root or below it, under a negation or inside an implication."""
     with pytest.raises(TypeError, match=r"^not a formula: _Foreign"):
         run(phi)
 

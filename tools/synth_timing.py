@@ -1,0 +1,127 @@
+"""Time each stage of synthesis in process, per formula set.
+
+Usage: python tools/synth_timing.py [CHECKOUT] [--repeats N]
+
+CHECKOUT is the root of the partmon checkout to measure (default: the one
+this script is in); its ``src``, ``tests`` and root are put first on
+``sys.path``, so two checkouts are compared by running the script once on
+each.  The formula sets are the 14 synthesis families and the 200-formula
+corpus of ``perfbench/workloads.py``.  Every stage's inputs are built first,
+untimed.  Then each stage is timed over the whole set ``--repeats`` times
+(default 15, at least 2), and the median and the quartiles of the set's time
+are printed, in milliseconds:
+
+- ``tableau phi`` and ``tableau neg``: ``ltl_to_nba`` on ``nnf`` and on
+  ``negate_nnf`` of each formula;
+- ``product``: ``synthesize_monitor(..., minimize=False)`` with the two
+  tableaux served ready-built, so it times liveness, the subset
+  constructions and the product;
+- ``minimize``: ``minimize_moore`` on each product;
+- ``partialize+classify+emit``: ``partialize``, ``classify`` and
+  ``emit_monitor`` on a fresh copy of each minimal machine, made untimed,
+  since ``partialize`` keeps its result on the machine.
+
+The total product and minimal state counts of each set follow its rows.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import statistics
+import sys
+import time
+
+
+def _median_ms(repeats: int, fn) -> str:
+    times = []
+    for _ in range(repeats):
+        started = time.perf_counter()
+        fn()
+        times.append((time.perf_counter() - started) * 1000)
+    q1, median, q3 = statistics.quantiles(times, n=4)
+    return f"median {median:8.2f} ms  IQR {q1:.2f}-{q3:.2f} ms"
+
+
+def _measure(name: str, cases, repeats: int) -> None:
+    import partmon.fsm as fsm
+    from partmon import (
+        Alphabet,
+        MooreMonitor,
+        classify,
+        emit_monitor,
+        ltl_to_nba,
+        minimize_moore,
+        negate_nnf,
+        nnf,
+        partialize,
+        synthesize_monitor,
+    )
+
+    inputs = [(case.formula, Alphabet(case.events)) for case in cases]
+    built = {}
+    for phi, alphabet in inputs:
+        for side in (nnf(phi), negate_nnf(phi)):
+            built[side, alphabet] = ltl_to_nba(side, alphabet)
+    products = [synthesize_monitor(phi, alphabet, minimize=False) for phi, alphabet in inputs]
+    minimal = [minimize_moore(machine) for machine in products]
+
+    def tableaux(normal_form):
+        for phi, alphabet in inputs:
+            ltl_to_nba(normal_form(phi), alphabet)
+
+    def product():
+        real, fsm.ltl_to_nba = fsm.ltl_to_nba, lambda phi, alphabet: built[phi, alphabet]
+        try:
+            for phi, alphabet in inputs:
+                synthesize_monitor(phi, alphabet, minimize=False)
+        finally:
+            fsm.ltl_to_nba = real
+
+    def minimize():
+        for machine in products:
+            minimize_moore(machine)
+
+    # partialize keeps its result on the machine, so every repeat gets copies.
+    copies = iter(
+        [[MooreMonitor(m.alphabet, m.num_states, m.initial, m.delta, m.outputs) for m in minimal]
+         for _ in range(repeats)]
+    )
+
+    def finish():
+        for machine in next(copies):
+            emit_monitor(partialize(machine))
+            classify(machine)
+
+    rows = {
+        "tableau phi": _median_ms(repeats, lambda: tableaux(nnf)),
+        "tableau neg": _median_ms(repeats, lambda: tableaux(negate_nnf)),
+        "product": _median_ms(repeats, product),
+        "minimize": _median_ms(repeats, minimize),
+        "partialize+classify+emit": _median_ms(repeats, finish),
+    }
+    for stage, timing in rows.items():
+        print(f"{name:24} {stage:26} {timing}")
+    product_states = sum(machine.num_states for machine in products)
+    minimal_states = sum(machine.num_states for machine in minimal)
+    print(f"{name:24} {'states':26} product {product_states}, minimal {minimal_states}")
+
+
+def main() -> None:
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("checkout", nargs="?", default=here)
+    parser.add_argument("--repeats", type=int, default=15)
+    args = parser.parse_args()
+    if args.repeats < 2:
+        parser.error("--repeats must be at least 2: the quartiles need two samples")
+    root = args.checkout
+    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "tests"), root]
+    from perfbench.workloads import corpus, families
+
+    _measure("families (14 formulas)", families(), args.repeats)
+    _measure("corpus (200 formulas)", corpus(), args.repeats)
+
+
+if __name__ == "__main__":
+    main()
