@@ -367,6 +367,57 @@ def test_family_and_draw_pmfs_and_reports_are_unchanged():
     assert digest.hexdigest() == FAMILIES_AND_DRAWS_SHA256
 
 
+# --- intermediate graphs ---------------------------------------------------------
+
+# sha256 pins over the families, the 200-formula corpus and the 300 seeded
+# depth-5 draws, taken before one builder numbered every explored graph.  The
+# digests above see only minimal machines; these see how the tableaux, the
+# unminimized products and the lasso products are numbered and built.
+TABLEAUX_SHA256 = "e5848ba89e4c5fda1a9a64514ec2505d5113ab680f9546d10a19b56dff0df31b"
+PRODUCTS_SHA256 = "058cc8cd4c6648d1db861af9f9f9729647743c4c505637c40b1ba03e2ce46f02"
+LASSO_VERDICTS_SHA256 = "4383b8c09127375880f4dae6889a009846cc1da1e98646f68c4bacad3577cb86"
+
+
+def _pinned_cases():
+    rng = random.Random(0xACCE55)
+    cases = _family_formulas() + [(random_formula(rng, 4), ALPHA3) for _ in range(200)]
+    rng = random.Random(0xD16E57)
+    return cases + [(random_formula(rng, 5), ALPHA3) for _ in range(300)]
+
+
+def _pinned_tableaux():
+    for phi, alphabet in _pinned_cases():
+        for formula in (nnf(phi), negate_nnf(phi)):
+            yield alphabet, ltl_to_nba(formula, alphabet)
+
+
+def test_tableaux_are_unchanged():
+    """Both sides' initial states, edges, mark counts and obligations."""
+    digest = hashlib.sha256()
+    for _, nba in _pinned_tableaux():
+        fields = [sorted(nba.initial), nba.edges, nba.num_marks, nba.obligations]
+        digest.update(json.dumps(fields).encode() + b"\n")
+    assert digest.hexdigest() == TABLEAUX_SHA256
+
+
+def test_unminimized_product_pmfs_are_unchanged():
+    digest = hashlib.sha256()
+    for phi, alphabet in _pinned_cases():
+        digest.update(emit_monitor(synthesize_monitor(phi, alphabet, minimize=False)).encode())
+    assert digest.hexdigest() == PRODUCTS_SHA256
+
+
+def test_lasso_verdicts_are_unchanged():
+    """Both sides of every three-event case on every lasso with a stem of
+    at most one event and a loop of one or two."""
+    lassos = all_lassos(NAMES3, 1, 2)
+    digest = hashlib.sha256()
+    for alphabet, nba in _pinned_tableaux():
+        if alphabet == ALPHA3:
+            digest.update(bytes(nba_accepts_lasso(nba, word) for word in lassos))
+    assert digest.hexdigest() == LASSO_VERDICTS_SHA256
+
+
 # --- synthesis ---------------------------------------------------------------
 
 def test_synthesize_eventually_matches_expected_machine():
