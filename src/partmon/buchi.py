@@ -21,9 +21,10 @@ atom, or, for a negated atom, differs from it.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .graphs import fair_nodes
+from .graphs import explore, fair_nodes
 from .ltl import (
     Alphabet,
     Always,
@@ -112,6 +113,7 @@ class Nba:
 
 
 _Move = tuple[int, int, int]
+_next_of = itemgetter(1)
 
 
 def ltl_to_nba(phi: Formula, alphabet: Alphabet) -> Nba:
@@ -171,15 +173,13 @@ def ltl_to_nba(phi: Formula, alphabet: Alphabet) -> Nba:
     # the initial state owes the goal.  Its row is the product of the move
     # lists of everything it owes, taken lowest obligation first; each
     # partial product is kept, so states owing the same low obligations share
-    # it.  A move gives an edge, reading its guard, to the state owing its
-    # `next`, and carrying mark j unless it leaves the j-th Until or F
-    # pending.  A dominated move is dropped before its target is numbered.
+    # it, and the full one is the row of every state owing that set.  A move
+    # gives an edge, reading its guard, to the state owing its `next`, and
+    # carrying mark j unless it leaves the j-th Until or F pending.  A
+    # dominated move is dropped before its target is numbered.
     products: dict[int, list[_Move]] = {0: stay}
-    all_marks = (1 << untils) - 1
-    ids = {1 << order[phi]: 0}
-    owes = list(ids)
-    edges = []
-    for obligations in owes:
+
+    def owed_next(obligations: int) -> Iterable[int]:
         prefix, row = 0, stay
         rest = obligations
         while rest:
@@ -190,12 +190,14 @@ def ltl_to_nba(phi: Formula, alphabet: Alphabet) -> Nba:
             if got is None:
                 got = products[prefix] = _product(row, moves[low.bit_length() - 1])
             row = got
+        return map(_next_of, row)
+
+    owes, targets = explore([1 << order[phi]], owed_next)
+    all_marks = (1 << untils) - 1
+    edges = []
+    for owed, row in zip(owes, targets):
         out = []
-        for guard, nxt, pending in row:
-            dst = ids.get(nxt)
-            if dst is None:
-                dst = ids[nxt] = len(owes)
-                owes.append(nxt)
+        for (guard, _, pending), dst in zip(products[owed], row):
             out.append((guard, dst, all_marks ^ pending))
         edges.append(out)
 
@@ -250,29 +252,21 @@ def nba_accepts_lasso(automaton: Nba, word) -> bool:
     for a reachable cycle whose edges carry every acceptance mark.  Any cycle
     necessarily lives in the loop segment, since stem positions cannot repeat.
     """
-    events = [automaton.alphabet.index(e) for e in word.stem + word.loop]
-    n = len(events)
-    loop_entry = len(word.stem)
+    events = [1 << automaton.alphabet.index(e) for e in word.stem + word.loop]
+    # The position after each one; the last goes back to the loop's entry.
+    after = [*range(1, len(events)), len(word.stem)]
 
-    ids: dict[tuple[int, int], int] = {}
-    nodes: list[tuple[int, int]] = []
-    for q in sorted(automaton.initial):
-        ids[(q, 0)] = len(nodes)
-        nodes.append((q, 0))
-    rows: list[list[tuple[int, int, int]]] = []
-    for q, pos in nodes:
-        nxt = pos + 1 if pos + 1 < n else loop_entry
-        event = 1 << events[pos]
-        row = []
-        for guard, dst, edge_marks in automaton.edges[q]:
-            if guard & event:
-                key = (dst, nxt)
-                got = ids.get(key)
-                if got is None:
-                    got = ids[key] = len(nodes)
-                    nodes.append(key)
-                row.append((guard, got, edge_marks))
-        rows.append(row)
+    def taken(node: tuple[int, int]) -> list[tuple[int, int, int]]:
+        return [edge for edge in automaton.edges[node[0]] if edge[0] & events[node[1]]]
+
+    def successors(node: tuple[int, int]) -> list[tuple[int, int]]:
+        return [(dst, after[node[1]]) for _, dst, _ in taken(node)]
+
+    nodes, targets = explore([(q, 0) for q in sorted(automaton.initial)], successors)
+    rows = [
+        [(guard, dst, marks) for (guard, _, marks), dst in zip(taken(node), row)]
+        for node, row in zip(nodes, targets)
+    ]
 
     # Every node is reachable from a start, so any fair node is on a run.
     return bool(fair_nodes(rows, automaton.num_marks))

@@ -12,7 +12,7 @@ from enum import Enum
 from typing import Callable, Sequence
 
 from .buchi import Nba, ltl_to_nba
-from .graphs import bits, fair_nodes, reachable_from
+from .graphs import bits, explore, fair_nodes, reachable_from
 from .ltl import Alphabet, Formula, negate_nnf, nnf
 
 
@@ -59,22 +59,26 @@ def per_state_nonempty(automaton: Nba) -> frozenset[int]:
     return fair_nodes(automaton.edges, automaton.num_marks)
 
 
-def _live_subsets(automaton: Nba) -> tuple[int, Callable[[int], tuple[int, ...]], int]:
+def _live_subsets(automaton: Nba) -> tuple[int, Callable[[int], tuple[int, ...]]]:
     """The subset construction over the automaton's live states, as bitsets.
 
-    Returns the initial subset, a function from a subset to its successor
-    subset per event, and the looping mask: the live states whose self-loop
-    edges together read every event.  Dead states can only reach dead
-    states, so dropping them loses nothing: a subset accepts a prefix (has a
-    satisfying continuation) exactly when it is nonempty.  A looping state is
-    in every successor of a subset that holds it, before the antichain cut
-    below, so no word empties such a subset.
+    Returns the initial subset and a function from a subset to its successor
+    subset per event.  Dead states can only reach dead states, so dropping
+    them loses nothing: a subset accepts a prefix (has a satisfying
+    continuation) exactly when it is nonempty.
 
     Every subset is also cut down to an antichain of its weakest members: a
     member that owes a strict superset of another member's obligations, or
     the same set as a lower-numbered member, accepts no word the other does
     not, so dropping it leaves the subset's language, and every residual of
     it, unchanged.
+
+    A looping state is a live state whose self-loop edges together read
+    every event.  It is in every successor of a subset that holds it, before
+    the cut, and the cut keeps the language, so no word empties such a
+    subset and it decides nothing more: a cut subset holding a looping state
+    is returned as the marker -1.  The empty subset 0 and the marker -1 are
+    their own successors on every event.
     """
     live = sum(1 << q for q in per_state_nonempty(automaton))
     # Each state's live successors on every event packed into one integer,
@@ -102,9 +106,7 @@ def _live_subsets(automaton: Nba) -> tuple[int, Callable[[int], tuple[int, ...]]
     weakest: dict[int, int] = {}
 
     def reduce_subset(subset: int) -> int:
-        if not subset & (subset - 1):
-            return subset
-        got = weakest.get(subset)
+        got = weakest.get(subset) if subset & (subset - 1) else subset
         if got is None:
             got = 0
             kept: list[int] = []
@@ -117,9 +119,11 @@ def _live_subsets(automaton: Nba) -> tuple[int, Callable[[int], tuple[int, ...]]
                     kept.append(owed)
                     got |= 1 << q
             weakest[subset] = got
-        return got
+        return -1 if got & looping else got
 
     def row(subset: int) -> tuple[int, ...]:
+        if subset <= 0:
+            return (subset,) * len(lanes)
         union = 0
         rest = subset
         while rest:
@@ -128,7 +132,7 @@ def _live_subsets(automaton: Nba) -> tuple[int, Callable[[int], tuple[int, ...]]
             rest ^= low
         return tuple(reduce_subset((union >> lane) & live) for lane in lanes)
 
-    return reduce_subset(sum(1 << q for q in automaton.initial) & live), row, looping
+    return reduce_subset(sum(1 << q for q in automaton.initial) & live), row
 
 
 class MooreMonitor:
@@ -196,32 +200,25 @@ def synthesize_monitor(
     """Synthesize the three-valued monitor for ``phi``.
 
     Builds the automata for the formula and its negation and explores the
-    product of their live subset constructions in one breadth-first pass.  A
-    product state outputs TOP when the negation side's subset is empty (no
+    product of their live subset constructions with
+    :func:`partmon.graphs.explore`, events in alphabet order.  A product
+    state outputs TOP when the negation side's subset is empty (no
     continuation violates), BOT when the formula side's is (no continuation
-    satisfies), UNKNOWN otherwise.  A side whose subset holds a looping state
-    can never empty again, so it decides nothing more: it becomes a marker
-    that is no longer stepped.  Conclusive verdicts never change, so all TOP
-    states are one absorbing sink, and all BOT states another; a pair with
-    the marker on both sides is a third sink, which outputs UNKNOWN.  The
-    pass numbers states breadth-first, events in alphabet order.  With
-    ``minimize`` (the default) the result is the unique minimal machine.
+    satisfies), UNKNOWN otherwise.  Conclusive verdicts never change, so all
+    TOP states are one absorbing sink, and all BOT states another; a pair
+    whose sides both hold the never-empty marker of :func:`_live_subsets` is
+    a third sink, which outputs UNKNOWN.  With ``minimize`` (the default)
+    the result is the unique minimal machine.
     """
-    pos_start, pos_row, pos_looping = _live_subsets(ltl_to_nba(nnf(phi), alphabet))
-    neg_start, neg_row, neg_looping = _live_subsets(ltl_to_nba(negate_nnf(phi), alphabet))
+    pos_start, pos_row = _live_subsets(ltl_to_nba(nnf(phi), alphabet))
+    neg_start, neg_row = _live_subsets(ltl_to_nba(negate_nnf(phi), alphabet))
 
-    # -1, which no subset bitset equals, marks a side whose subset holds a
-    # looping state.  Every later subset of that side holds the state too
-    # before the antichain cut, and the cut keeps a subset's language, so
-    # the side never empties and is no longer stepped.  (-1, 0) is the TOP
-    # sink, (0, -1) the BOT sink and (-1, -1) the sink that reaches neither.
+    # An empty side (0) and a side that can never empty (-1) step to
+    # themselves, so the TOP sink (-1, 0), the BOT sink (0, -1) and the
+    # sink (-1, -1) that reaches neither loop through ``key`` alone.
     top, bot = (-1, 0), (0, -1)
 
     def key(pos: int, neg: int) -> tuple[int, int]:
-        if pos & pos_looping:
-            pos = -1
-        if neg & neg_looping:
-            neg = -1
         if pos and neg:
             return (pos, neg)
         if pos:
@@ -230,30 +227,14 @@ def synthesize_monitor(
             return bot
         raise AssertionError("internal error: product state is dead on both sides")
 
-    never = (-1,) * len(alphabet)
-    start = key(pos_start, neg_start)
-    ids: dict[tuple[int, int], int] = {start: 0}
-    pairs: list[tuple[int, int]] = [start]
-    delta_rows: list[list[int]] = []
-    outputs: list[Verdict] = []
-    for state, (pos, neg) in enumerate(pairs):
-        if pos <= 0 and neg <= 0:
-            outputs.append(Verdict.TOP if neg == 0 else Verdict.BOT if pos == 0 else Verdict.UNKNOWN)
-            delta_rows.append([state] * len(alphabet))
-            continue
-        outputs.append(Verdict.UNKNOWN)
-        row = []
-        pos_next = pos_row(pos) if pos > 0 else never
-        neg_next = neg_row(neg) if neg > 0 else never
-        for target in map(key, pos_next, neg_next):
-            dst_id = ids.get(target)
-            if dst_id is None:
-                dst_id = ids[target] = len(pairs)
-                pairs.append(target)
-            row.append(dst_id)
-        delta_rows.append(row)
-
-    machine = MooreMonitor(alphabet, len(pairs), 0, delta_rows, outputs)
+    pairs, delta = explore(
+        [key(pos_start, neg_start)], lambda pair: map(key, pos_row(pair[0]), neg_row(pair[1]))
+    )
+    outputs = [
+        Verdict.TOP if neg == 0 else Verdict.BOT if pos == 0 else Verdict.UNKNOWN
+        for pos, neg in pairs
+    ]
+    machine = MooreMonitor(alphabet, len(pairs), 0, delta, outputs)
     if minimize:
         machine = minimize_moore(machine)
     return machine
@@ -272,8 +253,8 @@ def minimize_moore(machine: MooreMonitor) -> MooreMonitor:
 
     Starts from the partition induced by state outputs and splits blocks until
     every block is closed under the transition function, then rebuilds the
-    quotient machine with canonical numbering: breadth-first from the initial
-    state, events in alphabet order.  A machine that is already minimal and
+    quotient machine with canonical numbering: :func:`partmon.graphs.explore`
+    from the initial state, events in alphabet order.  A machine that is already minimal and
     numbered that way, as the product of :func:`synthesize_monitor` often
     is, is returned as it is.
     """
@@ -303,12 +284,7 @@ def minimize_moore(machine: MooreMonitor) -> MooreMonitor:
     # alphabet order, makes the numbering canonical.
     member = dict(zip(block, machine.states()))
     rows = [[block[dst] for dst in machine.delta[member[b]]] for b in range(count)]
-    order = reachable_from(rows, [block[machine.initial]])
-    index_of = {b: i for i, b in enumerate(order)}
+    order, delta = explore([block[machine.initial]], rows.__getitem__)
     return MooreMonitor(
-        machine.alphabet,
-        count,
-        0,
-        [[index_of[b] for b in rows[src]] for src in order],
-        [machine.outputs[member[b]] for b in order],
+        machine.alphabet, count, 0, delta, [machine.outputs[member[b]] for b in order]
     )

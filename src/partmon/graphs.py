@@ -3,7 +3,34 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
+
+Node = TypeVar("Node", bound=Hashable)
+
+
+def explore(
+    starts: Iterable[Node], successors: Callable[[Node], Iterable[Node]]
+) -> tuple[list[Node], list[list[int]]]:
+    """Build the graph reachable from the start nodes as it is explored.
+
+    Numbers the nodes in breadth-first discovery order: starts first, then
+    each node's successors in the order ``successors`` gives them.  Returns
+    the nodes in that order and, for each, the numbers of its successors,
+    repeats and all.
+    """
+    nodes = list(dict.fromkeys(starts))
+    ids = {node: i for i, node in enumerate(nodes)}
+    rows: list[list[int]] = []
+    for node in nodes:
+        row = []
+        for target in successors(node):
+            got = ids.get(target)
+            if got is None:
+                got = ids[target] = len(nodes)
+                nodes.append(target)
+            row.append(got)
+        rows.append(row)
+    return nodes, rows
 
 
 def reachable_from(

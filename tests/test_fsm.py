@@ -285,30 +285,56 @@ def test_antichain_product_of_radiation():
 # --- sides that can no longer empty --------------------------------------------
 
 def test_a_subset_holding_a_looping_state_never_empties():
-    """The looping mask is the live states with a self-loop on every event.
-    On both sides of the families and the corpus, no reduced subset that a
-    word leads to from a looping state alone is empty."""
+    """A looping state is a live state with a self-loop on every event.  On
+    both sides of the families and the corpus, every subset the construction
+    reaches is the antichain cut of its members' live successors, given as
+    the marker -1 exactly when the cut holds a looping state; and the plain
+    subset construction from a looping state alone never reaches a subset
+    without a live state."""
     rng = random.Random(0xACCE55)
     cases = _family_formulas() + [(random_formula(rng, 4), ALPHA3) for _ in range(200)]
-    searched = 0
+    marked = searched = 0
     for phi, alphabet in cases:
         for formula in (nnf(phi), negate_nnf(phi)):
             nba = ltl_to_nba(formula, alphabet)
-            _, row, looping = _live_subsets(nba)
-            assert set(bits(looping)) == {
-                q
-                for q in per_state_nonempty(nba)
-                if all(q in nba.successors(q, event) for event in alphabet)
-            }
-            for q in bits(looping):
-                seen = {1 << q}
-                frontier = list(seen)
-                while frontier:
-                    frontier = list({s for subset in frontier for s in row(subset)} - seen)
-                    seen.update(frontier)
-                assert 0 not in seen, (phi, formula, q)
+            live = reference_nonempty(nba)
+            looping = {q for q in live if all(q in nba.successors(q, e) for e in alphabet)}
+            owes = nba.obligations
+
+            def cut(states):
+                members = set(states) & live
+                kept = {
+                    q
+                    for q in members
+                    if not any(
+                        owes[p] | owes[q] == owes[q] and (owes[p] != owes[q] or p < q)
+                        for p in members
+                    )
+                }
+                return -1 if kept & looping else sum(1 << q for q in kept)
+
+            start, row = _live_subsets(nba)
+            assert start == cut(nba.initial)
+            seen = {start}
+            frontier = [start]
+            while frontier:
+                subset = frontier.pop()
+                for event, target in zip(alphabet, row(subset)):
+                    if subset < 0:
+                        assert target == -1
+                    else:
+                        assert target == cut(d for q in bits(subset) for d in nba.successors(q, event))
+                    if target not in seen:
+                        seen.add(target)
+                        frontier.append(target)
+            marked += -1 in seen
+            for q in looping:
+                alone = Nba(alphabet, [q], nba.edges, nba.num_marks, owes)
+                dfa = determinize(alone)
+                assert dfa.finals == frozenset(range(dfa.num_states)), (phi, formula, q)
                 searched += 1
     assert searched > 100
+    assert marked > 100
 
 
 # --- minimization of a machine that is already minimal --------------------------

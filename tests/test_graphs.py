@@ -1,12 +1,15 @@
-"""Graph helpers: the breadth-first search every graph pass runs on, and the
-fair-node fixpoint that per-state emptiness is built from."""
+"""Graph helpers: the builder that numbers every explored graph, the
+breadth-first search every graph pass runs on, and the fair-node fixpoint
+that per-state emptiness is built from."""
+
+import random
 
 import pytest
 
 from partmon import graphs
 from partmon.buchi import Nba
 from partmon.fsm import per_state_nonempty
-from partmon.graphs import fair_nodes, reachable_from
+from partmon.graphs import explore, fair_nodes, reachable_from
 from partmon.ltl import Alphabet
 
 from helpers import reference_nonempty
@@ -36,6 +39,47 @@ def test_a_repeated_start_is_kept_once():
     parent = reachable_from(ADJACENCY, [1, 1, 3, 1])
     assert list(parent) == [1, 3]
     assert parent == {1: None, 3: None}
+
+
+# --- explore: numbering a graph as it is built ---------------------------------
+
+
+def test_explore_numbers_nodes_in_discovery_order():
+    nodes, rows = explore([0], ADJACENCY.__getitem__)
+    assert nodes == [0, 2, 1, 3]
+    # 0 -> 2, 1    2 -> 3, 0    1 -> 3    3 -> 3, renumbered.
+    assert rows == [[1, 2], [3, 0], [3], [3]]
+
+
+def test_explore_keeps_successor_order_repeats_and_self_loops():
+    successors = {"a": ["b", "a", "b", "c"], "b": ["b", "b"], "c": ["a"]}
+    nodes, rows = explore(["a"], successors.__getitem__)
+    assert nodes == ["a", "b", "c"]
+    assert rows == [[1, 0, 1, 2], [1, 1], [0]]
+
+
+def test_explore_numbers_the_starts_first_and_each_once():
+    nodes, rows = explore([3, 4, 3], ADJACENCY.__getitem__)
+    assert nodes == [3, 4, 0, 2, 1]
+    assert rows == [[0], [2], [3, 4], [0, 2], [0]]
+
+
+def test_explore_gives_a_dead_end_an_empty_row():
+    successors = {(0, 0): [(1, 1)], (1, 1): []}
+    assert explore([(0, 0)], successors.__getitem__) == ([(0, 0), (1, 1)], [[1], []])
+
+
+def test_explore_reaches_what_reachable_from_reaches_in_the_same_order():
+    rng = random.Random(0xE4)
+    for _ in range(200):
+        size = rng.randint(1, 12)
+        adjacency = [
+            [rng.randrange(size) for _ in range(rng.randint(0, 3))] for _ in range(size)
+        ]
+        starts = [rng.randrange(size) for _ in range(rng.randint(1, 3))]
+        nodes, rows = explore(starts, adjacency.__getitem__)
+        assert nodes == list(reachable_from(adjacency, starts))
+        assert [[nodes[w] for w in row] for row in rows] == [adjacency[v] for v in nodes]
 
 
 # --- fair nodes: the Emerson-Lei fixpoint --------------------------------------

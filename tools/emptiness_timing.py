@@ -16,11 +16,7 @@ X^14's negation side.
 
 from __future__ import annotations
 
-import argparse
-import os
-import statistics
-import sys
-import time
+from _timing import parse_args, quartiles_ms
 
 
 def _tableaux():
@@ -47,26 +43,16 @@ def _tableaux():
 
 
 def main() -> None:
-    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("checkout", nargs="?", default=here)
-    parser.add_argument("--repeats", type=int, default=15)
-    args = parser.parse_args()
-    if args.repeats < 2:
-        parser.error("--repeats must be at least 2: the quartiles need two samples")
-    root = args.checkout
-    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "tests"), root]
+    args = parse_args(__doc__)
     from partmon.fsm import per_state_nonempty
+
+    def check_all(tableaux):
+        for nba in tableaux:
+            per_state_nonempty(nba)
 
     for name, tableaux in _tableaux().items():
         states = sum(nba.num_states for nba in tableaux)
-        times = []
-        for _ in range(args.repeats):
-            started = time.perf_counter()
-            for nba in tableaux:
-                per_state_nonempty(nba)
-            times.append((time.perf_counter() - started) * 1000)
-        q1, median, q3 = statistics.quantiles(times, n=4)
+        q1, median, q3 = quartiles_ms(args.repeats, check_all, tableaux)
         print(f"{name:24} {states:6} states  median {median:7.2f} ms  IQR {q1:.2f}-{q3:.2f} ms")
 
 

@@ -20,38 +20,19 @@ quartiles of its time are printed, in milliseconds:
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import os
 import random
-import statistics
-import sys
 import tempfile
-import time
+
+from _timing import parse_args, quartiles_ms
 
 EVENTS = 100_000
 SEED = 15
 
 
-def _time(repeats: int, fn, *args) -> list[float]:
-    times = []
-    for _ in range(repeats):
-        started = time.perf_counter()
-        fn(*args)
-        times.append((time.perf_counter() - started) * 1000)
-    return times
-
-
 def main() -> None:
-    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("checkout", nargs="?", default=here)
-    parser.add_argument("--repeats", type=int, default=15)
-    args = parser.parse_args()
-    if args.repeats < 2:
-        parser.error("--repeats must be at least 2: the quartiles need two samples")
-    root = args.checkout
-    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "tests"), root]
+    args = parse_args(__doc__)
     from partmon import Alphabet, emit_monitor, run_trace, synthesize_monitor
     from partmon.cli import main as cli_main
     from perfbench.workloads import REPLAY_EVENTS, REPLAY_K, undecided_trace, x_k
@@ -73,11 +54,10 @@ def main() -> None:
         with open(trace, "w", encoding="utf-8") as handle:
             handle.write("\n".join(events) + "\n")
         phases = {
-            "partmon run": _time(args.repeats, cli_run, ["run", "-m", pmf, "-t", trace]),
-            "run_trace": _time(args.repeats, run_trace, machine, events),
+            "partmon run": quartiles_ms(args.repeats, cli_run, ["run", "-m", pmf, "-t", trace]),
+            "run_trace": quartiles_ms(args.repeats, run_trace, machine, events),
         }
-    for name, times in phases.items():
-        q1, median, q3 = statistics.quantiles(times, n=4)
+    for name, (q1, median, q3) in phases.items():
         print(f"{name:12} {EVENTS} events  median {median:7.2f} ms  IQR {q1:.2f}-{q3:.2f} ms")
 
 

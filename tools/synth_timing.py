@@ -21,25 +21,17 @@ are printed, in milliseconds:
   ``emit_monitor`` on a fresh copy of each minimal machine, made untimed,
   since ``partialize`` keeps its result on the machine.
 
-The total product and minimal state counts of each set follow its rows.
+The total tableau states and edges of each side, and the total product and
+minimal state counts, of each set follow its rows.
 """
 
 from __future__ import annotations
 
-import argparse
-import os
-import statistics
-import sys
-import time
+from _timing import parse_args, quartiles_ms
 
 
 def _median_ms(repeats: int, fn) -> str:
-    times = []
-    for _ in range(repeats):
-        started = time.perf_counter()
-        fn()
-        times.append((time.perf_counter() - started) * 1000)
-    q1, median, q3 = statistics.quantiles(times, n=4)
+    q1, median, q3 = quartiles_ms(repeats, fn)
     return f"median {median:8.2f} ms  IQR {q1:.2f}-{q3:.2f} ms"
 
 
@@ -102,21 +94,20 @@ def _measure(name: str, cases, repeats: int) -> None:
     }
     for stage, timing in rows.items():
         print(f"{name:24} {stage:26} {timing}")
+    sizes = []
+    for side, normal_form in (("phi", nnf), ("neg", negate_nnf)):
+        tableaux = [built[normal_form(phi), alphabet] for phi, alphabet in inputs]
+        states = sum(nba.num_states for nba in tableaux)
+        edges = sum(len(row) for nba in tableaux for row in nba.edges)
+        sizes.append(f"{side} {states} states {edges} edges")
+    print(f"{name:24} {'tableaux':26} {', '.join(sizes)}")
     product_states = sum(machine.num_states for machine in products)
     minimal_states = sum(machine.num_states for machine in minimal)
     print(f"{name:24} {'states':26} product {product_states}, minimal {minimal_states}")
 
 
 def main() -> None:
-    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("checkout", nargs="?", default=here)
-    parser.add_argument("--repeats", type=int, default=15)
-    args = parser.parse_args()
-    if args.repeats < 2:
-        parser.error("--repeats must be at least 2: the quartiles need two samples")
-    root = args.checkout
-    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "tests"), root]
+    args = parse_args(__doc__)
     from perfbench.workloads import corpus, families
 
     _measure("families (14 formulas)", families(), args.repeats)
