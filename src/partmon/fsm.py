@@ -86,18 +86,14 @@ def _live_subsets(automaton: Nba) -> tuple[int, Callable[[int], tuple[int, ...]]
     n = automaton.num_states
     lanes = range(0, n * len(automaton.alphabet), n)
     packed = [0] * n
-    everything = (1 << len(automaton.alphabet)) - 1
-    looping = 0
     for q, row in enumerate(automaton.edges):
-        stays = 0
         for guard, dst, _ in row:
             if live >> dst & 1:
-                if dst == q:
-                    stays |= guard
                 for k in bits(guard):
                     packed[q] |= 1 << (k * n + dst)
-        if stays == everything:
-            looping |= 1 << q
+    # A looping state's own bit is set in every lane of its row.
+    diagonal = sum(1 << lane for lane in lanes)
+    looping = sum(1 << q for q in range(n) if packed[q] >> q & diagonal == diagonal)
     owes = automaton.obligations
     # Sorted by obligation count, then number, a member comes after every
     # member that owes a strict subset of its obligations, or the same set

@@ -40,7 +40,7 @@ class UnknownEventError(ValueError):
 
     def __init__(self, event: str, position: int | None = None):
         where = f" at position {position}" if position is not None else ""
-        super().__init__(f"unknown event '{event}'{where}")
+        super().__init__(f"unknown event {str(event)!r}{where}")
         self.event = event
         self.position = position
 
@@ -152,7 +152,8 @@ class Formula(Record):
 
     ``depth``, the number of operators nested above the deepest leaf (a
     negated atom is a leaf), and the hash are stored when a node is built.
-    This class's own constructor builds the leaves, true and false.
+    This class's own constructor builds the leaves, true and false.  A child
+    must be of a node class exactly: any other class can only be a root.
     """
 
     __slots__ = ("depth", "_hash")
@@ -215,7 +216,7 @@ class _Unary(Formula):
     _fields = ("arg",)
 
     def __init__(self, arg: Formula):
-        if not isinstance(arg, Formula):
+        if arg.__class__ not in _NODES:
             raise TypeError(f"not a formula: {arg!r}")
         _set_arg(self, arg)
         # The one place that says a negated atom is a leaf.
@@ -229,9 +230,9 @@ class _Binary(Formula):
     _fields = ("left", "right")
 
     def __init__(self, left: Formula, right: Formula):
-        if not isinstance(left, Formula):
+        if left.__class__ not in _NODES:
             raise TypeError(f"not a formula: {left!r}")
-        if not isinstance(right, Formula):
+        if right.__class__ not in _NODES:
             raise TypeError(f"not a formula: {right!r}")
         _set_left(self, left)
         _set_right(self, right)
@@ -286,7 +287,7 @@ FALSE = FalseFormula()
 
 
 def children(phi: Formula) -> tuple[Formula, ...]:
-    """The operands of a node; TypeError for a class outside the node classes."""
+    """The operands of a node; TypeError for a root outside the node classes."""
     op = phi.__class__
     if op in _BINARY:
         return (phi.left, phi.right)
@@ -326,8 +327,8 @@ def atoms_in_order(phi: Formula) -> list[str]:
 def _check_depth(phi: Formula) -> None:
     """Refuse a root outside the node classes, subclasses of them included,
     and a tree that a pass would have to recurse too deep into.  Below the
-    root, each pass's own walk refuses such a class: :func:`children`,
-    ``_nnf``, ``_fmt`` and :func:`lasso_eval` dispatch on the exact class."""
+    root no such class can sit: the unary and binary constructors refuse it
+    when the node is built."""
     if phi.__class__ not in _NODES:
         raise TypeError(f"not a formula: {phi!r}")
     if phi.depth > MAX_FORMULA_DEPTH:
@@ -369,7 +370,7 @@ _UNARY = {
     Always: ("G ", "G", "[]"),
 }
 _UNARY_LEVEL = 1 + max(level for _, level, _ in _BINARY.values())
-#: The classes every pass knows; each pass refuses any other.
+#: The classes every pass knows, and the only ones a node takes as a child.
 _NODES = frozenset({TrueFormula, FalseFormula, Atom, *_UNARY, *_BINARY})
 
 _SPELLINGS = {spelling: op for op, (spelling, _, _) in _BINARY.items()}
@@ -531,10 +532,8 @@ def _fmt(phi: Formula, min_level: int) -> str:
         return phi.name
     elif op is TrueFormula:
         return "true"
-    elif op is FalseFormula:
-        return "false"
     else:
-        raise TypeError(f"not a formula: {phi!r}")
+        return "false"
     return f"({s})" if level < min_level else s
 
 
@@ -569,8 +568,6 @@ def _nnf(f: Formula, neg: bool, done: dict[tuple[Formula, bool], Formula]) -> Fo
         if op is Implies:
             # l -> r is rewritten as !l | r before pushing negations.
             out = (And if neg else Or)(_nnf(f.left, not neg, done), _nnf(f.right, neg, done))
-        elif op not in _NODES:
-            raise TypeError(f"not a formula: {f!r}")
         else:
             dual = _DUAL[op] if neg else op
             if op in _BINARY:
@@ -681,7 +678,7 @@ def lasso_eval(phi: Formula, word: LassoWord) -> bool:
                 if nv == v:
                     break
                 v = nv
-        elif op is Release or op is Always:
+        else:
             # Release, or Always: G a is false R a.
             lv = values(f.left) if op is Release else 0
             rv = values(f.right) if op is Release else values(f.arg)
@@ -691,8 +688,6 @@ def lasso_eval(phi: Formula, word: LassoWord) -> bool:
                 if nv == v:
                     break
                 v = nv
-        else:
-            raise TypeError(f"not a formula: {f!r}")
         cache[f] = v
         return v
 

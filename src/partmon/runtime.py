@@ -19,6 +19,7 @@ from .ltl import UnknownEventError
 from .partial import partialize
 
 _Label = TypeVar("_Label")
+_NOTHING = object()  # the event before the trace yields one
 
 
 class CompiledMonitor:
@@ -139,7 +140,8 @@ def run_trace(
     With ``stop_early`` the replay halts at the first conclusive or give-up
     verdict: the remaining events are neither read from ``trace``, validated
     nor consumed.  Otherwise every event must be in the alphabet, including
-    those absorbed after conclusion.
+    those absorbed after conclusion.  An error raised by ``trace`` itself,
+    a KeyError included, propagates unchanged.
     """
     compiled = compile_monitor(machine)
     verdicts, _ = _replay(compiled, trace, stop_early, compiled.after)
@@ -156,6 +158,7 @@ def _replay(
     slot = compiled.start
     out: list[_Label] = []
     append = out.append
+    event = _NOTHING
     try:
         # Final rows point back to themselves, so the full replay needs no
         # test per event; only stop_early pays for one.
@@ -170,5 +173,8 @@ def _replay(
                 if not live_after[slot]:
                     break
     except KeyError:
+        # A KeyError before any event, or after a known one, is the trace's own.
+        if event is _NOTHING or event in index:
+            raise
         raise UnknownEventError(event, len(out) + 1) from None
     return out, slot

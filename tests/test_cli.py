@@ -272,6 +272,18 @@ def test_run_unknown_trace_event_exits_65(tmp_path, capsys):
     assert code == 65 and "warp" in err
 
 
+def test_run_unknown_event_shows_a_byte_order_mark(tmp_path, capsys):
+    """A trace saved with a UTF-8 byte-order mark is refused, and the message
+    shows the mark as an escape rather than printing it invisibly."""
+    trace = tmp_path / "bom.trace"
+    trace.write_bytes("\ufeffev1 ev2\n".encode())
+    code, out, err = run_cli(
+        capsys, "run", "-f", "<>ev1", "-a", "ev1,ev2,ev3", "-t", str(trace)
+    )
+    assert (code, out) == (65, "")
+    assert "unknown event '\\ufeffev1' at position 1" in err
+
+
 MIXED_RUN = ("run", "-f", "(ev1 & <>ev2) | (ev3 & []<>ev4)", "-a", "ev1,ev2,ev3,ev4")
 
 

@@ -447,12 +447,13 @@ def test_reserved_words_are_the_spelled_words():
 
 
 def test_format_refuses_a_node_class_outside_the_table():
+    """At the root, or below it, where the node that would hold it is built."""
     class Odd(Formula):
         __slots__ = ()
 
-    for phi in (Odd(), And(_EV1, Not(Odd()))):
-        with pytest.raises(TypeError, match="not a formula"):
-            format_formula(phi)
+    for build in (Odd, lambda: And(_EV1, Not(Odd()))):
+        with pytest.raises(TypeError, match="^not a formula: "):
+            format_formula(build())
 
 
 class _Foreign(Formula):
@@ -479,21 +480,39 @@ _PASSES = {
 
 
 @pytest.mark.parametrize(
-    "phi",
+    "build",
     [
-        _Foreign(),
-        _ForeignAnd(_EV1, Atom("ev2")),
-        And(Atom("ev2"), _Foreign()),
-        Until(_EV1, Not(_ForeignAnd(_EV1, Atom("ev2")))),
-        Always(Implies(_Foreign(), Next(_EV1))),
+        _Foreign,
+        lambda: _ForeignAnd(_EV1, Atom("ev2")),
+        lambda: And(Atom("ev2"), _Foreign()),
+        lambda: Until(_EV1, Not(_ForeignAnd(_EV1, Atom("ev2")))),
+        lambda: Always(Implies(_Foreign(), Next(_EV1))),
     ],
     ids=["Formula", "And", "Formula-below", "And-below", "Formula-in-implies"],
 )
 @pytest.mark.parametrize("run", list(_PASSES.values()), ids=list(_PASSES))
-def test_every_pass_refuses_a_class_that_is_not_a_node_class(run, phi):
-    """At the root or below it, under a negation or inside an implication."""
+def test_every_pass_refuses_a_class_that_is_not_a_node_class(run, build):
+    """At the root the pass refuses it.  Below the root, under a negation or
+    inside an implication, the node that would hold it refuses it when built,
+    so no pass ever sees it there."""
     with pytest.raises(TypeError, match=r"^not a formula: _Foreign"):
-        run(phi)
+        run(build())
+
+
+@pytest.mark.parametrize(
+    "child",
+    [_Foreign(), _ForeignAnd(_EV1, _EV2), Formula(), 3, "a"],
+    ids=["Formula-subclass", "And-subclass", "Formula", "int", "str"],
+)
+def test_every_node_refuses_a_child_outside_the_node_classes(child):
+    for op in (Not, Next, Eventually, Always):
+        with pytest.raises(TypeError, match="^not a formula: "):
+            op(child)
+    for op in (And, Or, Implies, Until, Release):
+        with pytest.raises(TypeError, match="^not a formula: "):
+            op(child, _EV2)
+        with pytest.raises(TypeError, match="^not a formula: "):
+            op(_EV1, child)
 
 
 # --- negation normal form ---------------------------------------------------

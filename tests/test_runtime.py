@@ -6,7 +6,7 @@ import pytest
 
 from partmon.formats import parse_monitor
 from partmon.fsm import Verdict, monitor_verdict, synthesize_monitor
-from partmon.ltl import LassoWord, UnknownEventError, lasso_eval, parse_formula
+from partmon.ltl import Alphabet, LassoWord, UnknownEventError, lasso_eval, parse_formula
 from partmon.partial import partialize
 from partmon.runtime import MonitorSession, compile_monitor, run_trace, start
 
@@ -178,6 +178,29 @@ def test_run_trace_reports_offending_index():
     with pytest.raises(UnknownEventError) as err:
         run_trace(machine, ("ev1", "bogus"))
     assert err.value.position == 2
+
+
+def _yield_then_raise(events, error):
+    yield from events
+    raise error
+
+
+@pytest.mark.parametrize("stop_early", [False, True])
+def test_run_trace_passes_on_the_trace_iterables_own_key_error(stop_early):
+    """A KeyError raised by the trace iterable comes back unchanged, at the
+    first event or later, even when its key is not an event; an unknown
+    event is still reported at its position."""
+    abc = Alphabet(["a", "b", "c"])
+    machine = synthesize_monitor(parse_formula("<>(a & X b)", abc), abc)
+    for before in ((), ("a", "c")):
+        for error in (KeyError(3), KeyError("zz")):
+            with pytest.raises(KeyError) as err:
+                run_trace(machine, _yield_then_raise(before, error), stop_early)
+            assert err.value is error
+    for trace, position in ((["zz"], 1), (["a", "c", "zz"], 3)):
+        with pytest.raises(UnknownEventError) as err:
+            run_trace(machine, iter(trace), stop_early)
+        assert (err.value.event, err.value.position) == ("zz", position)
 
 
 def test_run_trace_agrees_with_monitor_verdict():
