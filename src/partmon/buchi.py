@@ -41,8 +41,6 @@ from .ltl import (
     UnknownAtomError,
     Until,
     _check_depth,
-    children,
-    subformulas,
 )
 
 
@@ -126,48 +124,66 @@ def ltl_to_nba(phi: Formula, alphabet: Alphabet) -> Nba:
     """
     _check_depth(phi)
     # Obligation i, the i-th subformula in canonical order, is bit i of an
-    # obligation set.  Children come before their parents, so one pass in
-    # that order builds every subformula's move list from its operands'.
-    formulas = subformulas(phi)
-    order = {f: i for i, f in enumerate(formulas)}
+    # obligation set.  One walk in that order, children first, numbers each
+    # distinct subformula once its operands are numbered and builds its move
+    # list from theirs.  A negation over a non-atom, or an implication, is
+    # refused only after its operands, so the first error in that order wins.
+    number: dict[Formula, int] = {}
     everything = (1 << len(alphabet)) - 1
     stay: list[_Move] = [(everything, 0, 0)]
     moves: list[list[_Move]] = []
     untils = 0
-    for i, f in enumerate(formulas):
-        args = [moves[order[c]] for c in children(f)]
-        if isinstance(f, TrueFormula):
-            got = stay
-        elif isinstance(f, FalseFormula):
-            got = []
-        elif isinstance(f, Atom):
+
+    def walk(f: Formula) -> int:
+        nonlocal untils
+        i = number.get(f)
+        if i is not None:
+            return i
+        op = f.__class__
+        if op is Atom:
             if f.name not in alphabet:
                 raise UnknownAtomError(f.name)
             got = [(1 << alphabet.index(f.name), 0, 0)]
-        elif isinstance(f, Not) and isinstance(f.arg, Atom):
+        elif op is Not:
+            walk(f.arg)
+            if f.arg.__class__ is not Atom:
+                raise ValueError("formula must be in negation normal form")
             # Over a one-event alphabet the negation allows nothing.
             allows = everything & ~(1 << alphabet.index(f.arg.name))
             got = [(allows, 0, 0)] if allows else []
-        elif isinstance(f, Next):
-            got = [(everything, 1 << order[f.arg], 0)]
-        elif isinstance(f, And):
-            got = _product(*args)
-        elif isinstance(f, Or):
-            got = _undominated(args[0] + args[1])
-        elif isinstance(f, (Until, Eventually)):
+        elif op is And:
+            got = _product(moves[walk(f.left)], moves[walk(f.right)])
+        elif op is Or:
+            got = _undominated(moves[walk(f.left)] + moves[walk(f.right)])
+        elif op is Next:
+            got = [(everything, 1 << walk(f.arg), 0)]
+        elif op is Until or op is Eventually:
             # f = l U r unfolds to r | (l & X f), where F r's l is true.  The
             # second branch promises r without granting it: its mark pends.
-            left, right = args if isinstance(f, Until) else (stay, args[0])
-            pend = 1 << untils
+            left = moves[walk(f.left)] if op is Until else stay
+            right = moves[walk(f.right if op is Until else f.arg)]
+            mine, pend = 1 << len(moves), 1 << untils
             untils += 1
-            got = _undominated(right + [(g, n | 1 << i, p | pend) for g, n, p in left])
-        elif isinstance(f, (Release, Always)):
+            got = _undominated(right + [(g, n | mine, p | pend) for g, n, p in left])
+        elif op is Release or op is Always:
             # f = l R r unfolds to (l & r) | (r & X f), where G r's l is false.
-            left, right = args if isinstance(f, Release) else ([], args[0])
-            got = _undominated(_product(left, right) + [(g, n | 1 << i, p) for g, n, p in right])
-        else:
+            left = moves[walk(f.left)] if op is Release else []
+            right = moves[walk(f.right if op is Release else f.arg)]
+            mine = 1 << len(moves)
+            got = _undominated(_product(left, right) + [(g, n | mine, p) for g, n, p in right])
+        elif op is TrueFormula:
+            got = stay
+        elif op is FalseFormula:
+            got = []
+        else:  # Implies
+            walk(f.left)
+            walk(f.right)
             raise ValueError("formula must be in negation normal form")
+        i = number[f] = len(moves)
         moves.append(got)
+        return i
+
+    goal = walk(phi)
 
     # A state is the set of obligations it owes from the next position on;
     # the initial state owes the goal.  Its row is the product of the move
@@ -192,7 +208,7 @@ def ltl_to_nba(phi: Formula, alphabet: Alphabet) -> Nba:
             row = got
         return map(_next_of, row)
 
-    owes, targets = explore([1 << order[phi]], owed_next)
+    owes, targets = explore([1 << goal], owed_next)
     all_marks = (1 << untils) - 1
     edges = []
     for owed, row in zip(owes, targets):

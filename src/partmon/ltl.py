@@ -88,7 +88,7 @@ class Alphabet:
     def index(self, event: str) -> int:
         try:
             return self._index[event]
-        except KeyError:
+        except (KeyError, TypeError):
             raise UnknownEventError(event) from None
 
     def __contains__(self, event: object) -> bool:
@@ -299,7 +299,8 @@ def children(phi: Formula) -> tuple[Formula, ...]:
 
 
 def subformulas(phi: Formula) -> list[Formula]:
-    """All distinct subformulas in left-to-right postorder (children first)."""
+    """All distinct subformulas in left-to-right postorder (children first):
+    the canonical order in which the tableau numbers its obligations."""
     out: dict[Formula, None] = {}
 
     def walk(f: Formula) -> None:
@@ -443,15 +444,12 @@ class _Parser:
         return parsed
 
     @staticmethod
-    def level(at: int, *depths: int) -> int:
-        """Depth of a level over subtrees of these depths."""
-        depth = 1 + max(depths)
+    def level(at: int, depth: int) -> int:
+        """Depth of a level over a subtree this deep."""
+        depth += 1
         if depth > MAX_FORMULA_DEPTH:
             raise _too_deep(at)
         return depth
-
-    def node(self, op, at: int, *parts: _Parsed) -> _Parsed:
-        return op(*(phi for phi, _ in parts)), self.level(at, *(d for _, d in parts))
 
     def parse(self) -> Formula:
         phi, _ = self.binary(0)
@@ -465,26 +463,28 @@ class _Parser:
         operator that groups to the right takes the rest at its own level as
         its right operand, one nesting level down; one that groups to the
         left takes only what binds tighter, and the loop goes on."""
-        left = self.unary()
+        left, depth = self.unary()
         while True:
             text, at = self.tokens[self.pos]
             op = _SPELLINGS.get(text)
             if op not in _BINARY or _BINARY[op][1] < min_level:
-                return left
+                return left, depth
             self.pos += 1
             _, level, right_assoc = _BINARY[op]
             if right_assoc:
-                right = self.descend(at, self.binary, level)
+                right, right_depth = self.descend(at, self.binary, level)
             else:
-                right = self.binary(level + 1)
-            left = self.node(op, at, left, right)
+                right, right_depth = self.binary(level + 1)
+            left = op(left, right)
+            depth = self.level(at, depth if depth > right_depth else right_depth)
 
     def unary(self) -> _Parsed:
         text, at = self.tokens[self.pos]
         self.pos += 1
         op = _SPELLINGS.get(text)
         if op in _UNARY:
-            return self.node(op, at, self.descend(at, self.unary))
+            arg, depth = self.descend(at, self.unary)
+            return op(arg), self.level(at, depth)
         if text in _CONSTANTS:
             return _CONSTANTS[text], 0
         if text.isidentifier() and text not in RESERVED_WORDS:

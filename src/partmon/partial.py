@@ -110,7 +110,7 @@ def classify(machine: MooreMonitor) -> MonitorabilityReport:
     """
     machine = partialize(machine)
     giveup_count = sum(1 for out in machine.outputs if out is Verdict.GIVEUP)
-    witness = _shortest_giveup_trace(machine)
+    witness = _shortest_giveup_trace(machine) if giveup_count else None
     if machine.outputs[machine.initial] is Verdict.GIVEUP:
         classification = Monitorability.NON_MONITORABLE
     elif giveup_count == 0:
@@ -129,17 +129,16 @@ def classify(machine: MooreMonitor) -> MonitorabilityReport:
     )
 
 
-def _shortest_giveup_trace(machine: MooreMonitor) -> tuple[str, ...] | None:
-    """Path to the first give-up state a breadth-first search meets.
+def _shortest_giveup_trace(machine: MooreMonitor) -> tuple[str, ...]:
+    """Path to the first give-up state a breadth-first search meets; the
+    machine must have one, and every state is reachable.
 
     The search expands events in alphabet order, so the witness is the
     lexicographically least among the shortest; ``delta[src].index(dst)`` is
     the event it first reached ``dst`` by.
     """
     parent = reachable_from(machine.delta, [machine.initial])
-    node = next((q for q in parent if machine.outputs[q] is Verdict.GIVEUP), None)
-    if node is None:
-        return None
+    node = next(q for q in parent if machine.outputs[q] is Verdict.GIVEUP)
     path = []
     while (src := parent[node]) is not None:
         path.append(machine.alphabet.symbols[machine.delta[src].index(node)])

@@ -116,7 +116,7 @@ class MonitorSession:
         slot = self._slot
         try:
             self._slot = taken = self._table[slot] + self._index[event]
-        except KeyError:
+        except (KeyError, TypeError):
             raise UnknownEventError(event, self.position + 1) from None
         self.position += 1
         self.steps += self._live_after[slot]
@@ -140,8 +140,9 @@ def run_trace(
     With ``stop_early`` the replay halts at the first conclusive or give-up
     verdict: the remaining events are neither read from ``trace``, validated
     nor consumed.  Otherwise every event must be in the alphabet, including
-    those absorbed after conclusion.  An error raised by ``trace`` itself,
-    a KeyError included, propagates unchanged.
+    those absorbed after conclusion; an unhashable event is unknown too.  An
+    error raised by ``trace`` itself, a KeyError or TypeError included,
+    propagates unchanged.
     """
     compiled = compile_monitor(machine)
     verdicts, _ = _replay(compiled, trace, stop_early, compiled.after)
@@ -172,9 +173,10 @@ def _replay(
                 append(labels[slot])
                 if not live_after[slot]:
                     break
-    except KeyError:
-        # A KeyError before any event, or after a known one, is the trace's own.
-        if event is _NOTHING or event in index:
+    except (KeyError, TypeError):
+        # An error before any event, or after a known one, is the trace's own.
+        # Every known event is a string, so an unhashable one is not hashed again.
+        if event is _NOTHING or isinstance(event, str) and event in index:
             raise
         raise UnknownEventError(event, len(out) + 1) from None
     return out, slot

@@ -14,9 +14,12 @@ from partmon.ltl import (
     Atom,
     Eventually,
     FALSE,
+    Implies,
     LassoWord,
     Not,
+    Or,
     TRUE,
+    UnknownAtomError,
     lasso_eval,
     negate_nnf,
     nnf,
@@ -112,6 +115,33 @@ def test_construction_is_deterministic():
 def test_rejects_non_nnf_input():
     with pytest.raises(ValueError):
         ltl_to_nba(Not(Eventually(Atom("ev1"))), ALPHA3)
+
+
+_EV1, _EV2, _ZZ = Atom("ev1"), Atom("ev2"), Atom("zz")
+_NOT_NNF = (ValueError, r"^formula must be in negation normal form$")
+_UNKNOWN_ZZ = (UnknownAtomError, r"^unknown atom 'zz'$")
+
+
+@pytest.mark.parametrize(
+    "phi, error",
+    [
+        (Not(Not(_ZZ)), _UNKNOWN_ZZ),
+        (Not(_ZZ), _UNKNOWN_ZZ),
+        (Not(Eventually(_EV1)), _NOT_NNF),
+        (Not(TRUE), _NOT_NNF),
+        (Or(Implies(_EV1, _EV2), _ZZ), _NOT_NNF),
+        (And(_ZZ, Implies(_EV1, _EV2)), _UNKNOWN_ZZ),
+    ],
+    ids=["not-not-unknown", "not-unknown", "not-eventually", "not-true", "implies-then-unknown", "unknown-then-implies"],
+)
+def test_refuses_the_first_bad_subformula_in_postorder(phi, error):
+    """Operands are checked before the node over them, left to right: a
+    negation over a non-atom, or an implication, is refused only after its
+    operands, so an unknown atom below it is reported first."""
+    kind, message = error
+    with pytest.raises(kind, match=message) as caught:
+        ltl_to_nba(phi, ALPHA3)
+    assert caught.type is kind
 
 
 def test_nba_validates_structure():

@@ -31,6 +31,7 @@ from partmon.ltl import (
     Release,
     TRUE,
     UnknownAtomError,
+    UnknownEventError,
     Until,
     atoms_in_order,
     format_formula,
@@ -54,6 +55,12 @@ def test_alphabet_preserves_declaration_order():
     alpha = Alphabet(["b", "a", "c"])
     assert list(alpha) == ["b", "a", "c"]
     assert alpha.index("a") == 1
+
+
+def test_alphabet_index_refuses_an_unhashable_event():
+    with pytest.raises(UnknownEventError, match=r"^unknown event \"\['b'\]\"$") as err:
+        Alphabet(["a", "b", "c"]).index(["b"])
+    assert (err.value.event, err.value.position) == (["b"], None)
 
 
 def test_alphabet_rejects_bad_input():

@@ -180,6 +180,11 @@ def test_run_trace_reports_offending_index():
     assert err.value.position == 2
 
 
+def _a_then_x_b():
+    abc = Alphabet(["a", "b", "c"])
+    return synthesize_monitor(parse_formula("<>(a & X b)", abc), abc)
+
+
 def _yield_then_raise(events, error):
     yield from events
     raise error
@@ -187,20 +192,39 @@ def _yield_then_raise(events, error):
 
 @pytest.mark.parametrize("stop_early", [False, True])
 def test_run_trace_passes_on_the_trace_iterables_own_key_error(stop_early):
-    """A KeyError raised by the trace iterable comes back unchanged, at the
-    first event or later, even when its key is not an event; an unknown
-    event is still reported at its position."""
-    abc = Alphabet(["a", "b", "c"])
-    machine = synthesize_monitor(parse_formula("<>(a & X b)", abc), abc)
+    """A KeyError or TypeError raised by the trace iterable comes back
+    unchanged, at the first event or later, even when its key is not an
+    event; an unknown event is still reported at its position."""
+    machine = _a_then_x_b()
     for before in ((), ("a", "c")):
-        for error in (KeyError(3), KeyError("zz")):
-            with pytest.raises(KeyError) as err:
+        for error in (KeyError(3), KeyError("zz"), TypeError("mine")):
+            with pytest.raises(type(error)) as err:
                 run_trace(machine, _yield_then_raise(before, error), stop_early)
             assert err.value is error
     for trace, position in ((["zz"], 1), (["a", "c", "zz"], 3)):
         with pytest.raises(UnknownEventError) as err:
             run_trace(machine, iter(trace), stop_early)
         assert (err.value.event, err.value.position) == ("zz", position)
+
+
+@pytest.mark.parametrize("stop_early", [False, True])
+def test_run_trace_refuses_an_unhashable_event_by_position(stop_early):
+    machine = _a_then_x_b()
+    for trace, position in (([["b"]], 1), (["a", ["b"]], 2)):
+        with pytest.raises(UnknownEventError, match=r"^unknown event \"\['b'\]\" at position \d$") as err:
+            run_trace(machine, iter(trace), stop_early)
+        assert (err.value.event, err.value.position) == (["b"], position)
+
+
+def test_session_refuses_an_unhashable_event_and_keeps_its_place():
+    session = start(_a_then_x_b())
+    session.step("c")
+    with pytest.raises(UnknownEventError) as err:
+        session.step(["b"])
+    assert (err.value.event, err.value.position) == (["b"], 2)
+    assert (session.position, session.steps, session.verdict) == (1, 1, Verdict.UNKNOWN)
+    assert session.step("a") is Verdict.UNKNOWN
+    assert session.step("b") is Verdict.TOP
 
 
 def test_run_trace_agrees_with_monitor_verdict():

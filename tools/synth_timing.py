@@ -11,11 +11,13 @@ untimed.  Then each stage is timed over the whole set ``--repeats`` times
 (default 15, at least 2), and the median and the quartiles of the set's time
 are printed, in milliseconds:
 
+- ``parse``: ``parse_formula`` on each formula's text, with its alphabet;
+- ``nnf``: ``nnf`` and ``negate_nnf`` of each formula;
 - ``tableau phi`` and ``tableau neg``: ``ltl_to_nba`` on ``nnf`` and on
   ``negate_nnf`` of each formula;
 - ``product``: ``synthesize_monitor(..., minimize=False)`` with the two
-  tableaux served ready-built, so it times liveness, the subset
-  constructions and the product;
+  tableaux served ready-built, in the order it asks for them, so it times
+  the two ``nnf`` calls, liveness, the subset constructions and the product;
 - ``minimize``: ``minimize_moore`` on each product;
 - ``partialize+classify+emit``: ``partialize``, ``classify`` and
   ``emit_monitor`` on a fresh copy of each minimal machine, made untimed,
@@ -46,24 +48,38 @@ def _measure(name: str, cases, repeats: int) -> None:
         minimize_moore,
         negate_nnf,
         nnf,
+        parse_formula,
         partialize,
         synthesize_monitor,
     )
 
     inputs = [(case.formula, Alphabet(case.events)) for case in cases]
-    built = {}
-    for phi, alphabet in inputs:
-        for side in (nnf(phi), negate_nnf(phi)):
-            built[side, alphabet] = ltl_to_nba(side, alphabet)
+    texts = [(case.text, Alphabet(case.events)) for case in cases]
+    # Each formula's tableaux, the formula's first, as synthesize_monitor builds them.
+    built = [
+        ltl_to_nba(normal_form(phi), alphabet)
+        for phi, alphabet in inputs
+        for normal_form in (nnf, negate_nnf)
+    ]
     products = [synthesize_monitor(phi, alphabet, minimize=False) for phi, alphabet in inputs]
     minimal = [minimize_moore(machine) for machine in products]
+
+    def parse():
+        for text, alphabet in texts:
+            parse_formula(text, alphabet)
+
+    def normal_forms():
+        for phi, _ in inputs:
+            nnf(phi)
+            negate_nnf(phi)
 
     def tableaux(normal_form):
         for phi, alphabet in inputs:
             ltl_to_nba(normal_form(phi), alphabet)
 
     def product():
-        real, fsm.ltl_to_nba = fsm.ltl_to_nba, lambda phi, alphabet: built[phi, alphabet]
+        served = iter(built)
+        real, fsm.ltl_to_nba = fsm.ltl_to_nba, lambda phi, alphabet: next(served)
         try:
             for phi, alphabet in inputs:
                 synthesize_monitor(phi, alphabet, minimize=False)
@@ -86,6 +102,8 @@ def _measure(name: str, cases, repeats: int) -> None:
             classify(machine)
 
     rows = {
+        "parse": _median_ms(repeats, parse),
+        "nnf": _median_ms(repeats, normal_forms),
         "tableau phi": _median_ms(repeats, lambda: tableaux(nnf)),
         "tableau neg": _median_ms(repeats, lambda: tableaux(negate_nnf)),
         "product": _median_ms(repeats, product),
@@ -95,8 +113,8 @@ def _measure(name: str, cases, repeats: int) -> None:
     for stage, timing in rows.items():
         print(f"{name:24} {stage:26} {timing}")
     sizes = []
-    for side, normal_form in (("phi", nnf), ("neg", negate_nnf)):
-        tableaux = [built[normal_form(phi), alphabet] for phi, alphabet in inputs]
+    for side, first in (("phi", 0), ("neg", 1)):
+        tableaux = built[first::2]
         states = sum(nba.num_states for nba in tableaux)
         edges = sum(len(row) for nba in tableaux for row in nba.edges)
         sizes.append(f"{side} {states} states {edges} edges")
