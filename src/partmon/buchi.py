@@ -13,6 +13,11 @@ and leaves no more marks pending, so the states only dominated moves lead to
 are never built.  The marks are kept as they are: emptiness and lasso
 membership check every mark directly, so no counter product is ever built.
 
+The subformulas are those of the formula's negation normal form, or of its
+negation's, but no normal form is built: the walk reads the tree as given
+and pushes negations inward itself, reading each operator under a negation
+as its dual, so one parsed formula gives both of synthesis's automata.
+
 Obligation sets are bitsets over the subformulas' positions in the canonical
 subformula order.  Edge guards are sets of concrete events, not of
 proposition sets: an event satisfies a literal iff it equals the literal's
@@ -33,6 +38,7 @@ from .ltl import (
     Eventually,
     FalseFormula,
     Formula,
+    Implies,
     Next,
     Not,
     Or,
@@ -40,6 +46,9 @@ from .ltl import (
     TrueFormula,
     UnknownAtomError,
     Until,
+    _BINARY,
+    _DUAL,
+    _UNARY,
     _check_depth,
 )
 
@@ -70,6 +79,8 @@ class Nba:
         num_marks: int,
         obligations: Sequence[int],
     ):
+        if not isinstance(alphabet, Alphabet):
+            raise TypeError(f"not an alphabet: {alphabet!r}")
         self.alphabet = alphabet
         self.edges = tuple(tuple(row) for row in edges)
         self.num_states = len(self.edges)
@@ -119,71 +130,119 @@ def ltl_to_nba(phi: Formula, alphabet: Alphabet) -> Nba:
     exactly the set of infinite words satisfying ``phi``, one state per
     obligation set.
 
-    ``phi`` must be in negation normal form.  State numbering is canonical:
-    the same formula always yields the identical automaton.
+    ``phi`` must be in negation normal form: a negation over anything but an
+    atom, or an implication, raises ValueError once its operands are walked,
+    so the first bad subformula in post-order is the one reported.  State
+    numbering is canonical: the same formula always yields the identical
+    automaton.  Synthesis builds its two automata without a normal form, by
+    the same walk with negations pushed inward as it goes; the automata are
+    the ones this function builds from ``nnf(phi)`` and ``negate_nnf(phi)``.
     """
+    return _tableau(phi, alphabet, False, strict=True)
+
+
+def _tableau(phi: Formula, alphabet: Alphabet, negated: bool, strict: bool = False) -> Nba:
+    """The automaton of ``phi``, or with ``negated`` of its negation, read
+    from the tree as it is: the walk carries a polarity and pushes negations
+    inward itself.  ``strict`` refuses a tree not in negation normal form."""
     _check_depth(phi)
+    if not isinstance(alphabet, Alphabet):
+        raise TypeError(f"not an alphabet: {alphabet!r}")
     # Obligation i, the i-th subformula in canonical order, is bit i of an
-    # obligation set.  One walk in that order, children first, numbers each
-    # distinct subformula once its operands are numbered and builds its move
-    # list from theirs.  A negation over a non-atom, or an implication, is
-    # refused only after its operands, so the first error in that order wins.
-    number: dict[Formula, int] = {}
+    # obligation set.  One walk, children first, numbers each distinct
+    # subformula of the normal form once its operands are numbered and builds
+    # its move list from theirs.  Under a negation an operator is read as its
+    # dual and l -> r as !l | r, so the walk meets the normal form's nodes in
+    # its post-order without building them.  A subformula is known by its
+    # operator and its operands' numbers, a literal by its atom's name; each
+    # node object is walked once per polarity.
+    number: dict[tuple, int] = {}
+    seen: tuple[dict[int, int], dict[int, int]] = ({}, {})
     everything = (1 << len(alphabet)) - 1
     stay: list[_Move] = [(everything, 0, 0)]
     moves: list[list[_Move]] = []
     untils = 0
 
-    def walk(f: Formula) -> int:
+    def walk(f: Formula, neg: bool) -> int:
         nonlocal untils
-        i = number.get(f)
+        i = seen[neg].get(id(f))
         if i is not None:
             return i
         op = f.__class__
-        if op is Atom:
-            if f.name not in alphabet:
-                raise UnknownAtomError(f.name)
-            got = [(1 << alphabet.index(f.name), 0, 0)]
-        elif op is Not:
-            walk(f.arg)
-            if f.arg.__class__ is not Atom:
+        if op is Not:
+            # A negation over a non-atom, or an implication, is refused by
+            # the strict walk only after its operands, so the first error in
+            # post-order wins.
+            if strict and f.arg.__class__ is not Atom:
+                walk(f.arg, neg)
                 raise ValueError("formula must be in negation normal form")
-            # Over a one-event alphabet the negation allows nothing.
-            allows = everything & ~(1 << alphabet.index(f.arg.name))
-            got = [(allows, 0, 0)] if allows else []
-        elif op is And:
-            got = _product(moves[walk(f.left)], moves[walk(f.right)])
-        elif op is Or:
-            got = _undominated(moves[walk(f.left)] + moves[walk(f.right)])
-        elif op is Next:
-            got = [(everything, 1 << walk(f.arg), 0)]
-        elif op is Until or op is Eventually:
-            # f = l U r unfolds to r | (l & X f), where F r's l is true.  The
-            # second branch promises r without granting it: its mark pends.
-            left = moves[walk(f.left)] if op is Until else stay
-            right = moves[walk(f.right if op is Until else f.arg)]
-            mine, pend = 1 << len(moves), 1 << untils
-            untils += 1
-            got = _undominated(right + [(g, n | mine, p | pend) for g, n, p in left])
-        elif op is Release or op is Always:
-            # f = l R r unfolds to (l & r) | (r & X f), where G r's l is false.
-            left = moves[walk(f.left)] if op is Release else []
-            right = moves[walk(f.right if op is Release else f.arg)]
-            mine = 1 << len(moves)
-            got = _undominated(_product(left, right) + [(g, n | mine, p) for g, n, p in right])
-        elif op is TrueFormula:
-            got = stay
-        elif op is FalseFormula:
-            got = []
-        else:  # Implies
-            walk(f.left)
-            walk(f.right)
-            raise ValueError("formula must be in negation normal form")
-        i = number[f] = len(moves)
-        moves.append(got)
+            i = walk(f.arg, not neg)
+        else:
+            if op is Atom:
+                if neg:
+                    walk(f, False)  # the atom is numbered before its literal
+                    op = Not
+                key: tuple = (op, f.name)
+            elif op is Implies:
+                if strict:
+                    walk(f.left, neg)
+                    walk(f.right, neg)
+                    raise ValueError("formula must be in negation normal form")
+                # l -> r is !l | r, and its negation l & !r.
+                op = And if neg else Or
+                key = (op, walk(f.left, not neg), walk(f.right, neg))
+            else:
+                if neg:
+                    op = _DUAL[op]
+                if op in _BINARY:
+                    key = (op, walk(f.left, neg), walk(f.right, neg))
+                elif op in _UNARY:
+                    key = (op, walk(f.arg, neg))
+                else:
+                    key = (op,)
+            i = number.get(key)
+            if i is None:
+                # The last entry of a key is the right operand or the only one.
+                if op is Atom:
+                    if f.name not in alphabet:
+                        raise UnknownAtomError(f.name)
+                    got = [(1 << alphabet.index(f.name), 0, 0)]
+                elif op is Not:
+                    # Over a one-event alphabet the negation allows nothing.
+                    allows = everything & ~(1 << alphabet.index(f.name))
+                    got = [(allows, 0, 0)] if allows else []
+                elif op is And:
+                    got = _product(moves[key[1]], moves[key[2]])
+                elif op is Or:
+                    got = _undominated(moves[key[1]] + moves[key[2]])
+                elif op is Next:
+                    got = [(everything, 1 << key[1], 0)]
+                elif op is Until or op is Eventually:
+                    # f = l U r unfolds to r | (l & X f), where F r's l is
+                    # true.  The second branch promises r without granting
+                    # it: its mark pends.
+                    left = moves[key[1]] if op is Until else stay
+                    right = moves[key[-1]]
+                    mine, pend = 1 << len(moves), 1 << untils
+                    untils += 1
+                    got = _undominated(right + [(g, n | mine, p | pend) for g, n, p in left])
+                elif op is Release or op is Always:
+                    # f = l R r unfolds to (l & r) | (r & X f), where G r's l
+                    # is false.
+                    left = moves[key[1]] if op is Release else []
+                    right = moves[key[-1]]
+                    mine = 1 << len(moves)
+                    got = _undominated(_product(left, right) + [(g, n | mine, p) for g, n, p in right])
+                elif op is TrueFormula:
+                    got = stay
+                else:  # FalseFormula
+                    got = []
+                i = number[key] = len(moves)
+                moves.append(got)
+        seen[neg][id(f)] = i
         return i
 
-    goal = walk(phi)
+    goal = walk(phi, negated)
 
     # A state is the set of obligations it owes from the next position on;
     # the initial state owes the goal.  Its row is the product of the move

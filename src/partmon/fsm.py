@@ -11,9 +11,9 @@ from __future__ import annotations
 from enum import Enum
 from typing import Callable, Sequence
 
-from .buchi import Nba, ltl_to_nba
+from .buchi import Nba, _tableau
 from .graphs import bits, explore, fair_nodes, reachable_from
-from .ltl import Alphabet, Formula, negate_nnf, nnf
+from .ltl import Alphabet, Formula
 
 
 class Verdict(Enum):
@@ -155,6 +155,8 @@ class MooreMonitor:
         delta: Sequence[Sequence[int]],
         outputs: Sequence[Verdict],
     ):
+        if not isinstance(alphabet, Alphabet):
+            raise TypeError(f"not an alphabet: {alphabet!r}")
         self.alphabet = alphabet
         self.num_states = num_states
         self.initial = initial
@@ -195,9 +197,12 @@ def synthesize_monitor(
 ) -> MooreMonitor:
     """Synthesize the three-valued monitor for ``phi``.
 
-    Builds the automata for the formula and its negation and explores the
-    product of their live subset constructions with
-    :func:`partmon.graphs.explore`, events in alphabet order.  A product
+    Builds the automata for the formula and its negation, each by one walk
+    over ``phi`` as given that pushes negations inward (no normal form is
+    built), and explores the product of their live subset constructions
+    with :func:`partmon.graphs.explore`, events in alphabet order.  When no
+    word satisfies ``phi``, its side's start subset is empty, the result is
+    the one-state BOT machine, and the negation's automaton is not built.  A product
     state outputs TOP when the negation side's subset is empty (no
     continuation violates), BOT when the formula side's is (no continuation
     satisfies), UNKNOWN otherwise.  Conclusive verdicts never change, so all
@@ -206,8 +211,12 @@ def synthesize_monitor(
     a third sink, which outputs UNKNOWN.  With ``minimize`` (the default)
     the result is the unique minimal machine.
     """
-    pos_start, pos_row = _live_subsets(ltl_to_nba(nnf(phi), alphabet))
-    neg_start, neg_row = _live_subsets(ltl_to_nba(negate_nnf(phi), alphabet))
+    pos_start, pos_row = _live_subsets(_tableau(phi, alphabet, False))
+    if pos_start == 0:
+        # No word satisfies phi, so every prefix is already BOT, whatever
+        # the negation's automaton is: the product would be the BOT sink.
+        return MooreMonitor(alphabet, 1, 0, [[0] * len(alphabet)], [Verdict.BOT])
+    neg_start, neg_row = _live_subsets(_tableau(phi, alphabet, True))
 
     # An empty side (0) and a side that can never empty (-1) step to
     # themselves, so the TOP sink (-1, 0), the BOT sink (0, -1) and the

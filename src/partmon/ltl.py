@@ -559,13 +559,14 @@ _DUAL.update({dual: op for op, dual in _DUAL.items()})
 
 def _nnf(f: Formula, neg: bool, done: dict[tuple[Formula, bool], Formula]) -> Formula:
     op = f.__class__
-    if op is Atom:
-        return Not(f) if neg else f
     if op is Not:
         return _nnf(f.arg, not neg, done)
+    # Equal subformulas, literals included, come out as one object.
     out = done.get((f, neg))
     if out is None:
-        if op is Implies:
+        if op is Atom:
+            out = Not(f) if neg else f
+        elif op is Implies:
             # l -> r is rewritten as !l | r before pushing negations.
             out = (And if neg else Or)(_nnf(f.left, not neg, done), _nnf(f.right, neg, done))
         else:

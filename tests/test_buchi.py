@@ -163,6 +163,16 @@ def test_nba_validates_structure():
         Nba(ALPHA3, [0], [[(0b1, 1, 0b10)], loop], 1, (1, 2))  # mark out of range
     with pytest.raises(ValueError):
         Nba(ALPHA3, [0], [[], loop], 1, (1,))  # one obligation set short
+    with pytest.raises(TypeError, match="^not an alphabet: "):
+        Nba(["ev1", "ev2", "ev3"], [0], [[], loop], 1, (1, 2))
+
+
+def test_the_tableau_refuses_an_alphabet_that_is_not_an_alphabet():
+    """A string of names would otherwise read the atom ``ab`` as the event
+    ``a``, by substring membership."""
+    for alphabet in ("abc", ["a", "b"], ("a", "b")):
+        with pytest.raises(TypeError, match="^not an alphabet: "):
+            ltl_to_nba(Eventually(Atom("ab")), alphabet)
 
 
 def test_transitions_round_trip_through_the_constructor():

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from partmon.buchi import Nba, ltl_to_nba, nba_accepts_lasso
+import partmon.fsm as fsm
+from partmon.buchi import Nba, _tableau, ltl_to_nba, nba_accepts_lasso
 from partmon.formats import emit_monitor
 from partmon.fsm import (
     MooreMonitor,
@@ -19,10 +20,22 @@ from partmon.fsm import (
 )
 from partmon.graphs import bits, reachable_from
 from partmon.ltl import (
+    MAX_FORMULA_DEPTH,
     Alphabet,
+    Always,
+    And,
+    Atom,
+    Eventually,
+    FormulaTooDeepError,
+    Implies,
     LassoWord,
+    Next,
     Not,
+    Or,
+    Release,
+    UnknownAtomError,
     UnknownEventError,
+    Until,
     lasso_eval,
     negate_nnf,
     nnf,
@@ -444,6 +457,22 @@ def test_lasso_verdicts_are_unchanged():
     assert digest.hexdigest() == LASSO_VERDICTS_SHA256
 
 
+def test_the_walk_from_the_parsed_formula_builds_the_normal_forms_tableaux():
+    """Synthesis builds each side from the formula as parsed, pushing
+    negations inward as it walks; it must build exactly the automaton of the
+    normal form, over the pinned cases and 300 more depth-5 draws."""
+    rng = random.Random(0x9011)
+    cases = _pinned_cases() + [(random_formula(rng, 5), ALPHA3) for _ in range(300)]
+    for phi, alphabet in cases:
+        for negated, normal_form in ((False, nnf), (True, negate_nnf)):
+            walked = _tableau(phi, alphabet, negated)
+            built = ltl_to_nba(normal_form(phi), alphabet)
+            assert walked.initial == built.initial, (phi, negated)
+            assert walked.edges == built.edges, (phi, negated)
+            assert walked.obligations == built.obligations, (phi, negated)
+            assert walked.num_marks == built.num_marks, (phi, negated)
+
+
 # --- synthesis ---------------------------------------------------------------
 
 def test_synthesize_eventually_matches_expected_machine():
@@ -581,6 +610,91 @@ def test_synthesis_accepts_only_known_atoms():
 
     with pytest.raises(UnknownAtomError):
         synthesize_monitor(parse_formula("<>zork"), ALPHA3)
+
+
+_YY, _ZZ = Atom("yy"), Atom("zz")
+
+
+@pytest.mark.parametrize(
+    "phi, name",
+    [
+        (Implies(Atom("ev1"), _ZZ), "zz"),
+        (Implies(_YY, _ZZ), "yy"),
+        (Not(Implies(Next(_YY), _ZZ)), "yy"),
+        (Not(Not(_ZZ)), "zz"),
+        (Or(Not(Not(Always(_YY))), _ZZ), "yy"),
+        (Release(_YY, _ZZ), "yy"),
+        (Not(Release(Atom("ev2"), Until(_ZZ, _YY))), "zz"),
+    ],
+    ids=["implies", "implies-left-first", "negated-implies", "not-not", "not-not-first", "release", "negated-release"],
+)
+def test_synthesis_names_the_first_unknown_atom_in_postorder(phi, name):
+    with pytest.raises(UnknownAtomError, match=f"^unknown atom '{name}'$"):
+        synthesize_monitor(phi, ALPHA3)
+
+
+def test_synthesis_refuses_a_tree_too_deep_or_of_a_foreign_class():
+    class Mine(And):
+        __slots__ = ()
+
+    deep = Atom("ev1")
+    for _ in range(MAX_FORMULA_DEPTH // 2 + 1):
+        deep = Not(Implies(deep, Atom("ev2")))
+    with pytest.raises(FormulaTooDeepError):
+        synthesize_monitor(deep, ALPHA3)
+    with pytest.raises(TypeError, match="^not a formula: "):
+        synthesize_monitor(Mine(Atom("ev1"), Atom("ev2")), ALPHA3)
+
+
+_UNSATISFIABLE = ["false", "ev1 & ev2", "ev1 & !ev1", "[]ev1 & <>ev2", "X (ev1 U false)", "!(ev1 -> ev1)"]
+
+
+@pytest.mark.parametrize("text", _UNSATISFIABLE)
+def test_an_unsatisfiable_formula_synthesizes_the_bot_sink(text):
+    """The machine is the one the plain route builds from both sides, and
+    the one-state BOT machine with and without minimizing.  (The product
+    pins above, taken when both sides were always built, hold the corpus's
+    unsatisfiable formulas too.)"""
+    phi = parse_formula(text, ALPHA3)
+    bot = emit_monitor(MooreMonitor(ALPHA3, 1, 0, [[0, 0, 0]], [Verdict.BOT]))
+    assert _pmf(minimize_moore(reference_monitor(phi, ALPHA3))) == bot
+    for minimize in (True, False):
+        assert _pmf(synthesize_monitor(phi, ALPHA3, minimize)) == bot
+
+
+def test_an_unsatisfiable_formula_never_walks_its_negation(monkeypatch):
+    walked = []
+    real = fsm._tableau
+
+    def counted(phi, alphabet, negated):
+        walked.append(negated)
+        return real(phi, alphabet, negated)
+
+    monkeypatch.setattr(fsm, "_tableau", counted)
+    for text in _UNSATISFIABLE:
+        walked.clear()
+        synthesize_monitor(parse_formula(text, ALPHA3), ALPHA3)
+        assert walked == [False], text
+    # A formula that holds on some word still walks both sides.
+    for text in ("ev1", "[]ev1 | <>ev2", "!ev1 & !ev2"):
+        walked.clear()
+        synthesize_monitor(parse_formula(text, ALPHA3), ALPHA3)
+        assert walked == [False, True], text
+
+
+def test_synthesis_refuses_an_alphabet_that_is_not_an_alphabet():
+    """A list or a string of names would otherwise get as far as a machine
+    whose alphabet has no ``symbols``, or read the atom ``ab`` as the event
+    ``a`` of the string ``"abc"``."""
+    ab = Alphabet(["a", "b"])
+    phi = parse_formula("(a & G F b) | (!a & G b)", ab)
+    with pytest.raises(TypeError, match="^not an alphabet: "):
+        synthesize_monitor(phi, ["a", "b"])
+    with pytest.raises(TypeError, match="^not an alphabet: "):
+        synthesize_monitor(Eventually(Atom("ab")), "abc")
+    with pytest.raises(TypeError, match="^not an alphabet: "):
+        MooreMonitor(["a", "b"], 1, 0, [[0, 0]], [Verdict.UNKNOWN])
+    assert synthesize_monitor(phi, ab).alphabet is ab
 
 
 def test_moore_monitor_validation():

@@ -535,6 +535,19 @@ def test_negate_nnf_dualities():
     assert nnf(Implies(ev1, ev2)) == Or(Not(ev1), ev2)
 
 
+def test_equal_literals_in_one_normal_form_are_one_object():
+    """Equal atoms and equal negated atoms, built apart or met under either
+    polarity, come out of one normal form as one object each."""
+    first, second, ev2 = Atom("ev1"), Atom("ev1"), Atom("ev2")
+    got = nnf(Or(Not(first), Until(Not(second), Implies(second, And(first, ev2)))))
+    assert got.left is got.right.left is got.right.right.left
+    got = negate_nnf(And(first, Eventually(And(second, Not(Not(Next(second)))))))
+    assert got.left is got.right.arg.left
+    assert got.right.arg.right.arg is got.left
+    got = nnf(And(Release(first, second), Not(Or(Not(second), ev2))))
+    assert got.left.left is got.left.right is got.right.left
+
+
 @settings(max_examples=200, deadline=None)
 @given(_formulas)
 def test_nnf_shape(phi):

@@ -12,19 +12,21 @@ untimed.  Then each stage is timed over the whole set ``--repeats`` times
 are printed, in milliseconds:
 
 - ``parse``: ``parse_formula`` on each formula's text, with its alphabet;
-- ``nnf``: ``nnf`` and ``negate_nnf`` of each formula;
-- ``tableau phi`` and ``tableau neg``: ``ltl_to_nba`` on ``nnf`` and on
-  ``negate_nnf`` of each formula;
-- ``product``: ``synthesize_monitor(..., minimize=False)`` with the two
-  tableaux served ready-built, in the order it asks for them, so it times
-  the two ``nnf`` calls, liveness, the subset constructions and the product;
+- ``tableau phi`` and ``tableau neg``: the tableau walk synthesis runs on
+  each formula as parsed, for the formula's side and for its negation's
+  (``partmon.buchi._tableau``; no normal form is built);
+- ``product``: ``synthesize_monitor(..., minimize=False)`` with the
+  tableaux served ready-built, in the order it asks for them (no negation
+  side for an unsatisfiable formula), so it times liveness, the subset
+  constructions and the product;
 - ``minimize``: ``minimize_moore`` on each product;
 - ``partialize+classify+emit``: ``partialize``, ``classify`` and
   ``emit_monitor`` on a fresh copy of each minimal machine, made untimed,
   since ``partialize`` keeps its result on the machine.
 
-The total tableau states and edges of each side, and the total product and
-minimal state counts, of each set follow its rows.
+The total tableau states and edges of each side over every formula, the
+number of negation sides synthesis skips, and the total product and minimal
+state counts, of each set follow its rows.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from __future__ import annotations
 from _timing import parse_args, quartiles_ms
 
 
-def _median_ms(repeats: int, fn) -> str:
-    q1, median, q3 = quartiles_ms(repeats, fn)
+def _median_ms(repeats: int, fn, *args) -> str:
+    q1, median, q3 = quartiles_ms(repeats, fn, *args)
     return f"median {median:8.2f} ms  IQR {q1:.2f}-{q3:.2f} ms"
 
 
@@ -44,47 +46,45 @@ def _measure(name: str, cases, repeats: int) -> None:
         MooreMonitor,
         classify,
         emit_monitor,
-        ltl_to_nba,
         minimize_moore,
-        negate_nnf,
-        nnf,
         parse_formula,
         partialize,
         synthesize_monitor,
     )
 
+    tableau = fsm._tableau
     inputs = [(case.formula, Alphabet(case.events)) for case in cases]
     texts = [(case.text, Alphabet(case.events)) for case in cases]
-    # Each formula's tableaux, the formula's first, as synthesize_monitor builds them.
-    built = [
-        ltl_to_nba(normal_form(phi), alphabet)
-        for phi, alphabet in inputs
-        for normal_form in (nnf, negate_nnf)
-    ]
-    products = [synthesize_monitor(phi, alphabet, minimize=False) for phi, alphabet in inputs]
+    # The tableaux synthesize_monitor builds, in the order it builds them.
+    built = []
+
+    def recorded(phi, alphabet, negated):
+        built.append(tableau(phi, alphabet, negated))
+        return built[-1]
+
+    fsm._tableau = recorded
+    try:
+        products = [synthesize_monitor(phi, alphabet, minimize=False) for phi, alphabet in inputs]
+    finally:
+        fsm._tableau = tableau
     minimal = [minimize_moore(machine) for machine in products]
 
     def parse():
         for text, alphabet in texts:
             parse_formula(text, alphabet)
 
-    def normal_forms():
-        for phi, _ in inputs:
-            nnf(phi)
-            negate_nnf(phi)
-
-    def tableaux(normal_form):
+    def tableaux(negated):
         for phi, alphabet in inputs:
-            ltl_to_nba(normal_form(phi), alphabet)
+            tableau(phi, alphabet, negated)
 
     def product():
         served = iter(built)
-        real, fsm.ltl_to_nba = fsm.ltl_to_nba, lambda phi, alphabet: next(served)
+        fsm._tableau = lambda phi, alphabet, negated: next(served)
         try:
             for phi, alphabet in inputs:
                 synthesize_monitor(phi, alphabet, minimize=False)
         finally:
-            fsm.ltl_to_nba = real
+            fsm._tableau = tableau
 
     def minimize():
         for machine in products:
@@ -103,9 +103,8 @@ def _measure(name: str, cases, repeats: int) -> None:
 
     rows = {
         "parse": _median_ms(repeats, parse),
-        "nnf": _median_ms(repeats, normal_forms),
-        "tableau phi": _median_ms(repeats, lambda: tableaux(nnf)),
-        "tableau neg": _median_ms(repeats, lambda: tableaux(negate_nnf)),
+        "tableau phi": _median_ms(repeats, tableaux, False),
+        "tableau neg": _median_ms(repeats, tableaux, True),
         "product": _median_ms(repeats, product),
         "minimize": _median_ms(repeats, minimize),
         "partialize+classify+emit": _median_ms(repeats, finish),
@@ -113,12 +112,13 @@ def _measure(name: str, cases, repeats: int) -> None:
     for stage, timing in rows.items():
         print(f"{name:24} {stage:26} {timing}")
     sizes = []
-    for side, first in (("phi", 0), ("neg", 1)):
-        tableaux = built[first::2]
-        states = sum(nba.num_states for nba in tableaux)
-        edges = sum(len(row) for nba in tableaux for row in nba.edges)
+    for side, negated in (("phi", False), ("neg", True)):
+        automata = [tableau(phi, alphabet, negated) for phi, alphabet in inputs]
+        states = sum(nba.num_states for nba in automata)
+        edges = sum(len(row) for nba in automata for row in nba.edges)
         sizes.append(f"{side} {states} states {edges} edges")
-    print(f"{name:24} {'tableaux':26} {', '.join(sizes)}")
+    skipped = 2 * len(inputs) - len(built)
+    print(f"{name:24} {'tableaux':26} {', '.join(sizes)}; {skipped} neg not built")
     product_states = sum(machine.num_states for machine in products)
     minimal_states = sum(machine.num_states for machine in minimal)
     print(f"{name:24} {'states':26} product {product_states}, minimal {minimal_states}")
