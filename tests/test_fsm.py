@@ -606,8 +606,6 @@ def test_monitor_invariants_on_random_formulas():
 
 
 def test_synthesis_accepts_only_known_atoms():
-    from partmon.ltl import UnknownAtomError
-
     with pytest.raises(UnknownAtomError):
         synthesize_monitor(parse_formula("<>zork"), ALPHA3)
 
