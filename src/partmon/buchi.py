@@ -104,6 +104,25 @@ class Nba:
                 if marks < 0 or marks >> num_marks:
                     raise ValueError(f"edge marks {marks:#b} out of range")
 
+    @classmethod
+    def _built(
+        cls,
+        alphabet: Alphabet,
+        edges: list[list[tuple[int, int, int]]],
+        num_marks: int,
+        obligations: Sequence[int],
+    ) -> "Nba":
+        """The tableau's automaton, initial state 0: its edges are in range
+        by construction, so nothing is checked."""
+        automaton = object.__new__(cls)
+        automaton.alphabet = alphabet
+        automaton.edges = tuple(map(tuple, edges))
+        automaton.num_states = len(edges)
+        automaton.initial = frozenset((0,))
+        automaton.num_marks = num_marks
+        automaton.obligations = tuple(obligations)
+        return automaton
+
     @property
     def transitions(self) -> tuple[tuple[int, str, int], ...]:
         """Every (source, event, target) step, ordered by source, event
@@ -278,7 +297,7 @@ def _tableau(phi: Formula, alphabet: Alphabet, negated: bool, strict: bool = Fal
 
     # A state's language is the set of words satisfying everything it owes
     # (GPVW's correctness lemma), so owing less accepts more.
-    return Nba(alphabet, [0], edges, untils, owes)
+    return Nba._built(alphabet, edges, untils, owes)
 
 
 def _product(left: list[_Move], right: list[_Move]) -> list[_Move]:

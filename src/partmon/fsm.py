@@ -59,13 +59,17 @@ def per_state_nonempty(automaton: Nba) -> frozenset[int]:
     return fair_nodes(automaton.edges, automaton.num_marks)
 
 
-def _live_subsets(automaton: Nba) -> tuple[int, Callable[[int], tuple[int, ...]]]:
-    """The subset construction over the automaton's live states, as bitsets.
+def _live_subsets(
+    automaton: Nba,
+) -> tuple[int, Callable[[int], tuple[int, ...]], list[int]]:
+    """The subset construction over the automaton's live states, each
+    subset numbered once.
 
-    Returns the initial subset and a function from a subset to its successor
-    subset per event.  Dead states can only reach dead states, so dropping
-    them loses nothing: a subset accepts a prefix (has a satisfying
-    continuation) exactly when it is nonempty.
+    Returns the initial subset's id, a function from an id to its successor
+    ids per event, and the list mapping each id to its subset as a bitset.
+    Dead states can only reach dead states, so dropping them loses nothing:
+    a subset accepts a prefix (has a satisfying continuation) exactly when
+    it is nonempty.
 
     Every subset is also cut down to an antichain of its weakest members: a
     member that owes a strict superset of another member's obligations, or
@@ -77,34 +81,57 @@ def _live_subsets(automaton: Nba) -> tuple[int, Callable[[int], tuple[int, ...]]
     every event.  It is in every successor of a subset that holds it, before
     the cut, and the cut keeps the language, so no word empties such a
     subset and it decides nothing more: a cut subset holding a looping state
-    is returned as the marker -1.  The empty subset 0 and the marker -1 are
-    their own successors on every event.
+    gets the marker id -1, which is not in the list.  Id 0 is the empty
+    subset; 0 and -1 are their own successors on every event.  Every other
+    cut subset gets the next id, 1, 2, ..., when a row first reaches it, and
+    its row is built on its first request: per event, the union of its
+    members' live successors, cut and numbered.
     """
-    live = sum(1 << q for q in per_state_nonempty(automaton))
-    # Each state's live successors on every event packed into one integer,
-    # event k in bits k*n .. k*n+n-1, so a subset's row is one OR per member.
+    live = per_state_nonempty(automaton)
     n = automaton.num_states
-    lanes = range(0, n * len(automaton.alphabet), n)
-    packed = [0] * n
-    for q, row in enumerate(automaton.edges):
-        for guard, dst, _ in row:
-            if live >> dst & 1:
-                for k in bits(guard):
-                    packed[q] |= 1 << (k * n + dst)
-    # A looping state's own bit is set in every lane of its row.
-    diagonal = sum(1 << lane for lane in lanes)
-    looping = sum(1 << q for q in range(n) if packed[q] >> q & diagonal == diagonal)
+    everything = (1 << len(automaton.alphabet)) - 1
+    # Each live state's live successors, one bitset per event.  A guard's
+    # events are looked up once per distinct guard.
+    successors = [[0] * n for _ in automaton.alphabet]
+    columns: dict[int, list[list[int]]] = {}
+    looping = 0
+    for q in live:
+        loops = 0
+        for guard, dst, _ in automaton.edges[q]:
+            if dst in live:
+                if dst == q:
+                    loops |= guard
+                read = columns.get(guard)
+                if read is None:
+                    read = columns[guard] = [successors[k] for k in bits(guard)]
+                for column in read:
+                    column[q] |= 1 << dst
+        if loops == everything:
+            looping |= 1 << q
     owes = automaton.obligations
     # Sorted by obligation count, then number, a member comes after every
     # member that owes a strict subset of its obligations, or the same set
     # with a lower number.
     rank = [owed.bit_count() * n + q for q, owed in enumerate(owes)]
-    weakest: dict[int, int] = {}
+    subsets = [0]
+    # A one-member subset's id, by its member; the empty subset's
+    # ``bit_length() - 1`` is -1, which reads the trailing 0.
+    single: list[int | None] = [None] * n + [0]
+    for q in bits(looping):
+        single[q] = -1
+    # A subset of several members, cut or not, by its bitset.
+    several: dict[int, int] = {}
 
-    def reduce_subset(subset: int) -> int:
-        got = weakest.get(subset) if subset & (subset - 1) else subset
+    def number(subset: int) -> int:
+        if not subset & (subset - 1):
+            got = single[subset.bit_length() - 1]
+            if got is None:
+                got = single[subset.bit_length() - 1] = len(subsets)
+                subsets.append(subset)
+            return got
+        got = several.get(subset)
         if got is None:
-            got = 0
+            cut = 0
             kept: list[int] = []
             for q in sorted(bits(subset), key=rank.__getitem__):
                 owed = owes[q]
@@ -113,22 +140,39 @@ def _live_subsets(automaton: Nba) -> tuple[int, Callable[[int], tuple[int, ...]]
                         break
                 else:
                     kept.append(owed)
-                    got |= 1 << q
-            weakest[subset] = got
-        return -1 if got & looping else got
+                    cut |= 1 << q
+            if cut & looping:
+                got = -1
+            elif cut == subset:
+                got = len(subsets)
+                subsets.append(subset)
+            else:
+                got = number(cut)
+            several[subset] = got
+        return got
 
-    def row(subset: int) -> tuple[int, ...]:
-        if subset <= 0:
-            return (subset,) * len(lanes)
-        union = 0
-        rest = subset
-        while rest:
-            low = rest & -rest
-            union |= packed[low.bit_length() - 1]
-            rest ^= low
-        return tuple(reduce_subset((union >> lane) & live) for lane in lanes)
+    rows = {0: (0,) * len(successors), -1: (-1,) * len(successors)}
 
-    return reduce_subset(sum(1 << q for q in automaton.initial) & live), row
+    def row(i: int) -> tuple[int, ...]:
+        got = rows.get(i)
+        if got is None:
+            subset = subsets[i]
+            if subset & (subset - 1):
+                members = list(bits(subset))
+                unions = []
+                for column in successors:
+                    union = 0
+                    for q in members:
+                        union |= column[q]
+                    unions.append(union)
+            else:  # one member: its own sets are the unions
+                q = subset.bit_length() - 1
+                unions = [column[q] for column in successors]
+            got = rows[i] = tuple(map(number, unions))
+        return got
+
+    start = number(sum(1 << q for q in automaton.initial if q in live))
+    return start, row, subsets
 
 
 class MooreMonitor:
@@ -182,6 +226,23 @@ class MooreMonitor:
             missing = [q for q in range(num_states) if q not in reachable]
             raise ValueError(f"unreachable states: {missing}")
 
+    @classmethod
+    def _built(
+        cls, alphabet: Alphabet, delta: Sequence[Sequence[int]], outputs: Sequence[Verdict]
+    ) -> "MooreMonitor":
+        """A machine from state 0 whose rows are total and whose states are
+        all reachable by construction, as :func:`partmon.graphs.explore`
+        numbers them, with one verdict per state: nothing is checked."""
+        machine = object.__new__(cls)
+        machine.alphabet = alphabet
+        machine.num_states = len(delta)
+        machine.initial = 0
+        machine.delta = tuple(map(tuple, delta))
+        machine.outputs = tuple(outputs)
+        machine._compiled = None
+        machine._partialized = None
+        return machine
+
     def step(self, state: int, event: str) -> int:
         return self.delta[state][self.alphabet.index(event)]
 
@@ -199,24 +260,27 @@ def synthesize_monitor(
 
     Builds the automata for the formula and its negation, each by one walk
     over ``phi`` as given that pushes negations inward (no normal form is
-    built), and explores the product of their live subset constructions
-    with :func:`partmon.graphs.explore`, events in alphabet order.  When no
-    word satisfies ``phi``, its side's start subset is empty, the result is
-    the one-state BOT machine, and the negation's automaton is not built.  A product
-    state outputs TOP when the negation side's subset is empty (no
-    continuation violates), BOT when the formula side's is (no continuation
-    satisfies), UNKNOWN otherwise.  Conclusive verdicts never change, so all
-    TOP states are one absorbing sink, and all BOT states another; a pair
-    whose sides both hold the never-empty marker of :func:`_live_subsets` is
-    a third sink, which outputs UNKNOWN.  With ``minimize`` (the default)
-    the result is the unique minimal machine.
+    built).  Each side's live subset construction is a table of
+    :func:`_live_subsets` that numbers its subsets once; the product is
+    explored over pairs of those ids with :func:`partmon.graphs.explore`,
+    events in alphabet order, and each product state's row pairs its sides'
+    rows.  When no word satisfies ``phi``, its side's start subset is
+    empty, the result is the one-state BOT machine, and the negation's
+    automaton is not built.  A product state outputs TOP when the negation
+    side's subset is empty (no continuation violates), BOT when the formula
+    side's is (no continuation satisfies), UNKNOWN otherwise.  Conclusive
+    verdicts never change, so all TOP states are one absorbing sink, and all
+    BOT states another; a pair whose sides both hold the never-empty marker
+    -1 of :func:`_live_subsets` is a third sink, which outputs UNKNOWN.
+    With ``minimize`` (the default) the result is the unique minimal
+    machine.
     """
-    pos_start, pos_row = _live_subsets(_tableau(phi, alphabet, False))
+    pos_start, pos_row, _ = _live_subsets(_tableau(phi, alphabet, False))
     if pos_start == 0:
         # No word satisfies phi, so every prefix is already BOT, whatever
         # the negation's automaton is: the product would be the BOT sink.
-        return MooreMonitor(alphabet, 1, 0, [[0] * len(alphabet)], [Verdict.BOT])
-    neg_start, neg_row = _live_subsets(_tableau(phi, alphabet, True))
+        return MooreMonitor._built(alphabet, [[0] * len(alphabet)], [Verdict.BOT])
+    neg_start, neg_row, _ = _live_subsets(_tableau(phi, alphabet, True))
 
     # An empty side (0) and a side that can never empty (-1) step to
     # themselves, so the TOP sink (-1, 0), the BOT sink (0, -1) and the
@@ -239,7 +303,7 @@ def synthesize_monitor(
         Verdict.TOP if neg == 0 else Verdict.BOT if pos == 0 else Verdict.UNKNOWN
         for pos, neg in pairs
     ]
-    machine = MooreMonitor(alphabet, len(pairs), 0, delta, outputs)
+    machine = MooreMonitor._built(alphabet, delta, outputs)
     if minimize:
         machine = minimize_moore(machine)
     return machine
@@ -290,6 +354,6 @@ def minimize_moore(machine: MooreMonitor) -> MooreMonitor:
     member = dict(zip(block, machine.states()))
     rows = [[block[dst] for dst in machine.delta[member[b]]] for b in range(count)]
     order, delta = explore([block[machine.initial]], rows.__getitem__)
-    return MooreMonitor(
-        machine.alphabet, count, 0, delta, [machine.outputs[member[b]] for b in order]
+    return MooreMonitor._built(
+        machine.alphabet, delta, [machine.outputs[member[b]] for b in order]
     )

@@ -3,7 +3,8 @@ a second, deliberately naive semantics evaluator used to cross-check the
 fixpoint one, machine isomorphism and a forward reachability check, and the
 plain route that synthesis is checked against: a state-based GPVW tableau,
 per-state emptiness from its definition, the subset construction and a
-pair-per-state product.
+pair-per-state product; and the product over raw subset bitsets that
+synthesis's numbered side tables are checked against.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ import itertools
 import random
 from collections import deque
 
-from partmon.buchi import Nba
-from partmon.fsm import MooreMonitor, Verdict, synthesize_monitor
-from partmon.graphs import bits, reachable_from
+from partmon.buchi import Nba, _tableau
+from partmon.fsm import MooreMonitor, Verdict, minimize_moore, per_state_nonempty, synthesize_monitor
+from partmon.graphs import bits, explore, reachable_from
 from partmon.ltl import (
     Alphabet,
     Always,
@@ -646,3 +647,75 @@ def reference_monitor(phi: Formula, alphabet: Alphabet) -> MooreMonitor:
             row.append(ids[target])
         delta.append(row)
     return MooreMonitor(alphabet, len(pairs), 0, delta, outputs)
+
+
+# --- the product over raw subset bitsets ---------------------------------------
+
+def bitset_subsets(automaton: Nba):
+    """The antichain-cut subset construction over the live states, kept on
+    raw bitsets: the reference for :func:`partmon.fsm._live_subsets`' ids.
+
+    Returns the initial subset and a function from a subset to its successor
+    subset per event.  Each state's live successors on every event are
+    packed into one integer, event k in bits k*n .. k*n+n-1.  A cut subset
+    holding a looping state is the marker -1; 0 and -1 step to themselves.
+    """
+    live = sum(1 << q for q in per_state_nonempty(automaton))
+    n = automaton.num_states
+    lanes = range(0, n * len(automaton.alphabet), n)
+    packed = [0] * n
+    for q, row in enumerate(automaton.edges):
+        for guard, dst, _ in row:
+            if live >> dst & 1:
+                for k in bits(guard):
+                    packed[q] |= 1 << (k * n + dst)
+    diagonal = sum(1 << lane for lane in lanes)
+    looping = sum(1 << q for q in range(n) if packed[q] >> q & diagonal == diagonal)
+    owes = automaton.obligations
+    rank = [owed.bit_count() * n + q for q, owed in enumerate(owes)]
+
+    def reduce_subset(subset: int) -> int:
+        got = 0
+        kept: list[int] = []
+        for q in sorted(bits(subset), key=rank.__getitem__):
+            owed = owes[q]
+            if not any(not other & ~owed for other in kept):
+                kept.append(owed)
+                got |= 1 << q
+        return -1 if got & looping else got
+
+    def row(subset: int) -> tuple[int, ...]:
+        if subset <= 0:
+            return (subset,) * len(lanes)
+        union = 0
+        for q in bits(subset):
+            union |= packed[q]
+        return tuple(reduce_subset((union >> lane) & live) for lane in lanes)
+
+    return reduce_subset(sum(1 << q for q in automaton.initial) & live), row
+
+
+def bitset_monitor(phi: Formula, alphabet: Alphabet, minimize: bool = True) -> MooreMonitor:
+    """The three-valued monitor from :func:`bitset_subsets`' two sides, by
+    the product :func:`partmon.fsm.synthesize_monitor` explores, with pairs
+    of raw bitsets where it pairs ids."""
+    pos_start, pos_row = bitset_subsets(_tableau(phi, alphabet, False))
+    if pos_start == 0:
+        return MooreMonitor(alphabet, 1, 0, [[0] * len(alphabet)], [Verdict.BOT])
+    neg_start, neg_row = bitset_subsets(_tableau(phi, alphabet, True))
+
+    def key(pos: int, neg: int) -> tuple[int, int]:
+        if pos and neg:
+            return (pos, neg)
+        assert pos or neg, "product state is dead on both sides"
+        return (-1, 0) if pos else (0, -1)
+
+    pairs, delta = explore(
+        [key(pos_start, neg_start)], lambda pair: map(key, pos_row(pair[0]), neg_row(pair[1]))
+    )
+    outputs = [
+        Verdict.TOP if neg == 0 else Verdict.BOT if pos == 0 else Verdict.UNKNOWN
+        for pos, neg in pairs
+    ]
+    machine = MooreMonitor(alphabet, len(pairs), 0, delta, outputs)
+    return minimize_moore(machine) if minimize else machine

@@ -51,6 +51,8 @@ from helpers import (
     RADIATION_FORMULA,
     all_lassos,
     all_words,
+    bitset_monitor,
+    bitset_subsets,
     determinize,
     eventually_ev1_machine,
     mixed_branches_machine,
@@ -279,7 +281,7 @@ def test_response_blowup_case_synthesizes_to_one_state():
 ABC = Alphabet(["a", "b", "c"])
 
 
-@pytest.mark.parametrize("k", range(4, 9))
+@pytest.mark.parametrize("k", [*range(4, 9), 12])
 def test_antichain_product_of_next_chain(k):
     """<>(a & X^k b): the negation side's subsets keep only their weakest
     tableau states, so the product is already the minimal machine."""
@@ -326,17 +328,23 @@ def test_a_subset_holding_a_looping_state_never_empties():
                 }
                 return -1 if kept & looping else sum(1 << q for q in kept)
 
-            start, row = _live_subsets(nba)
-            assert start == cut(nba.initial)
+            start, row, subsets = _live_subsets(nba)
+
+            def subset_of(i):
+                return -1 if i < 0 else subsets[i]
+
+            assert subset_of(start) == cut(nba.initial)
             seen = {start}
             frontier = [start]
             while frontier:
-                subset = frontier.pop()
-                for event, target in zip(alphabet, row(subset)):
+                i = frontier.pop()
+                subset = subset_of(i)
+                for event, target in zip(alphabet, row(i)):
                     if subset < 0:
                         assert target == -1
                     else:
-                        assert target == cut(d for q in bits(subset) for d in nba.successors(q, event))
+                        expected = cut(d for q in bits(subset) for d in nba.successors(q, event))
+                        assert subset_of(target) == expected
                     if target not in seen:
                         seen.add(target)
                         frontier.append(target)
@@ -348,6 +356,89 @@ def test_a_subset_holding_a_looping_state_never_empties():
                 searched += 1
     assert searched > 100
     assert marked > 100
+
+
+# --- numbered side tables --------------------------------------------------------
+
+
+def _widened_draws(count: int):
+    """Depth-4 draws over the three named events, each over an alphabet
+    widened with 0-20 events no formula names, in shuffled order."""
+    rng = random.Random(0x31DE)
+    for _ in range(count):
+        phi = random_formula(rng, 4)
+        events = [*NAMES3, *(f"u{i}" for i in range(rng.randint(0, 20)))]
+        rng.shuffle(events)
+        yield phi, Alphabet(events)
+
+
+def test_numbered_side_tables_give_the_bitset_products():
+    """Pairing each side's subset ids gives byte for byte the machines that
+    pairing raw subset bitsets gives, minimized or not, on the families, the
+    corpus, 300 depth-5 draws and 100 draws over widened alphabets."""
+    rng = random.Random(0xACCE55)
+    cases = _family_formulas() + [(random_formula(rng, 4), ALPHA3) for _ in range(200)]
+    rng = random.Random(0xD16E57)
+    cases += [(random_formula(rng, 5), ALPHA3) for _ in range(300)]
+    cases += list(_widened_draws(100))
+    for phi, alphabet in cases:
+        for minimize in (False, True):
+            numbered = emit_monitor(synthesize_monitor(phi, alphabet, minimize=minimize))
+            assert numbered == emit_monitor(bitset_monitor(phi, alphabet, minimize)), (phi, minimize)
+
+
+def test_each_side_numbers_its_cut_subsets_once_and_densely():
+    """On both sides of the families, the corpus and the widened draws, the
+    ids reached from the start are 0, -1 and exactly 1..N, id i names the
+    i-th entry of the subset list, no two entries are equal, and each id's
+    row names the bitset construction's row of its subset."""
+    rng = random.Random(0xACCE55)
+    cases = _family_formulas() + [(random_formula(rng, 4), ALPHA3) for _ in range(200)]
+    cases += list(_widened_draws(100))
+    for phi, alphabet in cases:
+        for negated in (False, True):
+            nba = _tableau(phi, alphabet, negated)
+            start, row, subsets = _live_subsets(nba)
+            bitset_start, bitset_row = bitset_subsets(nba)
+
+            def subset_of(i):
+                return -1 if i < 0 else subsets[i]
+
+            assert subsets[0] == 0
+            assert subset_of(start) == bitset_start
+            reached = {start}
+            frontier = [start]
+            while frontier:
+                i = frontier.pop()
+                targets = row(i)
+                assert tuple(map(subset_of, targets)) == bitset_row(subset_of(i)), (phi, negated)
+                for target in targets:
+                    if target not in reached:
+                        reached.add(target)
+                        frontier.append(target)
+            assert reached - {0, -1} == set(range(1, len(subsets))), (phi, negated)
+            assert len(set(subsets)) == len(subsets), (phi, negated)
+
+
+def test_synthesized_machines_pass_the_public_constructors():
+    """Synthesis builds its tableaux, products and minimal machines without
+    the public constructors' checks; every family and corpus case's are
+    accepted by them and rebuild equal, minimized or not."""
+    rng = random.Random(0xACCE55)
+    cases = _family_formulas() + [(random_formula(rng, 4), ALPHA3) for _ in range(200)]
+    for phi, alphabet in cases:
+        for negated in (False, True):
+            nba = _tableau(phi, alphabet, negated)
+            rebuilt = Nba(alphabet, nba.initial, nba.edges, nba.num_marks, nba.obligations)
+            for field in Nba.__slots__:
+                assert getattr(rebuilt, field) == getattr(nba, field), (phi, negated, field)
+        for minimize in (False, True):
+            machine = synthesize_monitor(phi, alphabet, minimize=minimize)
+            rebuilt = MooreMonitor(
+                alphabet, machine.num_states, machine.initial, machine.delta, machine.outputs
+            )
+            for field in MooreMonitor.__slots__:
+                assert getattr(rebuilt, field) == getattr(machine, field), (phi, minimize, field)
 
 
 # --- minimization of a machine that is already minimal --------------------------
