@@ -10,7 +10,13 @@ and leaves pending the marks of the Untils it promised without granting.  A
 state's edges are the product of the move lists of everything it owes.  A
 move is dropped when another move reads every event it reads, owes no more
 and leaves no more marks pending, so the states only dominated moves lead to
-are never built.  The marks are kept as they are: emptiness and lasso
+are never built.  An X obligation's one move reads every event and owes its
+operand, so a state owing X obligations takes the product of the rest of
+what it owes, shared by every state owing that rest, and ORs their operands
+into each move's next obligations.  The full product is folded instead only
+where those bits could make one move of a step of that product dominate, or
+merge with, another, so the automaton is the one the full product gives,
+edge order included.  The marks are kept as they are: emptiness and lasso
 membership check every mark directly, so no counter product is ever built.
 
 The subformulas are those of the formula's negation normal form, or of its
@@ -164,6 +170,85 @@ def _tableau(phi: Formula, alphabet: Alphabet, negated: bool, strict: bool = Fal
     """The automaton of ``phi``, or with ``negated`` of its negation, read
     from the tree as it is: the walk carries a polarity and pushes negations
     inward itself.  ``strict`` refuses a tree not in negation normal form."""
+    moves, goal, untils, next_of = _walk(phi, alphabet, negated, strict)
+
+    # A state is the set of obligations it owes from the next position on;
+    # the initial state owes the goal.  Its row is the product of the move
+    # lists of everything it owes, taken lowest obligation first; each
+    # partial product is kept, so states owing the same low obligations share
+    # it, and the full one is the row of every state owing that set.  A move
+    # gives an edge, reading its guard, to the state owing its `next`, and
+    # carrying mark j unless it leaves the j-th Until or F pending.  A
+    # dominated move is dropped before its target is numbered.
+    stay = [((1 << len(alphabet)) - 1, 0, 0)]
+    products: dict[int, list[_Move]] = {0: stay}
+
+    # An X obligation's one move reads every event and owes its operand, so
+    # its factor in the product only ORs that operand's bit into each move's
+    # `next`.  A state owing X obligations therefore takes the row of the
+    # rest of what it owes and ORs in their operands' bits, unless those
+    # bits could make a move dominate, or merge with, another at some step
+    # of that row's fold: only then can the full fold, which meets each X
+    # factor at its own place in the order, drop, merge or order moves
+    # otherwise.  The steps' masks are kept per set of obligations, as their
+    # products are.
+    nexts = sum(next_of)
+    masks: dict[int, frozenset[int]] = {}
+    rows: list[list[_Move]] = []
+
+    def owed_next(owed: int) -> Iterable[int]:
+        owed_x = owed & nexts
+        rest = owed ^ owed_x
+        while True:
+            prefix, row = 0, stay
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                prefix |= low
+                got = products.get(prefix)
+                if got is None:
+                    got = products[prefix] = _product(row, moves[low.bit_length() - 1])
+                row = got
+            if not owed_x:
+                break
+            added = 0
+            while owed_x:
+                low = owed_x & -owed_x
+                owed_x ^= low
+                added |= next_of[low]
+            # With nothing else owed the row is `stay`, one move: no relation.
+            if not prefix or not _adds_relation(_fold_masks(prefix, products, moves, masks), added):
+                row = [(guard, nxt | added, pending) for guard, nxt, pending in row]
+                break
+            # The bits could relate two moves: fold everything owed instead.
+            rest = owed
+        rows.append(row)
+        return map(_next_of, row)
+
+    owes, targets = explore([1 << goal], owed_next)
+    all_marks = (1 << untils) - 1
+    edges = []
+    for moves_row, row in zip(rows, targets):
+        out = []
+        for (guard, _, pending), dst in zip(moves_row, row):
+            out.append((guard, dst, all_marks ^ pending))
+        edges.append(out)
+
+    # A state's language is the set of words satisfying everything it owes
+    # (GPVW's correctness lemma), so owing less accepts more.
+    return Nba._built(alphabet, edges, untils, owes)
+
+
+def _walk(
+    phi: Formula, alphabet: Alphabet, negated: bool, strict: bool
+) -> tuple[list[list[_Move]], int, int, dict[int, int]]:
+    """Number the subformulas of ``phi``'s normal form, or of its
+    negation's, and build their move lists.
+
+    Returns the move lists, by obligation number; the goal's number; the
+    number of Until and F subformulas, one acceptance mark each; and, for
+    each X subformula, its obligation bit mapped to its operand's.
+    """
     _check_depth(phi)
     if not isinstance(alphabet, Alphabet):
         raise TypeError(f"not an alphabet: {alphabet!r}")
@@ -180,6 +265,7 @@ def _tableau(phi: Formula, alphabet: Alphabet, negated: bool, strict: bool = Fal
     everything = (1 << len(alphabet)) - 1
     stay: list[_Move] = [(everything, 0, 0)]
     moves: list[list[_Move]] = []
+    next_of: dict[int, int] = {}
     untils = 0
 
     def walk(f: Formula, neg: bool) -> int:
@@ -236,6 +322,7 @@ def _tableau(phi: Formula, alphabet: Alphabet, negated: bool, strict: bool = Fal
                     got = _undominated(moves[key[1]] + moves[key[2]])
                 elif op is Next:
                     got = [(everything, 1 << key[1], 0)]
+                    next_of[1 << len(moves)] = 1 << key[1]
                 elif op is Until or op is Eventually:
                     # f = l U r unfolds to r | (l & X f), where F r's l is
                     # true.  The second branch promises r without granting
@@ -262,42 +349,7 @@ def _tableau(phi: Formula, alphabet: Alphabet, negated: bool, strict: bool = Fal
         return i
 
     goal = walk(phi, negated)
-
-    # A state is the set of obligations it owes from the next position on;
-    # the initial state owes the goal.  Its row is the product of the move
-    # lists of everything it owes, taken lowest obligation first; each
-    # partial product is kept, so states owing the same low obligations share
-    # it, and the full one is the row of every state owing that set.  A move
-    # gives an edge, reading its guard, to the state owing its `next`, and
-    # carrying mark j unless it leaves the j-th Until or F pending.  A
-    # dominated move is dropped before its target is numbered.
-    products: dict[int, list[_Move]] = {0: stay}
-
-    def owed_next(obligations: int) -> Iterable[int]:
-        prefix, row = 0, stay
-        rest = obligations
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            prefix |= low
-            got = products.get(prefix)
-            if got is None:
-                got = products[prefix] = _product(row, moves[low.bit_length() - 1])
-            row = got
-        return map(_next_of, row)
-
-    owes, targets = explore([1 << goal], owed_next)
-    all_marks = (1 << untils) - 1
-    edges = []
-    for owed, row in zip(owes, targets):
-        out = []
-        for (guard, _, pending), dst in zip(products[owed], row):
-            out.append((guard, dst, all_marks ^ pending))
-        edges.append(out)
-
-    # A state's language is the set of words satisfying everything it owes
-    # (GPVW's correctness lemma), so owing less accepts more.
-    return Nba._built(alphabet, edges, untils, owes)
+    return moves, goal, untils, next_of
 
 
 def _product(left: list[_Move], right: list[_Move]) -> list[_Move]:
@@ -305,6 +357,78 @@ def _product(left: list[_Move], right: list[_Move]) -> list[_Move]:
     return _undominated(
         [(g & h, n | m, p | q) for g, n, p in left for h, m, q in right if g & h]
     )
+
+
+def _relation_masks(left: list[_Move], right: list[_Move]) -> frozenset[int]:
+    """The masks of `next` bits whose OR into every move of the product of
+    ``left`` and ``right``, merged as :func:`_undominated` merges it, can
+    relate two of its moves that are not related now.
+
+    A mask is covered when all its bits are ORed in.  For two merged moves
+    e and e' where e' leaves pending a subset of e's marks, ``next(e) ^
+    next(e')`` covered merges them if their pending marks are equal, and
+    ``next(e') & ~next(e)`` covered makes e' dominate e if e' also reads
+    every event e reads.  OR-ing bits never undoes a relation, so with no
+    mask covered the product's merging and domination are unchanged.
+    """
+    guards: dict[tuple[int, int], int] = {}
+    for g, n, p in left:
+        for h, m, q in right:
+            if g & h:
+                key = (n | m, p | q)
+                guards[key] = guards.get(key, 0) | g & h
+    if len(guards) < 2:
+        return frozenset()
+    found: set[int] = set()
+    row = list(guards.items())
+    for key, guard in row:
+        nxt, pending = key
+        for other, other_guard in row:
+            other_nxt, other_pending = other
+            if other is key or other_pending | pending != pending:
+                continue
+            if other_pending == pending:
+                found.add(nxt ^ other_nxt)
+            gained = other_nxt & ~nxt
+            if gained and guard | other_guard == other_guard:
+                found.add(gained)
+    return frozenset(found)
+
+
+def _fold_masks(
+    owed: int,
+    products: dict[int, list[_Move]],
+    moves: list[list[_Move]],
+    masks: dict[int, frozenset[int]],
+) -> frozenset[int]:
+    """The :func:`_relation_masks` of every step of the fold of ``owed``,
+    whose prefixes' rows are in ``products``; ``masks`` keeps them per
+    prefix, as ``products`` keeps the rows."""
+    found = masks.get(owed)
+    if found is not None:
+        return found
+    prefix, found = 0, frozenset()
+    rest = owed
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        got = masks.get(prefix | low)
+        if got is None:
+            got = masks[prefix | low] = found | _relation_masks(
+                products[prefix], moves[low.bit_length() - 1]
+            )
+        prefix |= low
+        found = got
+    return found
+
+
+def _adds_relation(masks: frozenset[int], added: int) -> bool:
+    """Whether OR-ing ``added`` into every move's `next` covers one of a
+    fold's :func:`_relation_masks`, so the fold must be taken as it is."""
+    for mask in masks:
+        if not mask & ~added:
+            return True
+    return False
 
 
 def _undominated(moves: list[_Move]) -> list[_Move]:

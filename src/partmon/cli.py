@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
-from itertools import count
 from typing import Sequence, TextIO
 
 from .fsm import Verdict, synthesize_monitor
@@ -170,7 +169,7 @@ def _cmd_run(parser: argparse.ArgumentParser, args) -> int:
     # Nothing is written before the run ends, so a bad event leaves stdout empty.
     # The last slot taken, or the start slot on an empty trace, gives FINAL.
     final = compiled.after[slot]
-    lines = [f"{position}{tail}" for position, tail in zip(count(1), written)]
+    lines = [f"{position}{tail}" for position, tail in enumerate(written, 1)]
     lines.append(f"FINAL {final.value}\n")
     sys.stdout.write("".join(lines))
     return _VERDICT_EXIT[final]

@@ -321,18 +321,20 @@ def minimize_moore(machine: MooreMonitor) -> MooreMonitor:
     """Output-preserving minimization by partition refinement.
 
     Starts from the partition induced by state outputs and splits blocks until
-    every block is closed under the transition function, then rebuilds the
-    quotient machine with canonical numbering: :func:`partmon.graphs.explore`
-    from the initial state, events in alphabet order.  A machine that is already minimal and
-    numbered that way, as the product of :func:`synthesize_monitor` often
-    is, is returned as it is.
+    every block is closed under the transition function, or holds one state
+    and so cannot split, then rebuilds the quotient machine with canonical
+    numbering: :func:`partmon.graphs.explore` from the initial state, events
+    in alphabet order.  A machine that is already minimal and numbered that
+    way, as the product of :func:`synthesize_monitor` often is, is returned
+    as it is.
     """
     classes = sorted({out for out in machine.outputs}, key=lambda v: v.value)
     block = [classes.index(out) for out in machine.outputs]
     count = len(classes)
     # One column per event: the target of every state on that event.
     columns = list(zip(*machine.delta))
-    while True:
+    # A partition of singletons cannot split, so it needs no confirming round.
+    while count < machine.num_states:
         ids: dict[tuple[int, ...], int] = {}
         new_block = [
             ids.setdefault(sig, len(ids))

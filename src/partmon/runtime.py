@@ -11,7 +11,6 @@ absorbed without changing the verdict, letting producers outlive the monitor.
 
 from __future__ import annotations
 
-from itertools import count
 from typing import Iterable, Sequence, TypeVar
 
 from .fsm import MooreMonitor, Verdict
@@ -146,7 +145,7 @@ def run_trace(
     """
     compiled = compile_monitor(machine)
     verdicts, _ = _replay(compiled, trace, stop_early, compiled.after)
-    return list(zip(count(1), verdicts))
+    return list(enumerate(verdicts, 1))
 
 
 def _replay(

@@ -3,8 +3,9 @@ a second, deliberately naive semantics evaluator used to cross-check the
 fixpoint one, machine isomorphism and a forward reachability check, and the
 plain route that synthesis is checked against: a state-based GPVW tableau,
 per-state emptiness from its definition, the subset construction and a
-pair-per-state product; and the product over raw subset bitsets that
-synthesis's numbered side tables are checked against.
+pair-per-state product; the product over raw subset bitsets that
+synthesis's numbered side tables are checked against; and the tableau's
+plain prefix fold, which its shortcut for X obligations is checked against.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import itertools
 import random
 from collections import deque
 
-from partmon.buchi import Nba, _tableau
+from partmon.buchi import Nba, _product, _tableau, _walk
 from partmon.fsm import MooreMonitor, Verdict, minimize_moore, per_state_nonempty, synthesize_monitor
 from partmon.graphs import bits, explore, reachable_from
 from partmon.ltl import (
@@ -59,6 +60,20 @@ def random_formula(rng: random.Random, depth: int, names=NAMES3) -> Formula:
     if op in _UNARY_OPS:
         return op(random_formula(rng, depth - 1, names))
     return op(random_formula(rng, depth - 1, names), random_formula(rng, depth - 1, names))
+
+
+def next_heavy_formula(rng: random.Random, depth: int, names=NAMES3) -> Formula:
+    """Random formula of nesting depth at most ``depth`` in which half the
+    operators are X, so that tableau states owe X obligations beside
+    others."""
+    if depth == 0 or rng.random() < 0.15:
+        return Atom(rng.choice(names))
+    if rng.random() < 0.5:
+        return Next(next_heavy_formula(rng, depth - 1, names))
+    op = rng.choice(_BINARY_OPS + (Not, Eventually, Always))
+    if op in _UNARY_OPS:
+        return op(next_heavy_formula(rng, depth - 1, names))
+    return op(next_heavy_formula(rng, depth - 1, names), next_heavy_formula(rng, depth - 1, names))
 
 
 def all_words(names, max_len: int) -> list[tuple[str, ...]]:
@@ -719,3 +734,33 @@ def bitset_monitor(phi: Formula, alphabet: Alphabet, minimize: bool = True) -> M
     ]
     machine = MooreMonitor(alphabet, len(pairs), 0, delta, outputs)
     return minimize_moore(machine) if minimize else machine
+
+
+# --- the tableau's plain prefix fold -------------------------------------------
+
+def prefix_fold_tableau(phi: Formula, alphabet: Alphabet, negated: bool) -> Nba:
+    """The tableau of ``phi``, or of its negation, with every state's row
+    the product of the move lists of everything it owes, X obligations
+    included, folded lowest obligation first: the reference for
+    :func:`partmon.buchi._tableau`, which ORs X obligations' operands into a
+    shared row instead."""
+    moves, goal, untils, _ = _walk(phi, alphabet, negated, False)
+    stay = [((1 << len(alphabet)) - 1, 0, 0)]
+    products = {0: stay}
+
+    def row_of(owed: int) -> list[tuple[int, int, int]]:
+        prefix, row = 0, stay
+        for i in bits(owed):
+            prefix |= 1 << i
+            if prefix not in products:
+                products[prefix] = _product(row, moves[i])
+            row = products[prefix]
+        return row
+
+    owes, targets = explore([1 << goal], lambda owed: [nxt for _, nxt, _ in row_of(owed)])
+    all_marks = (1 << untils) - 1
+    edges = [
+        [(guard, dst, all_marks ^ pending) for (guard, _, pending), dst in zip(row_of(owed), row)]
+        for owed, row in zip(owes, targets)
+    ]
+    return Nba(alphabet, [0], edges, untils, owes)

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import partmon.buchi as buchi
 import partmon.fsm as fsm
 from partmon.buchi import Nba, _tableau, ltl_to_nba, nba_accepts_lasso
 from partmon.formats import emit_monitor
@@ -57,7 +58,9 @@ from helpers import (
     eventually_ev1_machine,
     mixed_branches_machine,
     moore_isomorphic,
+    next_heavy_formula,
     prefix_accepts,
+    prefix_fold_tableau,
     radiation_machine,
     random_formula,
     reference_monitor,
@@ -562,6 +565,44 @@ def test_the_walk_from_the_parsed_formula_builds_the_normal_forms_tableaux():
             assert walked.edges == built.edges, (phi, negated)
             assert walked.obligations == built.obligations, (phi, negated)
             assert walked.num_marks == built.num_marks, (phi, negated)
+
+
+def test_x_obligations_or_into_the_shared_row_as_the_full_fold_would(monkeypatch):
+    """A state owing X obligations takes the row of the rest of what it owes
+    with their operands ORed in, or the full fold where that could merge or
+    drop moves; either way its edges, in order, and the obligations must be
+    those of the fold over everything it owes.  Both ways must run often:
+    on the pinned cases, <>(a & X^k b) and [](a -> X^k b) for k <= 10, and
+    200 formulas in which half the operators are X."""
+    taken = {False: 0, True: 0}
+    adds_relation = buchi._adds_relation
+
+    def counted(masks, added):
+        got = adds_relation(masks, added)
+        taken[got] += 1
+        return got
+
+    monkeypatch.setattr(buchi, "_adds_relation", counted)
+    abc = Alphabet(["a", "b", "c"])
+    cases = _pinned_cases()
+    for k in range(11):
+        chain = "X " * k + "b"
+        for text in (f"<>(a & {chain})", f"[](a -> {chain})"):
+            cases.append((parse_formula(text, abc), abc))
+    # The negation's fold relates two moves at an earlier step than its last
+    # row shows: ORing in the operands' bits only at the last row would list
+    # one state's edges in another order.
+    cases.append((parse_formula("(ev3 R X X (X ev3 U G (ev3 | ev1))) R X ev3", ALPHA3), ALPHA3))
+    rng = random.Random(0x4E47)
+    cases += [(next_heavy_formula(rng, 7), ALPHA3) for _ in range(200)]
+    for phi, alphabet in cases:
+        for negated in (False, True):
+            built = _tableau(phi, alphabet, negated)
+            folded = prefix_fold_tableau(phi, alphabet, negated)
+            assert built.edges == folded.edges, (phi, negated)
+            assert built.obligations == folded.obligations, (phi, negated)
+            assert built.num_marks == folded.num_marks, (phi, negated)
+    assert taken[False] >= 100 and taken[True] >= 100, taken
 
 
 # --- synthesis ---------------------------------------------------------------

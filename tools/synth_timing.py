@@ -6,10 +6,11 @@ CHECKOUT is the root of the partmon checkout to measure (default: the one
 this script is in); its ``src``, ``tests`` and root are put first on
 ``sys.path``, so two checkouts are compared by running the script once on
 each.  The formula sets are the 14 synthesis families and the 200-formula
-corpus of ``perfbench/workloads.py``, then two larger cases built with its
+corpus of ``perfbench/workloads.py``, then three larger cases built with its
 helpers: <>(a & X^12 b) over {a, b, c}, whose negation side reaches 4,096
-one-member subsets, and resp-8, the conjunction of [](r_i -> <>g_i) for
-i < 8 over r_i, g_i and idle.  Every stage's inputs are built first,
+one-member subsets; resp-8, the conjunction of [](r_i -> <>g_i) for i < 8
+over r_i, g_i and idle; and [](a -> X^10 b) over {a, b, c}, whose formula
+side reaches 1,024 states.  Every stage's inputs are built first,
 untimed.  Then each stage is timed over the whole set ``--repeats`` times
 (default 15, at least 2), and the median and the quartiles of the set's time
 are printed, in milliseconds:
@@ -129,15 +130,20 @@ def _measure(name: str, cases, repeats: int) -> None:
 
 def main() -> None:
     args = parse_args(__doc__)
-    from perfbench.workloads import REPLAY_EVENTS, Case, _conj, corpus, families, x_k
+    from perfbench.workloads import REPLAY_EVENTS, Case, _conj, corpus, families, next_k, x_k
     from partmon import Always, Atom, Eventually, Implies
 
     _measure("families (14 formulas)", families(), args.repeats)
     _measure("corpus (200 formulas)", corpus(), args.repeats)
     resp_8 = _conj([Always(Implies(Atom(f"r{i}"), Eventually(Atom(f"g{i}")))) for i in range(8)])
     resp_events = tuple(e for i in range(8) for e in (f"r{i}", f"g{i}")) + ("idle",)
-    scale = [Case("xk-12", x_k(12), REPLAY_EVENTS), Case("resp-8", resp_8, resp_events)]
-    _measure("X^12 and resp-8", scale, args.repeats)
+    always_next = Always(Implies(Atom("a"), next_k(Atom("b"), 10)))
+    scale = [
+        Case("xk-12", x_k(12), REPLAY_EVENTS),
+        Case("resp-8", resp_8, resp_events),
+        Case("gx-10", always_next, REPLAY_EVENTS),
+    ]
+    _measure("X^12, resp-8, G-X^10", scale, args.repeats)
 
 
 if __name__ == "__main__":
