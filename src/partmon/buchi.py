@@ -14,9 +14,10 @@ are never built.  An X obligation's one move reads every event and owes its
 operand, so a state owing X obligations takes the product of the rest of
 what it owes, shared by every state owing that rest, and ORs their operands
 into each move's next obligations.  The full product is folded instead only
-where those bits could make one move of a step of that product dominate, or
-merge with, another, so the automaton is the one the full product gives,
-edge order included.  The marks are kept as they are: emptiness and lasso
+where some move of the rest already owes one of those operands; otherwise
+the OR neither merges nor separates moves and creates or undoes no
+domination, so the automaton is the one the full product gives, edge order
+included.  The marks are kept as they are: emptiness and lasso
 membership check every mark directly, so no counter product is ever built.
 
 The subformulas are those of the formula's negation normal form, or of its
@@ -186,42 +187,46 @@ def _tableau(phi: Formula, alphabet: Alphabet, negated: bool, strict: bool = Fal
     # An X obligation's one move reads every event and owes its operand, so
     # its factor in the product only ORs that operand's bit into each move's
     # `next`.  A state owing X obligations therefore takes the row of the
-    # rest of what it owes and ORs in their operands' bits, unless those
-    # bits could make a move dominate, or merge with, another at some step
-    # of that row's fold: only then can the full fold, which meets each X
-    # factor at its own place in the order, drop, merge or order moves
-    # otherwise.  The steps' masks are kept per set of obligations, as their
-    # products are.
+    # rest of what it owes and ORs in their operands' bits, unless a move of
+    # the rest owes one of those bits.  Otherwise the OR is injective on
+    # every step's `next` sets and keeps inclusion both ways, so no merge or
+    # domination appears or disappears, and the row is the full fold's, edge
+    # order included.  What each obligation's moves owe is found on demand.
     nexts = sum(next_of)
-    masks: dict[int, frozenset[int]] = {}
+    owes_of: dict[int, int] = {}
     rows: list[list[_Move]] = []
 
     def owed_next(owed: int) -> Iterable[int]:
         owed_x = owed & nexts
         rest = owed ^ owed_x
-        while True:
-            prefix, row = 0, stay
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                prefix |= low
-                got = products.get(prefix)
+        added = 0
+        while owed_x:
+            low = owed_x & -owed_x
+            owed_x ^= low
+            added |= next_of[low]
+        if added:
+            scan = rest
+            while scan:
+                low = scan & -scan
+                scan ^= low
+                got = owes_of.get(low)
                 if got is None:
-                    got = products[prefix] = _product(row, moves[low.bit_length() - 1])
-                row = got
-            if not owed_x:
-                break
-            added = 0
-            while owed_x:
-                low = owed_x & -owed_x
-                owed_x ^= low
-                added |= next_of[low]
-            # With nothing else owed the row is `stay`, one move: no relation.
-            if not prefix or not _adds_relation(_fold_masks(prefix, products, moves, masks), added):
-                row = [(guard, nxt | added, pending) for guard, nxt, pending in row]
-                break
-            # The bits could relate two moves: fold everything owed instead.
-            rest = owed
+                    got = owes_of[low] = _owed_by(moves[low.bit_length() - 1])
+                if got & added:
+                    # The bits could relate two moves: fold everything owed.
+                    rest, added = owed, 0
+                    break
+        prefix, row = 0, stay
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            prefix |= low
+            got = products.get(prefix)
+            if got is None:
+                got = products[prefix] = _product(row, moves[low.bit_length() - 1])
+            row = got
+        if added:
+            row = [(guard, nxt | added, pending) for guard, nxt, pending in row]
         rows.append(row)
         return map(_next_of, row)
 
@@ -359,76 +364,12 @@ def _product(left: list[_Move], right: list[_Move]) -> list[_Move]:
     )
 
 
-def _relation_masks(left: list[_Move], right: list[_Move]) -> frozenset[int]:
-    """The masks of `next` bits whose OR into every move of the product of
-    ``left`` and ``right``, merged as :func:`_undominated` merges it, can
-    relate two of its moves that are not related now.
-
-    A mask is covered when all its bits are ORed in.  For two merged moves
-    e and e' where e' leaves pending a subset of e's marks, ``next(e) ^
-    next(e')`` covered merges them if their pending marks are equal, and
-    ``next(e') & ~next(e)`` covered makes e' dominate e if e' also reads
-    every event e reads.  OR-ing bits never undoes a relation, so with no
-    mask covered the product's merging and domination are unchanged.
-    """
-    guards: dict[tuple[int, int], int] = {}
-    for g, n, p in left:
-        for h, m, q in right:
-            if g & h:
-                key = (n | m, p | q)
-                guards[key] = guards.get(key, 0) | g & h
-    if len(guards) < 2:
-        return frozenset()
-    found: set[int] = set()
-    row = list(guards.items())
-    for key, guard in row:
-        nxt, pending = key
-        for other, other_guard in row:
-            other_nxt, other_pending = other
-            if other is key or other_pending | pending != pending:
-                continue
-            if other_pending == pending:
-                found.add(nxt ^ other_nxt)
-            gained = other_nxt & ~nxt
-            if gained and guard | other_guard == other_guard:
-                found.add(gained)
-    return frozenset(found)
-
-
-def _fold_masks(
-    owed: int,
-    products: dict[int, list[_Move]],
-    moves: list[list[_Move]],
-    masks: dict[int, frozenset[int]],
-) -> frozenset[int]:
-    """The :func:`_relation_masks` of every step of the fold of ``owed``,
-    whose prefixes' rows are in ``products``; ``masks`` keeps them per
-    prefix, as ``products`` keeps the rows."""
-    found = masks.get(owed)
-    if found is not None:
-        return found
-    prefix, found = 0, frozenset()
-    rest = owed
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        got = masks.get(prefix | low)
-        if got is None:
-            got = masks[prefix | low] = found | _relation_masks(
-                products[prefix], moves[low.bit_length() - 1]
-            )
-        prefix |= low
-        found = got
-    return found
-
-
-def _adds_relation(masks: frozenset[int], added: int) -> bool:
-    """Whether OR-ing ``added`` into every move's `next` covers one of a
-    fold's :func:`_relation_masks`, so the fold must be taken as it is."""
-    for mask in masks:
-        if not mask & ~added:
-            return True
-    return False
+def _owed_by(moves: list[_Move]) -> int:
+    """The obligations some move of ``moves`` owes."""
+    owed = 0
+    for _, nxt, _ in moves:
+        owed |= nxt
+    return owed
 
 
 def _undominated(moves: list[_Move]) -> list[_Move]:

@@ -298,21 +298,6 @@ def children(phi: Formula) -> tuple[Formula, ...]:
     raise TypeError(f"not a formula: {phi!r}")
 
 
-def subformulas(phi: Formula) -> list[Formula]:
-    """All distinct subformulas in left-to-right postorder (children first):
-    the canonical order in which the tableau numbers its obligations."""
-    out: dict[Formula, None] = {}
-
-    def walk(f: Formula) -> None:
-        if f not in out:
-            for c in children(f):
-                walk(c)
-            out[f] = None
-
-    walk(phi)
-    return list(out)
-
-
 def atoms_in_order(phi: Formula) -> list[str]:
     """Atom names in order of first occurrence, reading the formula left to right."""
     seen: dict[Formula, None] = {}  # in preorder

@@ -1,11 +1,12 @@
 """Shared test utilities: formula generators, word families, golden machines,
 a second, deliberately naive semantics evaluator used to cross-check the
 fixpoint one, machine isomorphism and a forward reachability check, and the
-plain route that synthesis is checked against: a state-based GPVW tableau,
-per-state emptiness from its definition, the subset construction and a
-pair-per-state product; the product over raw subset bitsets that
-synthesis's numbered side tables are checked against; and the tableau's
-plain prefix fold, which its shortcut for X obligations is checked against.
+plain route that synthesis is checked against: the canonical subformula
+order, a state-based GPVW tableau over it, per-state emptiness from its
+definition, the subset construction and a pair-per-state product; the
+product over raw subset bitsets that synthesis's numbered side tables are
+checked against; and the tableau's plain prefix fold, which its shortcut
+for X obligations is checked against.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ from partmon.ltl import (
     TrueFormula,
     UnknownEventError,
     Until,
+    children,
     negate_nnf,
     nnf,
-    subformulas,
     validate_formula,
 )
 
@@ -422,6 +423,22 @@ _KIND = {
     Until: _UNTIL,
     Release: _RELEASE,
 }
+
+
+def subformulas(phi: Formula) -> list[Formula]:
+    """All distinct subformulas in left-to-right postorder (children first).
+    For a formula in negation normal form this is the order in which the
+    tableau's walk numbers its obligations."""
+    out: dict[Formula, None] = {}
+
+    def walk(f: Formula) -> None:
+        if f not in out:
+            for c in children(f):
+                walk(c)
+            out[f] = None
+
+    walk(phi)
+    return list(out)
 
 
 def is_nnf(phi: Formula) -> bool:

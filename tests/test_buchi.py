@@ -24,10 +24,9 @@ from partmon.ltl import (
     negate_nnf,
     nnf,
     parse_formula,
-    subformulas,
 )
 
-from helpers import ALPHA3, NAMES3, all_lassos, gpvw_nba, random_formula, state_nba
+from helpers import ALPHA3, NAMES3, all_lassos, gpvw_nba, random_formula, state_nba, subformulas
 
 
 def test_eventually_membership():

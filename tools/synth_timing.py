@@ -31,6 +31,13 @@ are printed, in milliseconds:
 The total tableau states and edges of each side over every formula, the
 number of negation sides synthesis skips, and the total product and minimal
 state counts, of each set follow its rows.
+
+Runs in separate processes are far apart even on identical code: a stage
+whose code is the same in both checkouts has read up to 50 % apart across
+two processes (families ``parse`` 0.53 against 0.78-0.89 ms).  So a stage
+change below about 50 % is not resolved by comparing two runs of this
+script; time both versions interleaved, round by round, in one process
+instead.
 """
 
 from __future__ import annotations
