@@ -130,22 +130,6 @@ class Nba:
         automaton.obligations = tuple(obligations)
         return automaton
 
-    @property
-    def transitions(self) -> tuple[tuple[int, str, int], ...]:
-        """Every (source, event, target) step, ordered by source, event
-        index, then target; parallel edges give one step."""
-        return tuple(
-            (src, event, dst)
-            for src in range(self.num_states)
-            for event in self.alphabet
-            for dst in self.successors(src, event)
-        )
-
-    def successors(self, state: int, event: str) -> tuple[int, ...]:
-        """The targets, in increasing order, of the edges from ``state`` reading ``event``."""
-        event_bit = 1 << self.alphabet.index(event)
-        return tuple(sorted({dst for guard, dst, _ in self.edges[state] if guard & event_bit}))
-
 
 _Move = tuple[int, int, int]
 _next_of = itemgetter(1)
@@ -156,22 +140,20 @@ def ltl_to_nba(phi: Formula, alphabet: Alphabet) -> Nba:
     exactly the set of infinite words satisfying ``phi``, one state per
     obligation set.
 
-    ``phi`` must be in negation normal form: a negation over anything but an
-    atom, or an implication, raises ValueError once its operands are walked,
-    so the first bad subformula in post-order is the one reported.  State
-    numbering is canonical: the same formula always yields the identical
-    automaton.  Synthesis builds its two automata without a normal form, by
-    the same walk with negations pushed inward as it goes; the automata are
-    the ones this function builds from ``nnf(phi)`` and ``negate_nnf(phi)``.
+    ``phi`` may be any formula: negations are pushed inward as the tree is
+    walked, so the automaton is the one of ``nnf(phi)``, and that of
+    ``Not(phi)`` the one of ``negate_nnf(phi)``, as synthesis builds them.
+    State numbering is canonical: the same formula always yields the
+    identical automaton.  An unknown atom raises UnknownAtomError.
     """
-    return _tableau(phi, alphabet, False, strict=True)
+    return _tableau(phi, alphabet, False)
 
 
-def _tableau(phi: Formula, alphabet: Alphabet, negated: bool, strict: bool = False) -> Nba:
+def _tableau(phi: Formula, alphabet: Alphabet, negated: bool) -> Nba:
     """The automaton of ``phi``, or with ``negated`` of its negation, read
     from the tree as it is: the walk carries a polarity and pushes negations
-    inward itself.  ``strict`` refuses a tree not in negation normal form."""
-    moves, goal, untils, next_of = _walk(phi, alphabet, negated, strict)
+    inward itself."""
+    moves, goal, untils, next_of = _walk(phi, alphabet, negated)
 
     # A state is the set of obligations it owes from the next position on;
     # the initial state owes the goal.  Its row is the product of the move
@@ -245,7 +227,7 @@ def _tableau(phi: Formula, alphabet: Alphabet, negated: bool, strict: bool = Fal
 
 
 def _walk(
-    phi: Formula, alphabet: Alphabet, negated: bool, strict: bool
+    phi: Formula, alphabet: Alphabet, negated: bool
 ) -> tuple[list[list[_Move]], int, int, dict[int, int]]:
     """Number the subformulas of ``phi``'s normal form, or of its
     negation's, and build their move lists.
@@ -280,12 +262,6 @@ def _walk(
             return i
         op = f.__class__
         if op is Not:
-            # A negation over a non-atom, or an implication, is refused by
-            # the strict walk only after its operands, so the first error in
-            # post-order wins.
-            if strict and f.arg.__class__ is not Atom:
-                walk(f.arg, neg)
-                raise ValueError("formula must be in negation normal form")
             i = walk(f.arg, not neg)
         else:
             if op is Atom:
@@ -294,10 +270,6 @@ def _walk(
                     op = Not
                 key: tuple = (op, f.name)
             elif op is Implies:
-                if strict:
-                    walk(f.left, neg)
-                    walk(f.right, neg)
-                    raise ValueError("formula must be in negation normal form")
                 # l -> r is !l | r, and its negation l & !r.
                 op = And if neg else Or
                 key = (op, walk(f.left, not neg), walk(f.right, neg))

@@ -35,11 +35,13 @@ def _split_events(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
-def _load_formula(args) -> tuple[Formula, Alphabet]:
+def _load_formula(parser: argparse.ArgumentParser, args) -> tuple[Formula, Alphabet]:
     """Parse the formula against an explicit or inferred alphabet."""
-    if getattr(args, "alphabet", None):
+    if args.alphabet:
         alphabet = Alphabet(_split_events(args.alphabet))
         return parse_formula(args.formula, alphabet), alphabet
+    if not args.infer_alphabet:
+        parser.error("one of -a/--alphabet or --infer-alphabet is required")
     phi = parse_formula(args.formula)
     names = atoms_in_order(phi)
     if not names:
@@ -83,11 +85,6 @@ def _add_formula_options(parser: argparse.ArgumentParser, required: bool = True)
     )
 
 
-def _require_alphabet_choice(parser: argparse.ArgumentParser, args) -> None:
-    if not args.alphabet and not args.infer_alphabet:
-        parser.error("one of -a/--alphabet or --infer-alphabet is required")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="partmon", description="Partial monitors for LTL properties")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -125,8 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_synth(args) -> int:
-    phi, alphabet = _load_formula(args)
+def _cmd_synth(parser: argparse.ArgumentParser, args) -> int:
+    phi, alphabet = _load_formula(parser, args)
     machine = partialize(
         synthesize_monitor(phi, alphabet, minimize=not args.no_minimize)
     )
@@ -136,10 +133,10 @@ def _cmd_synth(args) -> int:
     return EX_OK
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(parser: argparse.ArgumentParser, args) -> int:
     import json  # only classify writes JSON: kept off the other commands' start-up
 
-    phi, alphabet = _load_formula(args)
+    phi, alphabet = _load_formula(parser, args)
     report = classify(synthesize_monitor(phi, alphabet))
     print(json.dumps(report.as_dict(), indent=2))
     return EX_OK
@@ -153,8 +150,7 @@ def _cmd_run(parser: argparse.ArgumentParser, args) -> int:
             parser.error("-m/--monitor takes its alphabet from the PMF: drop -a/--infer-alphabet")
         machine = parse_monitor(_read_text(args.monitor))
     else:
-        _require_alphabet_choice(parser, args)
-        phi, alphabet = _load_formula(args)
+        phi, alphabet = _load_formula(parser, args)
         machine = synthesize_monitor(phi, alphabet)
     compiled = compile_monitor(machine)
     # The text each slot's line has after its position; the start slot's
@@ -196,19 +192,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "synth":
-            _require_alphabet_choice(parser, args)
-            return _cmd_synth(args)
+            return _cmd_synth(parser, args)
         if args.command == "classify":
-            _require_alphabet_choice(parser, args)
-            return _cmd_classify(args)
+            return _cmd_classify(parser, args)
         if args.command == "run":
             return _cmd_run(parser, args)
         if args.command == "oracle":
             return _cmd_oracle(args)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_DATAERR
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_DATAERR
     raise AssertionError(f"unhandled command {args.command!r}")

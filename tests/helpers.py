@@ -603,6 +603,12 @@ def reference_nonempty(nba: Nba) -> frozenset[int]:
     return frozenset(q for q, reached in enumerate(reach) if not accepting.isdisjoint(reached))
 
 
+def successors(nba: Nba, state: int, event: str) -> tuple[int, ...]:
+    """The targets, in increasing order, of the edges from ``state`` reading ``event``."""
+    event_bit = 1 << nba.alphabet.index(event)
+    return tuple(sorted({dst for guard, dst, _ in nba.edges[state] if guard & event_bit}))
+
+
 class ReferenceDfa:
     """Subset automaton of an NBA read over finite words: state ``i`` is the
     subset ``subsets[i]`` of NBA states, and it is final iff it holds a state
@@ -633,7 +639,7 @@ def determinize(nba: Nba) -> ReferenceDfa:
         subset = queue.popleft()
         row = []
         for event in nba.alphabet:
-            target = frozenset(dst for q in subset for dst in nba.successors(q, event))
+            target = frozenset(dst for q in subset for dst in successors(nba, q, event))
             if target not in ids:
                 ids[target] = len(subsets)
                 subsets.append(target)
@@ -648,7 +654,7 @@ def prefix_accepts(nba: Nba, word) -> bool:
     """Whether the finite word has a continuation the NBA accepts."""
     current = set(nba.initial)
     for event in word:
-        current = {dst for q in current for dst in nba.successors(q, event)}
+        current = {dst for q in current for dst in successors(nba, q, event)}
     return bool(current & reference_nonempty(nba))
 
 
@@ -761,7 +767,7 @@ def prefix_fold_tableau(phi: Formula, alphabet: Alphabet, negated: bool) -> Nba:
     included, folded lowest obligation first: the reference for
     :func:`partmon.buchi._tableau`, which ORs X obligations' operands into a
     shared row instead."""
-    moves, goal, untils, _ = _walk(phi, alphabet, negated, False)
+    moves, goal, untils, _ = _walk(phi, alphabet, negated)
     stay = [((1 << len(alphabet)) - 1, 0, 0)]
     products = {0: stay}
 

@@ -27,6 +27,7 @@ from partmon.ltl import (
     And,
     Atom,
     Eventually,
+    FALSE,
     FormulaTooDeepError,
     Implies,
     LassoWord,
@@ -34,6 +35,7 @@ from partmon.ltl import (
     Not,
     Or,
     Release,
+    TRUE,
     UnknownAtomError,
     UnknownEventError,
     Until,
@@ -56,6 +58,7 @@ from helpers import (
     bitset_subsets,
     determinize,
     eventually_ev1_machine,
+    is_nnf,
     mixed_branches_machine,
     moore_isomorphic,
     next_heavy_formula,
@@ -66,6 +69,7 @@ from helpers import (
     reference_monitor,
     reference_nonempty,
     state_nba,
+    successors,
 )
 
 
@@ -316,7 +320,7 @@ def test_a_subset_holding_a_looping_state_never_empties():
         for formula in (nnf(phi), negate_nnf(phi)):
             nba = ltl_to_nba(formula, alphabet)
             live = reference_nonempty(nba)
-            looping = {q for q in live if all(q in nba.successors(q, e) for e in alphabet)}
+            looping = {q for q in live if all(q in successors(nba, q, e) for e in alphabet)}
             owes = nba.obligations
 
             def cut(states):
@@ -346,7 +350,7 @@ def test_a_subset_holding_a_looping_state_never_empties():
                     if subset < 0:
                         assert target == -1
                     else:
-                        expected = cut(d for q in bits(subset) for d in nba.successors(q, event))
+                        expected = cut(d for q in bits(subset) for d in successors(nba, q, event))
                         assert subset_of(target) == expected
                     if target not in seen:
                         seen.add(target)
@@ -567,6 +571,46 @@ def test_the_walk_from_the_parsed_formula_builds_the_normal_forms_tableaux():
             assert walked.num_marks == built.num_marks, (phi, negated)
 
 
+def _automaton(nba):
+    """Initial states, edges, mark count and obligations: equal for equal tableaux."""
+    return sorted(nba.initial), nba.edges, nba.num_marks, nba.obligations
+
+
+_EV1, _EV2 = Atom("ev1"), Atom("ev2")
+# A negation over every node class but an atom, and implications under
+# negations and inside each other.
+_NOT_NNF_SHAPES = [
+    Not(TRUE),
+    Not(FALSE),
+    Not(Not(_EV1)),
+    Not(Not(Not(_EV1))),
+    Not(Next(_EV1)),
+    Not(Eventually(_EV1)),
+    Not(Always(_EV1)),
+    Not(And(_EV1, _EV2)),
+    Not(Or(_EV1, _EV2)),
+    Not(Implies(_EV1, _EV2)),
+    Not(Until(_EV1, _EV2)),
+    Not(Release(_EV1, _EV2)),
+    Implies(Implies(_EV1, _EV2), Not(Implies(_EV2, Eventually(Not(_EV1))))),
+    Not(Implies(Not(Until(_EV1, Not(_EV2))), Always(Implies(_EV1, Next(Not(Not(_EV2))))))),
+]
+
+
+def test_ltl_to_nba_builds_any_formula_as_its_normal_form():
+    """``ltl_to_nba`` pushes negations inward as it walks, so a tree not in
+    negation normal form gives exactly the automaton of ``nnf(phi)``, the
+    formula side synthesis builds, and ``Not(phi)`` that of
+    ``negate_nnf(phi)``, over the pinned cases and hand-written shapes."""
+    assert not any(is_nnf(phi) for phi in _NOT_NNF_SHAPES)
+    for phi, alphabet in _pinned_cases() + [(phi, ALPHA3) for phi in _NOT_NNF_SHAPES]:
+        built = _automaton(ltl_to_nba(phi, alphabet))
+        assert built == _automaton(ltl_to_nba(nnf(phi), alphabet)), phi
+        assert built == _automaton(_tableau(phi, alphabet, False)), phi
+        negated = _automaton(ltl_to_nba(Not(phi), alphabet))
+        assert negated == _automaton(ltl_to_nba(negate_nnf(phi), alphabet)), phi
+
+
 def test_x_obligations_or_into_the_shared_row_as_the_full_fold_would():
     """A state owing X obligations takes the row of the rest of what it owes
     with their operands ORed in, or the full fold where a move of the rest
@@ -597,7 +641,7 @@ def test_x_obligations_or_into_the_shared_row_as_the_full_fold_would():
             assert built.num_marks == folded.num_marks, (phi, negated)
             # Which way each state owing X obligations went: the full fold
             # iff a move of the rest of what it owes owes an added operand.
-            moves, _, _, next_of = buchi._walk(phi, alphabet, negated, False)
+            moves, _, _, next_of = buchi._walk(phi, alphabet, negated)
             for owed in built.obligations:
                 owed_x = [bit for bit in next_of if owed & bit]
                 if owed_x:

@@ -20,15 +20,15 @@ from _timing import parse_args, quartiles_ms
 
 
 def _tableaux():
-    from partmon import Alphabet, ltl_to_nba, negate_nnf, nnf, parse_formula
+    from partmon import Alphabet, Not, ltl_to_nba, parse_formula
     from perfbench.workloads import corpus, families, x_k
 
     def sides(cases):
         tableaux = []
         for case in cases:
             alphabet = Alphabet(case.events)
-            tableaux.append(ltl_to_nba(nnf(case.formula), alphabet))
-            tableaux.append(ltl_to_nba(negate_nnf(case.formula), alphabet))
+            tableaux.append(ltl_to_nba(case.formula, alphabet))
+            tableaux.append(ltl_to_nba(Not(case.formula), alphabet))
         return tableaux
 
     resp8 = " & ".join(f"[](r{i} -> <>g{i})" for i in range(8))
@@ -37,8 +37,8 @@ def _tableaux():
     return {
         "families (28 tableaux)": sides(families()),
         "corpus (400 tableaux)": sides(corpus()),
-        "resp-8 formula side": [ltl_to_nba(nnf(parse_formula(resp8)), resp8_alphabet)],
-        "X^14 negation side": [ltl_to_nba(negate_nnf(x_k(14)), abc)],
+        "resp-8 formula side": [ltl_to_nba(parse_formula(resp8), resp8_alphabet)],
+        "X^14 negation side": [ltl_to_nba(Not(x_k(14)), abc)],
     }
 
 
