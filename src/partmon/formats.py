@@ -46,11 +46,12 @@ def emit_monitor(machine: MooreMonitor) -> str:
         "ALPHABET " + " ".join(machine.alphabet),
         f"INITIAL s{machine.initial}",
     ]
-    for q in machine.states():
-        lines.append(f"STATE s{q} {machine.outputs[q].value}")
-    for q in machine.states():
-        for k, event in enumerate(machine.alphabet):
-            lines.append(f"TRANS s{q} {event} s{machine.delta[q][k]}")
+    for q, out in enumerate(machine.outputs):
+        lines.append(f"STATE s{q} {out._value_}")
+    events = machine.alphabet.symbols
+    for q, row in enumerate(machine.delta):
+        for event, dst in zip(events, row):
+            lines.append(f"TRANS s{q} {event} s{dst}")
     return "\n".join(lines) + "\n"
 
 

@@ -22,13 +22,16 @@ class Verdict(Enum):
     TOP and BOT are irrevocable: every infinite continuation satisfies
     (respectively violates) the property.  UNKNOWN means the trace is still
     undecided, GIVEUP that no continuation can ever decide it.  Synthesis
-    outputs only the first three; :func:`partialize` labels GIVEUP.
+    outputs only the first three; :func:`partialize` labels GIVEUP.  Members
+    are singletons compared by identity, so they hash by identity too.
     """
 
     TOP = "TOP"
     BOT = "BOT"
     UNKNOWN = "?"
     GIVEUP = "x"
+
+    __hash__ = object.__hash__
 
     @property
     def is_conclusive(self) -> bool:
@@ -131,16 +134,24 @@ def _live_subsets(
             return got
         got = several.get(subset)
         if got is None:
-            cut = 0
-            kept: list[int] = []
-            for q in sorted(bits(subset), key=rank.__getitem__):
-                owed = owes[q]
-                for other in kept:
-                    if not other & ~owed:
-                        break
-                else:
-                    kept.append(owed)
-                    cut |= 1 << q
+            high = subset & (subset - 1)
+            if not high & (high - 1):
+                # Two members: one owing a subset of the other's obligations
+                # drops it, the lower-numbered one winning a tie, as ranks do.
+                low = subset ^ high
+                low_owes, high_owes = owes[low.bit_length() - 1], owes[high.bit_length() - 1]
+                cut = low if not low_owes & ~high_owes else high if not high_owes & ~low_owes else subset
+            else:
+                cut = 0
+                kept: list[int] = []
+                for q in sorted(bits(subset), key=rank.__getitem__):
+                    owed = owes[q]
+                    for other in kept:
+                        if not other & ~owed:
+                            break
+                    else:
+                        kept.append(owed)
+                        cut |= 1 << q
             if cut & looping:
                 got = -1
             elif cut == subset:
@@ -271,38 +282,43 @@ def synthesize_monitor(
     side's is (no continuation satisfies), UNKNOWN otherwise.  Conclusive
     verdicts never change, so all TOP states are one absorbing sink, and all
     BOT states another; a pair whose sides both hold the never-empty marker
-    -1 of :func:`_live_subsets` is a third sink, which outputs UNKNOWN.
-    With ``minimize`` (the default) the result is the unique minimal
-    machine.
+    -1 of :func:`_live_subsets` is a third sink, which outputs UNKNOWN.  A
+    side starting at -1 stays there, so the monitor is one-sided: it
+    concludes only TOP when the formula side never empties, only BOT when
+    the negation side never does; the other side's table is then explored
+    alone, each id standing for its pair with -1, in the same order, its 0
+    the TOP (or BOT) sink.  With ``minimize`` (the default) the result is
+    the unique minimal machine.
     """
+    top, bot, unknown = Verdict.TOP, Verdict.BOT, Verdict.UNKNOWN
     pos_start, pos_row, _ = _live_subsets(_tableau(phi, alphabet, False))
     if pos_start == 0:
         # No word satisfies phi, so every prefix is already BOT, whatever
         # the negation's automaton is: the product would be the BOT sink.
-        return MooreMonitor._built(alphabet, [[0] * len(alphabet)], [Verdict.BOT])
+        return MooreMonitor._built(alphabet, [[0] * len(alphabet)], [bot])
     neg_start, neg_row, _ = _live_subsets(_tableau(phi, alphabet, True))
 
-    # An empty side (0) and a side that can never empty (-1) step to
-    # themselves, so the TOP sink (-1, 0), the BOT sink (0, -1) and the
-    # sink (-1, -1) that reaches neither loop through ``key`` alone.
-    top, bot = (-1, 0), (0, -1)
+    if pos_start == -1 or neg_start == -1:
+        start, row, sink = (neg_start, neg_row, top) if pos_start == -1 else (pos_start, pos_row, bot)
+        ids, delta = explore([start], row)
+        outputs = [sink if i == 0 else unknown for i in ids]
+    else:
+        # An empty side (0) and a side that can never empty (-1) step to
+        # themselves, so the TOP sink (-1, 0), the BOT sink (0, -1) and the
+        # sink (-1, -1) that reaches neither loop through ``key`` alone.
+        def key(pos: int, neg: int) -> tuple[int, int]:
+            if pos and neg:
+                return (pos, neg)
+            if pos:
+                return (-1, 0)
+            if neg:
+                return (0, -1)
+            raise AssertionError("internal error: product state is dead on both sides")
 
-    def key(pos: int, neg: int) -> tuple[int, int]:
-        if pos and neg:
-            return (pos, neg)
-        if pos:
-            return top
-        if neg:
-            return bot
-        raise AssertionError("internal error: product state is dead on both sides")
-
-    pairs, delta = explore(
-        [key(pos_start, neg_start)], lambda pair: map(key, pos_row(pair[0]), neg_row(pair[1]))
-    )
-    outputs = [
-        Verdict.TOP if neg == 0 else Verdict.BOT if pos == 0 else Verdict.UNKNOWN
-        for pos, neg in pairs
-    ]
+        pairs, delta = explore(
+            [key(pos_start, neg_start)], lambda pair: map(key, pos_row(pair[0]), neg_row(pair[1]))
+        )
+        outputs = [top if neg == 0 else bot if pos == 0 else unknown for pos, neg in pairs]
     machine = MooreMonitor._built(alphabet, delta, outputs)
     if minimize:
         machine = minimize_moore(machine)
@@ -328,8 +344,8 @@ def minimize_moore(machine: MooreMonitor) -> MooreMonitor:
     way, as the product of :func:`synthesize_monitor` often is, is returned
     as it is.
     """
-    classes = sorted({out for out in machine.outputs}, key=lambda v: v.value)
-    block = [classes.index(out) for out in machine.outputs]
+    classes = {out: i for i, out in enumerate(sorted(set(machine.outputs), key=lambda v: v._value_))}
+    block = list(map(classes.__getitem__, machine.outputs))
     count = len(classes)
     # One column per event: the target of every state on that event.
     columns = list(zip(*machine.delta))

@@ -85,10 +85,11 @@ def partialize(machine: MooreMonitor) -> MooreMonitor:
     """
     known = machine._partialized
     if known is None:
-        conclusive = [q for q, out in enumerate(machine.outputs) if out.is_conclusive]
+        top, bot, unknown, giveup = Verdict.TOP, Verdict.BOT, Verdict.UNKNOWN, Verdict.GIVEUP
+        conclusive = [q for q, out in enumerate(machine.outputs) if out is top or out is bot]
         hopeful = can_reach(machine.delta, conclusive)
         outputs = [
-            out if out is not Verdict.UNKNOWN or q in hopeful else Verdict.GIVEUP
+            out if out is not unknown or q in hopeful else giveup
             for q, out in enumerate(machine.outputs)
         ]
         if tuple(outputs) == machine.outputs:
@@ -109,7 +110,7 @@ def classify(machine: MooreMonitor) -> MonitorabilityReport:
     FORALL_PZ: every reachable state can still reach a conclusive verdict.
     """
     machine = partialize(machine)
-    giveup_count = sum(1 for out in machine.outputs if out is Verdict.GIVEUP)
+    giveup_count = machine.outputs.count(Verdict.GIVEUP)
     witness = _shortest_giveup_trace(machine) if giveup_count else None
     if machine.outputs[machine.initial] is Verdict.GIVEUP:
         classification = Monitorability.NON_MONITORABLE

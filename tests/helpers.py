@@ -5,8 +5,9 @@ plain route that synthesis is checked against: the canonical subformula
 order, a state-based GPVW tableau over it, per-state emptiness from its
 definition, the subset construction and a pair-per-state product; the
 product over raw subset bitsets that synthesis's numbered side tables are
-checked against; and the tableau's plain prefix fold, which its shortcut
-for X obligations is checked against.
+checked against; the product over pairs of both sides' ids that its
+one-sided exploration is checked against; and the tableau's plain prefix
+fold, which its shortcut for X obligations is checked against.
 """
 
 from __future__ import annotations
@@ -16,7 +17,14 @@ import random
 from collections import deque
 
 from partmon.buchi import Nba, _product, _tableau, _walk
-from partmon.fsm import MooreMonitor, Verdict, minimize_moore, per_state_nonempty, synthesize_monitor
+from partmon.fsm import (
+    MooreMonitor,
+    Verdict,
+    _live_subsets,
+    minimize_moore,
+    per_state_nonempty,
+    synthesize_monitor,
+)
 from partmon.graphs import bits, explore, reachable_from
 from partmon.ltl import (
     Alphabet,
@@ -757,6 +765,37 @@ def bitset_monitor(phi: Formula, alphabet: Alphabet, minimize: bool = True) -> M
     ]
     machine = MooreMonitor(alphabet, len(pairs), 0, delta, outputs)
     return minimize_moore(machine) if minimize else machine
+
+
+# --- the product over pairs of side ids ----------------------------------------
+
+def pair_product(phi: Formula, alphabet: Alphabet) -> tuple[MooreMonitor, tuple[int, int]]:
+    """The unminimized monitor by exploring pairs of both sides'
+    :func:`partmon.fsm._live_subsets` ids, whatever the sides start at: the
+    reference for :func:`partmon.fsm.synthesize_monitor`, which explores a
+    side alone when the other starts at the never-empty marker -1.
+
+    Returns the machine and the two sides' start ids, the negation's None
+    when no word satisfies ``phi`` and it is not built."""
+    pos_start, pos_row, _ = _live_subsets(_tableau(phi, alphabet, False))
+    if pos_start == 0:
+        return MooreMonitor(alphabet, 1, 0, [[0] * len(alphabet)], [Verdict.BOT]), (0, None)
+    neg_start, neg_row, _ = _live_subsets(_tableau(phi, alphabet, True))
+
+    def key(pos: int, neg: int) -> tuple[int, int]:
+        assert pos or neg, "product state is dead on both sides"
+        if pos and neg:
+            return (pos, neg)
+        return (-1, 0) if pos else (0, -1)
+
+    pairs, delta = explore(
+        [key(pos_start, neg_start)], lambda pair: map(key, pos_row(pair[0]), neg_row(pair[1]))
+    )
+    outputs = [
+        Verdict.TOP if neg == 0 else Verdict.BOT if pos == 0 else Verdict.UNKNOWN
+        for pos, neg in pairs
+    ]
+    return MooreMonitor(alphabet, len(pairs), 0, delta, outputs), (pos_start, neg_start)
 
 
 # --- the tableau's plain prefix fold -------------------------------------------

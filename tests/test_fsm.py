@@ -1,7 +1,9 @@
 """Prefix automata and Moore-machine synthesis."""
 
+import copy
 import hashlib
 import json
+import pickle
 import random
 
 import pytest
@@ -62,6 +64,7 @@ from helpers import (
     mixed_branches_machine,
     moore_isomorphic,
     next_heavy_formula,
+    pair_product,
     prefix_accepts,
     prefix_fold_tableau,
     radiation_machine,
@@ -304,6 +307,37 @@ def test_antichain_product_of_radiation():
     assert synthesize_monitor(phi, RADIATION_ALPHA, minimize=False).num_states == 5
 
 
+# --- one-sided products ---------------------------------------------------------
+
+def test_a_side_starting_at_minus_one_gives_the_pair_product():
+    """Synthesis explores one side's table alone when the other side starts
+    at the never-empty marker -1.  Its unminimized machine must have the
+    rows and verdicts of the product over pairs of both sides' ids, on the
+    families, the corpus, <>(a & X^k b) and [](a -> X^k b) for k <= 10 and
+    300 depth-5 draws, with each of the three ways (the formula side at -1,
+    the negation side at -1, both sides live) taken at least 20 times."""
+    rng = random.Random(0xACCE55)
+    cases = _family_formulas() + [(random_formula(rng, 4), ALPHA3) for _ in range(200)]
+    for k in range(11):
+        cases.append((parse_formula("<>(a & " + "X " * k + "b)", ABC), ABC))
+        cases.append((parse_formula("[](a -> " + "X " * k + "b)", ABC), ABC))
+    rng = random.Random(0xD16E57)
+    cases += [(random_formula(rng, 5), ALPHA3) for _ in range(300)]
+    ways = {"formula side -1": 0, "negation side -1": 0, "both live": 0}
+    for phi, alphabet in cases:
+        expected, (pos_start, neg_start) = pair_product(phi, alphabet)
+        machine = synthesize_monitor(phi, alphabet, minimize=False)
+        assert machine.delta == expected.delta, phi
+        assert machine.outputs == expected.outputs, phi
+        if pos_start == -1:
+            ways["formula side -1"] += 1
+        elif neg_start == -1:
+            ways["negation side -1"] += 1
+        elif pos_start > 0 and neg_start > 0:
+            ways["both live"] += 1
+    assert min(ways.values()) >= 20, ways
+
+
 # --- sides that can no longer empty --------------------------------------------
 
 def test_a_subset_holding_a_looping_state_never_empties():
@@ -394,37 +428,103 @@ def test_numbered_side_tables_give_the_bitset_products():
             assert numbered == emit_monitor(bitset_monitor(phi, alphabet, minimize)), (phi, minimize)
 
 
+def _check_numbered_table(nba: Nba, label) -> list[int]:
+    """Require ``_live_subsets(nba)`` to number what :func:`bitset_subsets`
+    cuts: the ids reached from the start are 0, -1 and exactly 1..N, id i
+    names the i-th entry of the subset list, no two entries are equal, and
+    each id's row names the bitset construction's row of its subset.
+    Returns the subset list."""
+    start, row, subsets = _live_subsets(nba)
+    bitset_start, bitset_row = bitset_subsets(nba)
+
+    def subset_of(i):
+        return -1 if i < 0 else subsets[i]
+
+    assert subsets[0] == 0
+    assert subset_of(start) == bitset_start, label
+    reached = {start}
+    frontier = [start]
+    while frontier:
+        i = frontier.pop()
+        targets = row(i)
+        assert tuple(map(subset_of, targets)) == bitset_row(subset_of(i)), label
+        for target in targets:
+            if target not in reached:
+                reached.add(target)
+                frontier.append(target)
+    assert reached - {0, -1} == set(range(1, len(subsets))), label
+    assert len(set(subsets)) == len(subsets), label
+    return subsets
+
+
 def test_each_side_numbers_its_cut_subsets_once_and_densely():
-    """On both sides of the families, the corpus and the widened draws, the
-    ids reached from the start are 0, -1 and exactly 1..N, id i names the
-    i-th entry of the subset list, no two entries are equal, and each id's
-    row names the bitset construction's row of its subset."""
+    """:func:`_check_numbered_table` on both sides of the families, the
+    corpus and the widened draws."""
     rng = random.Random(0xACCE55)
     cases = _family_formulas() + [(random_formula(rng, 4), ALPHA3) for _ in range(200)]
     cases += list(_widened_draws(100))
     for phi, alphabet in cases:
         for negated in (False, True):
-            nba = _tableau(phi, alphabet, negated)
-            start, row, subsets = _live_subsets(nba)
-            bitset_start, bitset_row = bitset_subsets(nba)
+            _check_numbered_table(_tableau(phi, alphabet, negated), (phi, negated))
 
-            def subset_of(i):
-                return -1 if i < 0 else subsets[i]
 
-            assert subsets[0] == 0
-            assert subset_of(start) == bitset_start
-            reached = {start}
-            frontier = [start]
-            while frontier:
-                i = frontier.pop()
-                targets = row(i)
-                assert tuple(map(subset_of, targets)) == bitset_row(subset_of(i)), (phi, negated)
-                for target in targets:
-                    if target not in reached:
-                        reached.add(target)
-                        frontier.append(target)
-            assert reached - {0, -1} == set(range(1, len(subsets))), (phi, negated)
-            assert len(set(subsets)) == len(subsets), (phi, negated)
+def _two_member_automaton(low_owes: int, high_owes: int) -> Nba:
+    """State 0 reads a into {1, 2}, which owe ``low_owes`` and
+    ``high_owes``; each of them loops on b and returns to 0 on a."""
+    edges = [[(0b01, 1, 0), (0b01, 2, 0)], [(0b10, 1, 0), (0b01, 0, 0)], [(0b10, 2, 0), (0b01, 0, 0)]]
+    return Nba(Alphabet(["a", "b"]), [0], edges, 0, [0b100, low_owes, high_owes])
+
+
+def _random_automaton(rng: random.Random) -> Nba:
+    """Two to six states over one to three events, with at most one mark,
+    random edges and initial states, and obligations drawn from the four
+    subsets of two obligations, so that two members often owe equal,
+    included or incomparable sets."""
+    n = rng.randint(2, 6)
+    alphabet = Alphabet(["a", "b", "c"][: rng.randint(1, 3)])
+    marks = rng.randint(0, 1)
+    edges = [
+        [(rng.randint(1, (1 << len(alphabet)) - 1), rng.randrange(n), rng.randint(0, marks)) for _ in range(rng.randint(1, 4))]
+        for _ in range(n)
+    ]
+    initial = rng.sample(range(n), rng.randint(1, min(3, n)))
+    return Nba(alphabet, initial, edges, marks, [rng.randrange(4) for _ in range(n)])
+
+
+def test_a_two_member_union_is_cut_as_the_rank_order_cuts_it():
+    """A union of two live states is cut by two subset tests, not by the
+    rank-sorted loop: the state owing a subset of the other's obligations
+    stays alone, the lower-numbered one when they owe the same.  Hand-built
+    automata whose two members owe equal sets, strict inclusions both ways
+    and incomparable sets, and 300 random automata, must number exactly the
+    subsets and rows of :func:`bitset_subsets`, which cuts every union by
+    the loop.  Tableau states never share an obligation set, so only
+    automata built by hand test a tie."""
+    automata = [
+        _two_member_automaton(low, high)
+        for low, high in [(0b01, 0b01), (0b01, 0b11), (0b11, 0b01), (0b01, 0b10), (0, 0)]
+    ]
+    rng = random.Random(0x2C07)
+    automata += [_random_automaton(rng) for _ in range(300)]
+    kinds = {"equal": 0, "lower owes less": 0, "higher owes less": 0, "incomparable": 0}
+    for nba in automata:
+        subsets = _check_numbered_table(nba, nba.edges)
+        live = reference_nonempty(nba)
+        owes = nba.obligations
+        for subset in subsets:
+            for event in nba.alphabet:
+                union = {d for q in bits(subset) for d in successors(nba, q, event)} & live
+                if len(union) == 2:
+                    low, high = (owes[q] for q in sorted(union))
+                    if low == high:
+                        kinds["equal"] += 1
+                    elif low | high == high:
+                        kinds["lower owes less"] += 1
+                    elif low | high == low:
+                        kinds["higher owes less"] += 1
+                    else:
+                        kinds["incomparable"] += 1
+    assert min(kinds.values()) >= 20, kinds
 
 
 def test_synthesized_machines_pass_the_public_constructors():
@@ -704,6 +804,24 @@ def test_monitor_verdict_rejects_unknown_event():
 
 
 # --- minimization ------------------------------------------------------------
+
+def test_verdicts_hash_copy_and_look_up_as_the_same_members():
+    """Verdicts hash by identity; as set members and dict keys, through
+    pickle and copies and by value they stay the four singletons."""
+    members = list(Verdict)
+    assert len(members) == len(set(members + members)) == 4
+    table = {verdict: verdict.value for verdict in members}
+    for verdict in members:
+        assert table[verdict] == verdict.value
+        assert verdict in set(members) and verdict in frozenset(table)
+        assert hash(verdict) == hash(Verdict(verdict.value)) == hash(Verdict[verdict.name])
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(verdict, protocol)) is verdict
+        assert copy.deepcopy(verdict) is verdict and copy.copy(verdict) is verdict
+        assert copy.deepcopy(table)[verdict] == verdict.value
+    assert {Verdict.TOP, Verdict.BOT} & {Verdict("BOT")} == {Verdict.BOT}
+    assert Verdict("x") is Verdict.GIVEUP
+
 
 def test_minimize_fixpoint_on_minimal_machine():
     machine = eventually_ev1_machine()
