@@ -483,8 +483,12 @@ def _random_automaton(rng: random.Random) -> Nba:
     n = rng.randint(2, 6)
     alphabet = Alphabet(["a", "b", "c"][: rng.randint(1, 3)])
     marks = rng.randint(0, 1)
+    everything = (1 << len(alphabet)) - 1
     edges = [
-        [(rng.randint(1, (1 << len(alphabet)) - 1), rng.randrange(n), rng.randint(0, marks)) for _ in range(rng.randint(1, 4))]
+        [
+            (rng.randint(1, everything), rng.randrange(n), rng.randint(0, marks))
+            for _ in range(rng.randint(1, 4))
+        ]
         for _ in range(n)
     ]
     initial = rng.sample(range(n), rng.randint(1, min(3, n)))

@@ -100,7 +100,8 @@ def interleave(passes: dict, sets: dict, rounds: int) -> dict:
                 first, *rest = pmfs.values()
                 for other in rest:
                     for (text, _), a, b in zip(formulas, first, other):
-                        assert a == b, f"{name}: the copies emit different PMFs for {text}"
+                        if a != b:
+                            sys.exit(f"interleave_timing: {name}: the copies emit different PMFs for {text}")
         finally:
             gc.enable()
         order.reverse()
@@ -130,7 +131,10 @@ def main() -> None:
             print(f"{name:9} {copy:4} median {medians[copy]:8.2f} ms  IQR {q1:.2f}-{q3:.2f} ms")
         wins = sum(new < old for old, new in zip(by_copy["old"], by_copy["new"]))
         ratio = medians["new"] / medians["old"]
-        print(f"{name:9} new/old {ratio:.3f} ({(ratio - 1) * 100:+.1f} %), new faster in {wins} of {args.rounds} rounds")
+        print(
+            f"{name:9} new/old {ratio:.3f} ({(ratio - 1) * 100:+.1f} %),"
+            f" new faster in {wins} of {args.rounds} rounds"
+        )
 
 
 if __name__ == "__main__":

@@ -37,7 +37,7 @@ whose code is the same in both checkouts has read up to 50 % apart across
 two processes (families ``parse`` 0.53 against 0.78-0.89 ms).  So a stage
 change below about 50 % is not resolved by comparing two runs of this
 script; time both versions interleaved, round by round, in one process
-instead.
+with ``tools/interleave_timing.py`` instead.
 """
 
 from __future__ import annotations
