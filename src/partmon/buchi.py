@@ -174,14 +174,19 @@ def _tableau(phi: Formula, alphabet: Alphabet, negated: bool) -> Nba:
     # every step's `next` sets and keeps inclusion both ways, so no merge or
     # domination appears or disappears, and the row is the full fold's, edge
     # order included.  What each obligation's moves owe is found on demand.
+    # The walk numbers an X's operand just before the X unless it was
+    # numbered earlier, so the X bits of a chain, ``shifted``, owe the
+    # next-lower bit: one shift gives all their operands.
     nexts = sum(next_of)
+    shifted = sum(bit for bit, operand in next_of.items() if operand == bit >> 1)
     owes_of: dict[int, int] = {}
     rows: list[list[_Move]] = []
 
     def owed_next(owed: int) -> Iterable[int]:
         owed_x = owed & nexts
         rest = owed ^ owed_x
-        added = 0
+        added = (owed_x & shifted) >> 1
+        owed_x &= ~shifted
         while owed_x:
             low = owed_x & -owed_x
             owed_x ^= low
@@ -214,12 +219,10 @@ def _tableau(phi: Formula, alphabet: Alphabet, negated: bool) -> Nba:
 
     owes, targets = explore([1 << goal], owed_next)
     all_marks = (1 << untils) - 1
-    edges = []
-    for moves_row, row in zip(rows, targets):
-        out = []
-        for (guard, _, pending), dst in zip(moves_row, row):
-            out.append((guard, dst, all_marks ^ pending))
-        edges.append(out)
+    edges = [
+        [(guard, dst, all_marks ^ pending) for (guard, _, pending), dst in zip(moves_row, row)]
+        for moves_row, row in zip(rows, targets)
+    ]
 
     # A state's language is the set of words satisfying everything it owes
     # (GPVW's correctness lemma), so owing less accepts more.
@@ -325,7 +328,10 @@ def _walk(
         seen[neg][id(f)] = i
         return i
 
-    goal = walk(phi, negated)
+    try:
+        goal = walk(phi, negated)
+    finally:
+        del walk  # it is in its own closure: a cycle only the cyclic collector frees
     return moves, goal, untils, next_of
 
 

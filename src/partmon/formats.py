@@ -41,17 +41,18 @@ class ValidationError(ValueError):
 
 def emit_monitor(machine: MooreMonitor) -> str:
     """Serialize a monitor to PMF text."""
+    names = [f"s{q}" for q in range(machine.num_states)]
     lines = [
         f"PMF {PMF_VERSION}",
         "ALPHABET " + " ".join(machine.alphabet),
-        f"INITIAL s{machine.initial}",
+        f"INITIAL {names[machine.initial]}",
     ]
-    for q, out in enumerate(machine.outputs):
-        lines.append(f"STATE s{q} {out._value_}")
+    for name, out in zip(names, machine.outputs):
+        lines.append(f"STATE {name} {out._value_}")
     events = machine.alphabet.symbols
-    for q, row in enumerate(machine.delta):
+    for name, row in zip(names, machine.delta):
         for event, dst in zip(events, row):
-            lines.append(f"TRANS s{q} {event} s{dst}")
+            lines.append(f"TRANS {name} {event} {names[dst]}")
     return "\n".join(lines) + "\n"
 
 

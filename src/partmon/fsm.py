@@ -154,11 +154,16 @@ def _live_subsets(
                         cut |= 1 << q
             if cut & looping:
                 got = -1
-            elif cut == subset:
-                got = len(subsets)
-                subsets.append(subset)
-            else:
-                got = number(cut)
+            else:  # the cut of a cut is itself, so no recursion numbers it
+                one = not cut & (cut - 1)
+                got = single[cut.bit_length() - 1] if one else several.get(cut)
+                if got is None:
+                    got = len(subsets)
+                    subsets.append(cut)
+                    if one:
+                        single[cut.bit_length() - 1] = got
+                    else:
+                        several[cut] = got
             several[subset] = got
         return got
 
@@ -197,10 +202,12 @@ class MooreMonitor:
     are never run, such as synthesis intermediates, never pay for it.
     ``_partialized`` likewise keeps the result of
     :func:`partmon.partial.partialize` (a marker when that is the machine
-    itself), so a second call costs nothing.
+    itself), so a second call costs nothing.  ``_minimal`` is True only on a
+    machine :func:`minimize_moore` returned, no two of whose states output
+    the same on every continuation; both constructors set it False.
     """
 
-    __slots__ = ("alphabet", "num_states", "initial", "delta", "outputs", "_compiled", "_partialized")
+    __slots__ = ("alphabet", "num_states", "initial", "delta", "outputs", "_compiled", "_partialized", "_minimal")
 
     def __init__(
         self,
@@ -219,6 +226,7 @@ class MooreMonitor:
         self.outputs = tuple(outputs)
         self._compiled = None
         self._partialized = None
+        self._minimal = False
         if not 0 <= initial < num_states:
             raise ValueError("initial state out of range")
         if len(self.delta) != num_states or len(self.outputs) != num_states:
@@ -252,6 +260,7 @@ class MooreMonitor:
         machine.outputs = tuple(outputs)
         machine._compiled = None
         machine._partialized = None
+        machine._minimal = False
         return machine
 
     def step(self, state: int, event: str) -> int:
@@ -342,7 +351,8 @@ def minimize_moore(machine: MooreMonitor) -> MooreMonitor:
     numbering: :func:`partmon.graphs.explore` from the initial state, events
     in alphabet order.  A machine that is already minimal and numbered that
     way, as the product of :func:`synthesize_monitor` often is, is returned
-    as it is.
+    as it is.  Either way the result is marked minimal, which lets
+    :func:`partmon.partial.partialize` find its give-up state by a scan.
     """
     classes = {out: i for i, out in enumerate(sorted(set(machine.outputs), key=lambda v: v._value_))}
     block = list(map(classes.__getitem__, machine.outputs))
@@ -364,6 +374,7 @@ def minimize_moore(machine: MooreMonitor) -> MooreMonitor:
         and machine.initial == 0
         and list(reachable_from(machine.delta, [0])) == list(range(count))
     ):
+        machine._minimal = True
         return machine
 
     # The partition is stable, so any state of a block gives its row.
@@ -372,6 +383,6 @@ def minimize_moore(machine: MooreMonitor) -> MooreMonitor:
     member = dict(zip(block, machine.states()))
     rows = [[block[dst] for dst in machine.delta[member[b]]] for b in range(count)]
     order, delta = explore([block[machine.initial]], rows.__getitem__)
-    return MooreMonitor._built(
-        machine.alphabet, delta, [machine.outputs[member[b]] for b in order]
-    )
+    quotient = MooreMonitor._built(machine.alphabet, delta, [machine.outputs[member[b]] for b in order])
+    quotient._minimal = True
+    return quotient

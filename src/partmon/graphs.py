@@ -81,8 +81,8 @@ def fair_nodes(
     The result is the greatest set Z in which every node can reach, inside
     Z, an edge of each mark whose two ends are in Z (the Emerson-Lei
     fixpoint).  Each round keeps the nodes of Z that reach, inside Z, the
-    sources of every mark's edges, one backward search per mark, until Z
-    stops shrinking.
+    sources of every mark's edges, one backward search per mark whose
+    sources are not all of Z, until Z stops shrinking.
     """
     # With no marks, every edge counts as carrying mark 0.
     pad = 0 if num_marks else 1
@@ -90,6 +90,7 @@ def fair_nodes(
     while True:
         reverse: list[list[int]] = [[] for _ in rows]
         carried = [0] * len(rows)
+        everywhere = -1  # the marks every node of Z carries on an edge inside Z
         for v in fair:
             got = 0
             for _, w, m in rows[v]:
@@ -97,10 +98,12 @@ def fair_nodes(
                     reverse[w].append(v)
                     got |= m | pad
             carried[v] = got
+            everywhere &= got
         kept = set(fair)
         for i in range(num_marks or 1):
-            sources = [v for v in fair if carried[v] >> i & 1]
-            kept.intersection_update(reachable_from(reverse, sources))
+            if not everywhere >> i & 1:
+                sources = [v for v in fair if carried[v] >> i & 1]
+                kept.intersection_update(reachable_from(reverse, sources))
         if len(kept) == len(fair):
             return frozenset(kept)
         fair = kept

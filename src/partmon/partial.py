@@ -3,7 +3,8 @@
 An inconclusive state that cannot reach any conclusive state will stay
 inconclusive forever; relabeling it GIVEUP lets the monitor announce that
 continuing is pointless.  The pass is a single backward reachability sweep
-from the conclusive states, linear in states plus edges.  :func:`classify`
+from the conclusive states, linear in states plus edges, or on a minimal
+machine a scan for its one state that loops on every event.  :func:`classify`
 and the runtime apply it themselves, so they treat a machine and its
 partialized form alike.
 """
@@ -79,24 +80,33 @@ def partialize(machine: MooreMonitor) -> MooreMonitor:
 
     States, transitions and conclusive outputs are untouched; an UNKNOWN state
     keeps its output iff some TOP or BOT state is reachable from it, and
-    becomes GIVEUP otherwise.  A machine with no state to relabel is returned
-    as it is, so applying the pass twice returns the first result.  The result
-    is kept on the machine and on itself, so only the first call sweeps.
+    becomes GIVEUP otherwise.  A hopeless state outputs UNKNOWN on every
+    continuation, so in a machine :func:`partmon.fsm.minimize_moore`
+    returned, with no GIVEUP output, the hopeless states are one state whose
+    transitions all loop back to it: a scan of the rows finds it.  Any other
+    machine gets one backward reachability sweep from the conclusive
+    states.  A machine with no state to relabel is returned as it is, so
+    applying the pass twice returns the first result.  The result is kept
+    on the machine and on itself, so only the first call looks.
     """
     known = machine._partialized
     if known is None:
-        top, bot, unknown, giveup = Verdict.TOP, Verdict.BOT, Verdict.UNKNOWN, Verdict.GIVEUP
-        conclusive = [q for q, out in enumerate(machine.outputs) if out is top or out is bot]
-        hopeful = can_reach(machine.delta, conclusive)
-        outputs = [
-            out if out is not unknown or q in hopeful else giveup
-            for q, out in enumerate(machine.outputs)
-        ]
-        if tuple(outputs) == machine.outputs:
+        outputs, delta, unknown = machine.outputs, machine.delta, Verdict.UNKNOWN
+        if machine._minimal and Verdict.GIVEUP not in outputs:
+            width = len(machine.alphabet)
+            hopeless = [q for q, row in enumerate(delta) if row.count(q) == width and outputs[q] is unknown]
+        else:
+            top, bot = Verdict.TOP, Verdict.BOT
+            hopeful = can_reach(delta, [q for q, out in enumerate(outputs) if out is top or out is bot])
+            hopeless = [q for q, out in enumerate(outputs) if out is unknown and q not in hopeful]
+        if not hopeless:
             known = machine._partialized = _ITSELF
         else:
+            relabeled = list(outputs)
+            for q in hopeless:
+                relabeled[q] = Verdict.GIVEUP
             known = machine._partialized = MooreMonitor(
-                machine.alphabet, machine.num_states, machine.initial, machine.delta, outputs
+                machine.alphabet, machine.num_states, machine.initial, delta, relabeled
             )
             known._partialized = _ITSELF
     return machine if known is _ITSELF else known

@@ -44,13 +44,15 @@ class CompiledMonitor:
         self.index = {event: column for column, event in enumerate(machine.alphabet)}
         self.width = width
         self.start = machine.num_states * width
+        # Final is "not UNKNOWN": an identity test, no property call per slot.
+        unknown = Verdict.UNKNOWN
         targets: list[int] = []
         for q, verdict in enumerate(outputs):
-            targets += [q] * width if verdict.is_final else machine.delta[q]
+            targets += machine.delta[q] if verdict is unknown else [q] * width
         targets.append(machine.initial)
         self.table = [dst * width for dst in targets]
         self.after = [outputs[dst] for dst in targets]
-        self.live_after = [int(not verdict.is_final) for verdict in self.after]
+        self.live_after = [1 if verdict is unknown else 0 for verdict in self.after]
 
 
 def compile_monitor(machine: MooreMonitor) -> CompiledMonitor:

@@ -1,6 +1,7 @@
 """Prefix automata and Moore-machine synthesis."""
 
 import copy
+import gc
 import hashlib
 import json
 import pickle
@@ -10,6 +11,7 @@ import pytest
 
 import partmon.buchi as buchi
 import partmon.fsm as fsm
+import partmon.partial
 from partmon.buchi import Nba, _tableau, ltl_to_nba, nba_accepts_lasso
 from partmon.formats import emit_monitor
 from partmon.fsm import (
@@ -21,7 +23,7 @@ from partmon.fsm import (
     per_state_nonempty,
     synthesize_monitor,
 )
-from partmon.graphs import bits, reachable_from
+from partmon.graphs import bits, can_reach, reachable_from
 from partmon.ltl import (
     MAX_FORMULA_DEPTH,
     Alphabet,
@@ -69,6 +71,7 @@ from helpers import (
     prefix_fold_tableau,
     radiation_machine,
     random_formula,
+    reachability_oracle,
     reference_monitor,
     reference_nonempty,
     state_nba,
@@ -534,7 +537,8 @@ def test_a_two_member_union_is_cut_as_the_rank_order_cuts_it():
 def test_synthesized_machines_pass_the_public_constructors():
     """Synthesis builds its tableaux, products and minimal machines without
     the public constructors' checks; every family and corpus case's are
-    accepted by them and rebuild equal, minimized or not."""
+    accepted by them and rebuild equal, minimized or not, but for the mark
+    that only minimize_moore sets, and partialize to equal machines."""
     rng = random.Random(0xACCE55)
     cases = _family_formulas() + [(random_formula(rng, 4), ALPHA3) for _ in range(200)]
     for phi, alphabet in cases:
@@ -549,7 +553,109 @@ def test_synthesized_machines_pass_the_public_constructors():
                 alphabet, machine.num_states, machine.initial, machine.delta, machine.outputs
             )
             for field in MooreMonitor.__slots__:
-                assert getattr(rebuilt, field) == getattr(machine, field), (phi, minimize, field)
+                if field != "_minimal":
+                    assert getattr(rebuilt, field) == getattr(machine, field), (phi, minimize, field)
+            assert not rebuilt._minimal
+            scanned, swept = partialize(machine), partialize(rebuilt)
+            for field in ("num_states", "initial", "delta", "outputs"):
+                assert getattr(swept, field) == getattr(scanned, field), (phi, minimize, field)
+
+
+# --- give-up states of minimal machines -----------------------------------------
+
+def _random_machine(rng: random.Random, verdicts) -> MooreMonitor:
+    """1 to 8 states over 1 to 3 events, outputs drawn from ``verdicts``;
+    a random spanning tree from state 0 makes every state reachable, and
+    every other transition goes anywhere."""
+    width, n = rng.randint(1, 3), rng.randint(1, 8)
+    delta = [[rng.randrange(n) for _ in range(width)] for _ in range(n)]
+    free = [(0, k) for k in range(width)]
+    for q in range(1, n):
+        p, k = free.pop(rng.randrange(len(free)))
+        delta[p][k] = q
+        free += [(q, k) for k in range(width)]
+    outputs = [rng.choice(verdicts) for _ in range(n)]
+    return MooreMonitor(Alphabet(NAMES3[:width]), n, 0, delta, outputs)
+
+
+def test_partialize_scans_a_minimal_machine_as_the_sweep_labels_it(monkeypatch):
+    """partialize finds the give-up state of a machine minimize_moore
+    returned, with no GIVEUP output, by a scan of its rows, with no
+    backward sweep; the same machine rebuilt by the public constructor is
+    swept, and both must get the same labels.  Cases: the families, the
+    corpus, <>(a & X^k b) and [](a -> X^k b) for k <= 10, 300 depth-5 draws,
+    and 3,000 seeded random machines, minimized, a quarter of them with
+    outputs drawn from all four verdicts, so that some have GIVEUP outputs
+    and are swept too.  Each random machine, unminimized, must get the
+    labels of a forward search from every state.  At least 100 cases with
+    no GIVEUP output have a give-up state once partialized."""
+    sweeps = []
+
+    def counting_can_reach(adjacency, targets):
+        sweeps.append(len(adjacency))
+        return can_reach(adjacency, targets)
+
+    monkeypatch.setattr(partmon.partial, "can_reach", counting_can_reach)
+
+    def scanned_as_swept(machine: MooreMonitor) -> bool:
+        rebuilt = MooreMonitor(
+            machine.alphabet, machine.num_states, machine.initial, machine.delta, machine.outputs
+        )
+        sweeps.clear()
+        scanned = partialize(machine)
+        if Verdict.GIVEUP in machine.outputs:
+            assert sweeps, machine.outputs
+        elif Verdict.UNKNOWN in machine.outputs:
+            assert not sweeps, machine.outputs
+        sweeps.clear()
+        swept = partialize(rebuilt)
+        assert sweeps
+        assert (swept.initial, swept.delta) == (rebuilt.initial, rebuilt.delta)
+        assert swept.outputs == scanned.outputs, (machine.delta, machine.outputs)
+        return Verdict.GIVEUP in scanned.outputs and Verdict.GIVEUP not in machine.outputs
+
+    rng = random.Random(0xACCE55)
+    cases = _family_formulas() + [(random_formula(rng, 4), ALPHA3) for _ in range(200)]
+    for k in range(11):
+        cases.append((parse_formula("<>(a & " + "X " * k + "b)", ABC), ABC))
+        cases.append((parse_formula("[](a -> " + "X " * k + "b)", ABC), ABC))
+    rng = random.Random(0xD16E57)
+    cases += [(random_formula(rng, 5), ALPHA3) for _ in range(300)]
+    gave_up = sum(scanned_as_swept(synthesize_monitor(phi, alphabet)) for phi, alphabet in cases)
+
+    rng = random.Random(0x5CA4)
+    three, four = [Verdict.TOP, Verdict.BOT, Verdict.UNKNOWN, Verdict.UNKNOWN], list(Verdict)
+    for i in range(3000):
+        machine = _random_machine(rng, four if i % 4 == 3 else three)
+        gave_up += scanned_as_swept(minimize_moore(machine))
+        hopeless = [
+            out is Verdict.UNKNOWN and not reachability_oracle(machine, q)
+            for q, out in enumerate(machine.outputs)
+        ]
+        expected = [Verdict.GIVEUP if h else out for h, out in zip(hopeless, machine.outputs)]
+        assert list(partialize(machine).outputs) == expected, (machine.delta, machine.outputs)
+    assert gave_up >= 100, gave_up
+
+
+def test_synthesis_leaves_no_reference_cycles():
+    """Every table synthesis builds is freed by reference counting: with
+    the cyclic garbage collector off, synthesizing, partializing,
+    classifying and emitting the families and the corpus leaves it nothing
+    to free."""
+    rng = random.Random(0xACCE55)
+    cases = _family_formulas() + [(random_formula(rng, 4), ALPHA3) for _ in range(200)]
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for phi, alphabet in cases:
+            machine = partialize(synthesize_monitor(phi, alphabet))
+            classify(machine)
+            emit_monitor(machine)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # --- minimization of a machine that is already minimal --------------------------

@@ -117,6 +117,8 @@ THROUGH_UNFAIR = (
     1,
     {0, 1, 2, 3},
 )
+# A cycle 0 <-> 1 whose edges both carry mark 0; only 1 -> 0 carries mark 1.
+BOTH_CARRY_MARK_0 = ([[(1, 0b01)], [(0, 0b11)]], 2, {0, 1})
 SINGLETONS = [
     ([[(0, 0)]], 0, {0}),
     ([[]], 0, set()),
@@ -124,7 +126,7 @@ SINGLETONS = [
     ([[(0, 0)]], 1, set()),
     ([[]], 1, set()),
 ]
-GRAPHS = [CHAIN, ZERO_MARK_CHAIN, MARKS_ON_DIFFERENT_EDGES, THROUGH_UNFAIR, *SINGLETONS]
+GRAPHS = [CHAIN, ZERO_MARK_CHAIN, MARKS_ON_DIFFERENT_EDGES, THROUGH_UNFAIR, *SINGLETONS, BOTH_CARRY_MARK_0]
 
 
 def _rows(graph):
@@ -142,9 +144,8 @@ def test_live_states_of_hand_built_automata(graph, num_marks, expected):
     assert per_state_nonempty(nba) == reference_nonempty(nba) == expected
 
 
-def test_fair_nodes_peels_one_scc_of_the_chain_per_round(monkeypatch):
-    """Four rounds drop the chain's four SCCs, a fifth finds nothing to
-    drop; every round runs one backward search per mark."""
+def _counted_searches(monkeypatch) -> list:
+    """The sources of every backward search fair_nodes runs from now on."""
     searches = []
 
     def counted(adjacency, starts):
@@ -152,6 +153,28 @@ def test_fair_nodes_peels_one_scc_of_the_chain_per_round(monkeypatch):
         return reachable_from(adjacency, starts)
 
     monkeypatch.setattr(graphs, "reachable_from", counted)
+    return searches
+
+
+def test_fair_nodes_peels_one_scc_of_the_chain_per_round(monkeypatch):
+    """Four rounds drop the chain's four SCCs and a fifth finds nothing to
+    drop.  The first three run one backward search per mark; the fourth,
+    left with 0, 1 and 8, which all carry mark 0, runs only mark 1's; the
+    fifth, left with 8, which carries both marks on its self-loop, none."""
+    searches = _counted_searches(monkeypatch)
     graph, num_marks, expected = CHAIN
     assert fair_nodes(_rows(graph), num_marks) == expected
-    assert len(searches) == 5 * num_marks
+    assert len(searches) == 3 * num_marks + 1
+
+
+@pytest.mark.parametrize(
+    "graph, num_marks, expected, searched",
+    [(*BOTH_CARRY_MARK_0, [[1]]), (*MARKS_ON_DIFFERENT_EDGES, [[0], [1]])],
+    ids=["mark-0-everywhere", "no-mark-everywhere"],
+)
+def test_fair_nodes_skips_a_search_from_every_node(monkeypatch, graph, num_marks, expected, searched):
+    """A mark that every node carries on an edge inside Z would keep all of
+    Z, so only the other marks' searches run, from their sources."""
+    searches = _counted_searches(monkeypatch)
+    assert fair_nodes(_rows(graph), num_marks) == expected
+    assert searches == searched

@@ -10,8 +10,11 @@ imported into this process.  The pass is what the benchmark's synthesis
 workloads time: formula text -> ``parse_formula`` -> ``synthesize_monitor``
 -> ``partialize`` -> ``classify`` -> ``emit_monitor``, for every formula of
 a set.  The sets are the 14 synthesis families and the 200-formula corpus
-of ``perfbench/workloads.py`` and <>(a & X^10 b) over {a, b, c}, rendered to
-text by the checkout this script is in.
+of ``perfbench/workloads.py``, <>(a & X^10 b) over {a, b, c}, and a
+``large`` set: <>(a & X^12 b) over {a, b, c} and over a, b and 30 events it
+does not name, resp-8 (the conjunction of [](r_i -> <>g_i) for i < 8 over
+its 16 events) and [](a -> X^10 b) over {a, b, c}; each is rendered to text
+by the checkout this script is in.
 
 One untimed round warms both copies up.  Then each of ``--rounds`` rounds
 (default 30, at least 2) times every set once with each copy, the copy
@@ -46,10 +49,17 @@ def formula_sets() -> dict[str, list[tuple[str, tuple[str, ...]]]]:
     sys.path[:0] = [os.path.join(HERE, "src"), os.path.join(HERE, "tests"), HERE]
     from perfbench.workloads import REPLAY_EVENTS, corpus, families, render, x_k
 
+    resp_8 = " & ".join(f"[](r{i} -> <>g{i})" for i in range(8))
     return {
         "families": [(case.text, case.events) for case in families()],
         "corpus": [(case.text, case.events) for case in corpus()],
         "X^10": [(render(x_k(10)), REPLAY_EVENTS)],
+        "large": [
+            (render(x_k(12)), REPLAY_EVENTS),
+            (render(x_k(12)), ("a", "b", *(f"u{i}" for i in range(30)))),
+            (resp_8, tuple(e for i in range(8) for e in (f"r{i}", f"g{i}"))),
+            ("[](a -> " + "X " * 10 + "b)", REPLAY_EVENTS),
+        ],
     }
 
 

@@ -26,7 +26,8 @@ are printed, in milliseconds:
 - ``minimize``: ``minimize_moore`` on each product;
 - ``partialize+classify+emit``: ``partialize``, ``classify`` and
   ``emit_monitor`` on a fresh copy of each minimal machine, made untimed,
-  since ``partialize`` keeps its result on the machine.
+  since ``partialize`` keeps its result on the machine, and passed through
+  ``minimize_moore``, untimed too, so that it is marked minimal.
 
 The total tableau states and edges of each side over every formula, the
 number of negation sides synthesis skips, and the total product and minimal
@@ -101,9 +102,12 @@ def _measure(name: str, cases, repeats: int) -> None:
         for machine in products:
             minimize_moore(machine)
 
-    # partialize keeps its result on the machine, so every repeat gets copies.
+    # partialize keeps its result on the machine, so every repeat gets
+    # copies; minimize_moore returns each copy as it is, marked minimal as
+    # synthesis's machines are, so partialize scans them as it scans those.
     copies = iter(
-        [[MooreMonitor(m.alphabet, m.num_states, m.initial, m.delta, m.outputs) for m in minimal]
+        [[minimize_moore(MooreMonitor(m.alphabet, m.num_states, m.initial, m.delta, m.outputs))
+          for m in minimal]
          for _ in range(repeats)]
     )
 
