@@ -156,17 +156,12 @@ def parse_monitor(text: str) -> MooreMonitor:
         raise ValidationError(str(exc)) from None
 
 
+# Each verdict's (fill, font) colours.
 _DOT_COLORS = {
-    Verdict.UNKNOWN: "#f8e71c",
-    Verdict.TOP: "#417505",
-    Verdict.BOT: "#d0021b",
-    Verdict.GIVEUP: "#0a6464",
-}
-_DOT_FONT = {
-    Verdict.UNKNOWN: "black",
-    Verdict.TOP: "white",
-    Verdict.BOT: "white",
-    Verdict.GIVEUP: "white",
+    Verdict.UNKNOWN: ("#f8e71c", "black"),
+    Verdict.TOP: ("#417505", "white"),
+    Verdict.BOT: ("#d0021b", "white"),
+    Verdict.GIVEUP: ("#0a6464", "white"),
 }
 
 
@@ -195,9 +190,10 @@ def emit_dot(machine: MooreMonitor) -> str:
     ]
     for q in machine.states():
         out = machine.outputs[q]
+        fill, font = _DOT_COLORS[out]
         lines.append(
             f'  s{q} [label="s{q}\\n{out.value}", shape=circle, style=filled,'
-            f' fillcolor="{_DOT_COLORS[out]}", fontcolor="{_DOT_FONT[out]}"];'
+            f' fillcolor="{fill}", fontcolor="{font}"];'
         )
     for q in machine.states():
         bundles: dict[int, list[str]] = {}

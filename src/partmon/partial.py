@@ -60,14 +60,14 @@ class MonitorabilityReport(Record):
         )
 
     def as_dict(self) -> dict:
-        return {
-            "classification": self.classification.value,
-            "can_reach_top": self.can_reach_top,
-            "can_reach_bot": self.can_reach_bot,
-            "state_count": self.state_count,
-            "giveup_state_count": self.giveup_state_count,
-            "ugly_witness": list(self.ugly_witness) if self.ugly_witness is not None else None,
-        }
+        """The fields as JSON values: an Enum by its value, a tuple as a list."""
+        return {name: _json_value(getattr(self, name)) for name in self._fields}
+
+
+def _json_value(value: object) -> object:
+    if isinstance(value, Enum):
+        return value.value
+    return list(value) if isinstance(value, tuple) else value
 
 
 # What a partialized machine keeps as its own partialized form: a reference

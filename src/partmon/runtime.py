@@ -57,14 +57,19 @@ class CompiledMonitor:
 
 def compile_monitor(machine: MooreMonitor) -> CompiledMonitor:
     """The compiled table of ``partialize(machine)``, built on first use and
-    kept on the machine.
+    kept on that partialized form and on the machine, so a machine and its
+    partialized form share one table.
 
     Machines are immutable, so the table never goes stale.  Two threads that
     race here build equal tables and one of them is kept.
     """
     compiled = machine._compiled
     if compiled is None:
-        compiled = machine._compiled = CompiledMonitor(partialize(machine))
+        partial = partialize(machine)
+        compiled = partial._compiled
+        if compiled is None:
+            compiled = partial._compiled = CompiledMonitor(partial)
+        machine._compiled = compiled
     return compiled
 
 

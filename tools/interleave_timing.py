@@ -1,40 +1,71 @@
-"""Time the synthesis pass of two checkouts interleaved in one process.
+"""Time synthesis, its stages and the replay of two checkouts in one process.
 
 Usage: python tools/interleave_timing.py OLD NEW [--rounds N]
 
-OLD and NEW are roots of partmon checkouts; they may be the same one.  Each
-checkout's ``src/partmon`` is copied into a temporary directory as the
-package ``partmon_old`` or ``partmon_new`` (the package imports itself only
-by relative imports, so the copies load side by side), and both are
-imported into this process.  The pass is what the benchmark's synthesis
-workloads time: formula text -> ``parse_formula`` -> ``synthesize_monitor``
--> ``partialize`` -> ``classify`` -> ``emit_monitor``, for every formula of
-a set.  The sets are the 14 synthesis families and the 200-formula corpus
-of ``perfbench/workloads.py``, <>(a & X^10 b) over {a, b, c}, and a
-``large`` set: <>(a & X^12 b) over {a, b, c} and over a, b and 30 events it
-does not name, resp-8 (the conjunction of [](r_i -> <>g_i) for i < 8 over
-its 16 events) and [](a -> X^10 b) over {a, b, c}; each is rendered to text
-by the checkout this script is in.
+OLD and NEW are roots of partmon checkouts; they may be the same one, which
+times that checkout alone.  Each checkout's ``src/partmon`` is copied into a
+temporary directory as the package ``partmon_old`` or ``partmon_new`` (the
+package imports itself only by relative imports, so the copies load side by
+side), and both are imported into this process.  The script calls only the
+names in ``partmon.__all__`` and ``partmon.cli.main``, and rebinds none.
+
+Formula sets: the 14 synthesis families and the 200-formula corpus of
+``perfbench/workloads.py``, <>(a & X^10 b) over {a, b, c}, and a ``large``
+set: <>(a & X^12 b) over {a, b, c} and over a, b and 30 events it does not
+name, resp-8 (the conjunction of [](r_i -> <>g_i) for i < 8 over its 16
+events) and [](a -> X^10 b) over {a, b, c}; each is rendered to text by the
+checkout this script is in.  Each copy prebuilds every stage's inputs
+itself, untimed.  The rows of a set, each timed over the whole set:
+
+- ``pass``: what the benchmark's synthesis workloads time, formula text ->
+  ``parse_formula`` -> ``synthesize_monitor`` -> ``partialize`` ->
+  ``classify`` -> ``emit_monitor``;
+- ``parse``: ``parse_formula`` on each text;
+- ``tableau φ``: ``ltl_to_nba(phi)``;
+- ``tableau ¬φ``: ``ltl_to_nba(Not(phi))``, only where synthesis builds it,
+  that is where the φ tableau's initial state is live;
+- ``live``: ``per_state_nonempty`` on every tableau of the two rows above,
+  built afresh each round, untimed;
+- ``synth unminimized``: ``synthesize_monitor(..., minimize=False)``, which
+  builds both tableaux itself.  The product's share (liveness, the subset
+  tables and the product) is this row minus the two tableau rows: it is
+  derived, because timing it alone would mean serving synthesis prebuilt
+  tableaux through private names;
+- ``minimize``: ``minimize_moore`` on each unminimized machine;
+- ``partialize+classify+emit``: on fresh copies of the minimal machines,
+  made untimed, since ``partialize`` keeps its result on the machine, and
+  passed through ``minimize_moore``, untimed too, so that ``partialize``
+  scans them as it scans synthesis's machines.
+
+Each set's size lines follow its rows: the tableau states and edges of each
+side, the negation sides not built, and the product and minimal states.
+The ``replay`` set times ``cli.main(["run", "-m", PMF, "-t", TRACE])`` with
+stdout sent to ``os.devnull`` (reading both files, replaying and writing
+every line), and ``run_trace`` on the events already read (the replay
+alone), on the X^8 monitor of ``perfbench/workloads.py`` and a
+100,000-event trace that leaves it undecided; both files are written once.
 
 One untimed round warms both copies up.  Then each of ``--rounds`` rounds
-(default 30, at least 2) times every set once with each copy, the copy
+(default 30, at least 2) times every row once with each copy, the copy
 going first alternating from round to round, with the garbage collector
 off; it collects between rounds, untimed.  Every pass's PMFs must be equal
-between the copies, or the script fails.  Per set it prints each copy's
-median and quartiles in milliseconds, the ratio of the medians (NEW / OLD)
-and the number of rounds NEW was faster in.
+between the copies, and so must the X^8 monitor's, or the script fails.
+Per row it prints each copy's median and quartiles in milliseconds, the
+ratio of the medians (NEW / OLD) and the number of rounds NEW was faster in.
 
 Runs of a stage in two processes have read up to 50 % apart on identical
-code, so a change smaller than that is resolved here, not by comparing two
-runs of ``synth_timing.py``.
+code, so a change smaller than that is resolved only by timing both
+versions here, round by round, in one process.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import importlib
 import os
+import random
 import shutil
 import statistics
 import sys
@@ -42,11 +73,12 @@ import tempfile
 import time
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+EVENTS = 100_000
+SEED = 15
 
 
 def formula_sets() -> dict[str, list[tuple[str, tuple[str, ...]]]]:
     """Each set's formulas as (text, events) pairs."""
-    sys.path[:0] = [os.path.join(HERE, "src"), os.path.join(HERE, "tests"), HERE]
     from perfbench.workloads import REPLAY_EVENTS, corpus, families, render, x_k
 
     resp_8 = " & ".join(f"[](r{i} -> <>g{i})" for i in range(8))
@@ -72,46 +104,123 @@ def load(checkout: str, name: str, scratch: str):
     return importlib.import_module(name)
 
 
-def synthesis_pass(package):
-    """A function from a formula set to the PMF of each formula's
-    partialized, classified monitor, by ``package``."""
-    Alphabet, parse_formula = package.Alphabet, package.parse_formula
-    synthesize_monitor, partialize = package.synthesize_monitor, package.partialize
-    classify, emit_monitor = package.classify, package.emit_monitor
+def each(function, inputs):
+    """A row that calls ``function`` on each of its prebuilt ``inputs``."""
 
-    def run(formulas):
+    def call():
+        for args in inputs:
+            function(*args)
+
+    return lambda: call
+
+
+def stage_rows(pm, formulas) -> tuple[dict, list[str]]:
+    """Per row, a function that prepares the row's inputs with package
+    ``pm``, untimed, and returns the call to time; and the set's size lines."""
+    cases = [(text, pm.Alphabet(events)) for text, events in formulas]
+    parsed = [(pm.parse_formula(text, alphabet), alphabet) for text, alphabet in cases]
+    pos = [pm.ltl_to_nba(phi, alphabet) for phi, alphabet in parsed]
+    # Synthesis builds the negation side only where the formula side's
+    # initial state is live.
+    negated = [
+        (pm.Not(phi), alphabet)
+        for (phi, alphabet), nba in zip(parsed, pos)
+        if not nba.initial.isdisjoint(pm.per_state_nonempty(nba))
+    ]
+    neg = [pm.ltl_to_nba(phi, alphabet) for phi, alphabet in negated]
+    products = [pm.synthesize_monitor(phi, alphabet, minimize=False) for phi, alphabet in parsed]
+    minimal = [pm.minimize_moore(machine) for machine in products]
+
+    def synthesis_pass():
         pmfs = []
-        for text, events in formulas:
-            alphabet = Alphabet(events)
-            machine = partialize(synthesize_monitor(parse_formula(text, alphabet), alphabet))
-            classify(machine)
-            pmfs.append(emit_monitor(machine))
+        for text, alphabet in cases:
+            machine = pm.partialize(pm.synthesize_monitor(pm.parse_formula(text, alphabet), alphabet))
+            pm.classify(machine)
+            pmfs.append((text, pm.emit_monitor(machine)))
         return pmfs
 
-    return run
+    def finish(machines):
+        for machine in machines:
+            pm.emit_monitor(pm.partialize(machine))
+            pm.classify(machine)
+
+    def live():
+        # Tableaux built afresh each round: the same ones timed every round
+        # read up to 30 % apart between two copies of one checkout.
+        nbas = [pm.ltl_to_nba(*case) for case in parsed + negated]
+        return each(pm.per_state_nonempty, [(nba,) for nba in nbas])()
+
+    def fresh():
+        rebuilt = (pm.MooreMonitor(m.alphabet, m.num_states, m.initial, m.delta, m.outputs) for m in minimal)
+        copies = list(map(pm.minimize_moore, rebuilt))
+        return lambda: finish(copies)
+
+    rows = {
+        "pass": lambda: synthesis_pass,
+        "parse": each(pm.parse_formula, cases),
+        "tableau φ": each(pm.ltl_to_nba, parsed),
+        "tableau ¬φ": each(pm.ltl_to_nba, negated),
+        "live": live,
+        "synth unminimized": each(pm.synthesize_monitor, [(*case, False) for case in parsed]),
+        "minimize": each(pm.minimize_moore, [(machine,) for machine in products]),
+        "partialize+classify+emit": fresh,
+    }
+
+    def states(machines):
+        return sum(machine.num_states for machine in machines)
+
+    sides = ", ".join(
+        f"{side} {states(nbas)} states {sum(len(row) for nba in nbas for row in nba.edges)} edges"
+        for side, nbas in (("φ", pos), ("¬φ", neg))
+    )
+    sizes = [
+        f"tableaux {sides}; {len(pos) - len(neg)} ¬φ not built",
+        f"states product {states(products)}, minimal {states(minimal)}",
+    ]
+    return rows, sizes
 
 
-def interleave(passes: dict, sets: dict, rounds: int) -> dict:
-    """Per set and copy, the time of each round's pass in milliseconds."""
-    times = {name: {copy: [] for copy in passes} for name in sets}
-    order = list(passes.items())
+def replay_rows(pm, pmf: str, trace: str, events: list[str]) -> tuple[dict, list[str]]:
+    """The replay set's rows with package ``pm``, and its size line."""
+    cli_main = importlib.import_module(pm.__name__ + ".cli").main
+    with open(pmf, encoding="utf-8") as handle:
+        machine = pm.parse_monitor(handle.read())
+
+    def cli_run():
+        with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
+            code = cli_main(["run", "-m", pmf, "-t", trace])
+        if code != 2:
+            sys.exit(f"interleave_timing: partmon run exited {code}, not 2 (FINAL ?)")
+
+    rows = {"partmon run": lambda: cli_run, "run_trace": each(pm.run_trace, [(machine, events)])}
+    return rows, [f"monitor {machine.num_states} states, trace {len(events)} events"]
+
+
+def interleave(rows: dict, rounds: int) -> dict:
+    """Per set, row and copy, the time of each round's call in milliseconds.
+
+    ``rows`` maps each set to its rows, and each row to a dict from copy to
+    the row's preparing function; the calls' results must be equal between
+    the copies."""
+    times = {name: {row: {"old": [], "new": []} for row in set_rows} for name, set_rows in rows.items()}
+    order = ["old", "new"]
     for index in range(rounds + 1):
         gc.collect()
         gc.disable()
         try:
-            for name, formulas in sets.items():
-                pmfs = {}
-                for copy, run in order:
-                    started = time.perf_counter()
-                    pmfs[copy] = run(formulas)
-                    elapsed = (time.perf_counter() - started) * 1000
-                    if index:  # round 0 warms up
-                        times[name][copy].append(elapsed)
-                first, *rest = pmfs.values()
-                for other in rest:
-                    for (text, _), a, b in zip(formulas, first, other):
-                        if a != b:
-                            sys.exit(f"interleave_timing: {name}: the copies emit different PMFs for {text}")
+            for name, set_rows in rows.items():
+                for row, by_copy in set_rows.items():
+                    results = []
+                    for copy in order:
+                        call = by_copy[copy]()
+                        started = time.perf_counter()
+                        results.append(call())
+                        elapsed = (time.perf_counter() - started) * 1000
+                        if index:  # round 0 warms up
+                            times[name][row][copy].append(elapsed)
+                    if results[0] != results[1]:
+                        text = next(a[0] for a, b in zip(*results) if a != b)
+                        sys.exit(f"interleave_timing: {name}: the copies emit different PMFs for {text}")
         finally:
             gc.enable()
         order.reverse()
@@ -126,25 +235,54 @@ def main() -> None:
     args = parser.parse_args()
     if args.rounds < 2:
         parser.error("--rounds must be at least 2: the quartiles need two samples")
+    sys.path[:0] = [os.path.join(HERE, "src"), os.path.join(HERE, "tests"), HERE]
+    from perfbench.workloads import REPLAY_EVENTS, REPLAY_K, render, undecided_trace, x_k
+
     sets = formula_sets()
+    x8 = render(x_k(REPLAY_K))
+    events = undecided_trace(random.Random(SEED), EVENTS)
+    rows, sizes = {}, {}
     with tempfile.TemporaryDirectory() as scratch:
         sys.path.insert(0, scratch)
-        passes = {
-            "old": synthesis_pass(load(args.old, "partmon_old", scratch)),
-            "new": synthesis_pass(load(args.new, "partmon_new", scratch)),
-        }
-        times = interleave(passes, sets, args.rounds)
-    for name, by_copy in times.items():
-        medians = {}
-        for copy, samples in by_copy.items():
-            q1, medians[copy], q3 = statistics.quantiles(samples, n=4)
-            print(f"{name:9} {copy:4} median {medians[copy]:8.2f} ms  IQR {q1:.2f}-{q3:.2f} ms")
-        wins = sum(new < old for old, new in zip(by_copy["old"], by_copy["new"]))
-        ratio = medians["new"] / medians["old"]
-        print(
-            f"{name:9} new/old {ratio:.3f} ({(ratio - 1) * 100:+.1f} %),"
-            f" new faster in {wins} of {args.rounds} rounds"
-        )
+        packages = {"old": load(args.old, "partmon_old", scratch), "new": load(args.new, "partmon_new", scratch)}
+        pmfs = set()
+        for pm in packages.values():
+            alphabet = pm.Alphabet(REPLAY_EVENTS)
+            pmfs.add(pm.emit_monitor(pm.synthesize_monitor(pm.parse_formula(x8, alphabet), alphabet)))
+        if len(pmfs) > 1:
+            sys.exit(f"interleave_timing: replay: the copies emit different PMFs for {x8}")
+        pmf, trace = os.path.join(scratch, "x8.pmf"), os.path.join(scratch, "x8.trace")
+        with open(pmf, "w", encoding="utf-8") as handle:
+            handle.write(pmfs.pop())
+        with open(trace, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(events) + "\n")
+        # Both copies build one set's inputs before the next set's: a copy
+        # whose inputs were all built first read up to 30 % faster on
+        # identical code.
+        for name in [*sets, "replay"]:
+            for copy, pm in packages.items():
+                built = replay_rows(pm, pmf, trace, events) if name == "replay" else stage_rows(pm, sets[name])
+                set_rows, sizes.setdefault(name, {})[copy] = built
+                for row, prepare in set_rows.items():
+                    rows.setdefault(name, {}).setdefault(row, {})[copy] = prepare
+        times = interleave(rows, args.rounds)
+    for name, set_times in times.items():
+        for row, by_copy in set_times.items():
+            medians = {}
+            for copy, samples in by_copy.items():
+                q1, medians[copy], q3 = statistics.quantiles(samples, n=4)
+                print(f"{name:8} {row:24} {copy:4} median {medians[copy]:8.2f} ms  IQR {q1:.2f}-{q3:.2f} ms")
+            wins = sum(new < old for old, new in zip(by_copy["old"], by_copy["new"]))
+            ratio = medians["new"] / medians["old"]
+            print(
+                f"{name:8} {row:24} new/old {ratio:.3f} ({(ratio - 1) * 100:+.1f} %),"
+                f" new faster in {wins} of {args.rounds} rounds"
+            )
+        # The sizes may differ between the copies; print both then.
+        old, new = sizes[name]["old"], sizes[name]["new"]
+        for copy, lines in ({"both": new} if old == new else {"old": old, "new": new}).items():
+            for line in lines:
+                print(f"{name:8} {'sizes':24} {copy:4} {line}")
 
 
 if __name__ == "__main__":
