@@ -57,19 +57,14 @@ class CompiledMonitor:
 
 def compile_monitor(machine: MooreMonitor) -> CompiledMonitor:
     """The compiled table of ``partialize(machine)``, built on first use and
-    kept on that partialized form and on the machine, so a machine and its
-    partialized form share one table.
+    kept on the machine.
 
     Machines are immutable, so the table never goes stale.  Two threads that
     race here build equal tables and one of them is kept.
     """
     compiled = machine._compiled
     if compiled is None:
-        partial = partialize(machine)
-        compiled = partial._compiled
-        if compiled is None:
-            compiled = partial._compiled = CompiledMonitor(partial)
-        machine._compiled = compiled
+        compiled = machine._compiled = CompiledMonitor(partialize(machine))
     return compiled
 
 

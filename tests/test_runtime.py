@@ -371,16 +371,3 @@ def test_table_is_built_on_first_run_and_kept():
     assert compiled is not None
     start(machine).step("ev2")
     assert compile_monitor(machine) is compiled
-
-
-def test_a_machine_and_its_partialized_form_share_one_table():
-    phi = parse_formula("(ev1 & <>ev2) | (ev3 & []<>ev4)", ALPHA4)
-    for first_partialized in (False, True):
-        machine = synthesize_monitor(phi, ALPHA4)
-        partial = partialize(machine)
-        assert partial is not machine  # the machine has a give-up state
-        assert Verdict.GIVEUP in partial.outputs
-        if first_partialized:
-            assert compile_monitor(partial) is compile_monitor(machine)
-        else:
-            assert compile_monitor(machine) is compile_monitor(partial)

@@ -2,20 +2,18 @@
 
 Usage: python tools/interleave_timing.py OLD NEW [--rounds N]
 
-OLD and NEW are roots of partmon checkouts; they may be the same one, which
-times that checkout alone.  Each checkout's ``src/partmon`` is copied into a
-temporary directory as the package ``partmon_old`` or ``partmon_new`` (the
-package imports itself only by relative imports, so the copies load side by
-side), and both are imported into this process.  The script calls only the
-names in ``partmon.__all__`` and ``partmon.cli.main``, and rebinds none.
+OLD and NEW are partmon checkouts, maybe the same one, which times it
+alone.  Each one's ``src/partmon`` is copied to a temporary directory as
+``partmon_old`` or ``partmon_new`` (it imports itself only relatively) and
+imported.  Only ``partmon.__all__`` and ``partmon.cli.main`` are called,
+and nothing is rebound.
 
 Formula sets: the 14 synthesis families and the 200-formula corpus of
-``perfbench/workloads.py``, <>(a & X^10 b) over {a, b, c}, and a ``large``
-set: <>(a & X^12 b) over {a, b, c} and over a, b and 30 events it does not
-name, resp-8 (the conjunction of [](r_i -> <>g_i) for i < 8 over its 16
-events) and [](a -> X^10 b) over {a, b, c}; each is rendered to text by the
-checkout this script is in.  Each copy prebuilds every stage's inputs
-itself, untimed.  The rows of a set, each timed over the whole set:
+``perfbench/workloads.py``, <>(a & X^10 b) over {a, b, c}, and ``large``:
+<>(a & X^12 b) over {a, b, c} and over a, b and 30 unnamed events, resp-8
+([](r_i -> <>g_i) for i < 8, over its 16 events) and [](a -> X^10 b) over
+{a, b, c}, rendered to text by this script's checkout.  Each copy prebuilds
+every row's inputs, untimed.  The rows, each timed over the whole set:
 
 - ``pass``: what the benchmark's synthesis workloads time, formula text ->
   ``parse_formula`` -> ``synthesize_monitor`` -> ``partialize`` ->
@@ -27,35 +25,35 @@ itself, untimed.  The rows of a set, each timed over the whole set:
 - ``live``: ``per_state_nonempty`` on every tableau of the two rows above,
   built afresh each round, untimed;
 - ``synth unminimized``: ``synthesize_monitor(..., minimize=False)``, which
-  builds both tableaux itself.  The product's share (liveness, the subset
-  tables and the product) is this row minus the two tableau rows: it is
-  derived, because timing it alone would mean serving synthesis prebuilt
-  tableaux through private names;
+  builds both tableaux itself;
+- ``product (derived)``: liveness, the subset tables and the product, per
+  round and copy ``synth unminimized`` minus the two tableau rows, since
+  timing it alone would mean serving synthesis tableaux through private
+  names.  It is approximate: three timings' noise adds up in it, and
+  synthesis negates ``phi`` in its walk, skipping the ``Not`` node that
+  ``ltl_to_nba(Not(phi))`` reads (the automata are the same);
 - ``minimize``: ``minimize_moore`` on each unminimized machine;
 - ``partialize+classify+emit``: on fresh copies of the minimal machines,
   made untimed, since ``partialize`` keeps its result on the machine, and
   passed through ``minimize_moore``, untimed too, so that ``partialize``
   scans them as it scans synthesis's machines.
 
-Each set's size lines follow its rows: the tableau states and edges of each
-side, the negation sides not built, and the product and minimal states.
-The ``replay`` set times ``cli.main(["run", "-m", PMF, "-t", TRACE])`` with
-stdout sent to ``os.devnull`` (reading both files, replaying and writing
-every line), and ``run_trace`` on the events already read (the replay
-alone), on the X^8 monitor of ``perfbench/workloads.py`` and a
-100,000-event trace that leaves it undecided; both files are written once.
+Size lines follow each set's rows: tableau states and edges per side, the
+negation sides not built, and the product and minimal states.  ``replay``
+times ``cli.main(["run", "-m", PMF, "-t", TRACE])``, stdout to devnull,
+and ``run_trace`` on the events already read, on the X^8 monitor of
+``perfbench/workloads.py`` and a 100,000-event undecided trace, both
+written once.
 
 One untimed round warms both copies up.  Then each of ``--rounds`` rounds
-(default 30, at least 2) times every row once with each copy, the copy
-going first alternating from round to round, with the garbage collector
-off; it collects between rounds, untimed.  Every pass's PMFs must be equal
-between the copies, and so must the X^8 monitor's, or the script fails.
-Per row it prints each copy's median and quartiles in milliseconds, the
-ratio of the medians (NEW / OLD) and the number of rounds NEW was faster in.
+(default 30, at least 2) times every row once with each copy, the first
+copy alternating, with the garbage collector off; it collects between
+rounds.  The copies' PMFs (every pass's and the X^8 monitor's) must be
+equal.  Per row it prints each copy's median and quartiles in ms, the
+ratio of the medians (NEW / OLD) and the rounds NEW was faster in.
 
-Runs of a stage in two processes have read up to 50 % apart on identical
-code, so a change smaller than that is resolved only by timing both
-versions here, round by round, in one process.
+Identical code has read up to 50 % apart in two processes, so a smaller
+change is resolved only by timing both versions round by round in one.
 """
 
 from __future__ import annotations
@@ -120,8 +118,6 @@ def stage_rows(pm, formulas) -> tuple[dict, list[str]]:
     cases = [(text, pm.Alphabet(events)) for text, events in formulas]
     parsed = [(pm.parse_formula(text, alphabet), alphabet) for text, alphabet in cases]
     pos = [pm.ltl_to_nba(phi, alphabet) for phi, alphabet in parsed]
-    # Synthesis builds the negation side only where the formula side's
-    # initial state is live.
     negated = [
         (pm.Not(phi), alphabet)
         for (phi, alphabet), nba in zip(parsed, pos)
@@ -227,6 +223,20 @@ def interleave(rows: dict, rounds: int) -> dict:
     return times
 
 
+def with_product(set_times: dict) -> dict:
+    """A set's rows with ``product (derived)`` after ``synth unminimized``."""
+    rows = {}
+    for row, by_copy in set_times.items():
+        rows[row] = by_copy
+        if row == "synth unminimized":
+            pos, neg = set_times["tableau φ"], set_times["tableau ¬φ"]
+            rows["product (derived)"] = {
+                copy: [synth - p - n for synth, p, n in zip(samples, pos[copy], neg[copy])]
+                for copy, samples in by_copy.items()
+            }
+    return rows
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old")
@@ -267,7 +277,7 @@ def main() -> None:
                     rows.setdefault(name, {}).setdefault(row, {})[copy] = prepare
         times = interleave(rows, args.rounds)
     for name, set_times in times.items():
-        for row, by_copy in set_times.items():
+        for row, by_copy in with_product(set_times).items():
             medians = {}
             for copy, samples in by_copy.items():
                 q1, medians[copy], q3 = statistics.quantiles(samples, n=4)
