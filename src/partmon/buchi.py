@@ -8,9 +8,11 @@ Every subformula gets a move list, built once from its operands' lists: each
 move reads a guard now, owes a set of obligations from the next position on,
 and leaves pending the marks of the Untils it promised without granting.  A
 state's edges are the product of the move lists of everything it owes.  A
-move is dropped when another move reads every event it reads, owes no more
-and leaves no more marks pending, so the states only dominated moves lead to
-are never built.  An X obligation's one move reads every event and owes its
+move that owes no more and leaves no more marks pending than another
+dominates it, and the other keeps only the events no move dominating it
+reads (Babiak, Křetínský, Řehák and Strejček 2012); a move left reading
+nothing is dropped, so the states only dropped moves lead to are never
+built.  An X obligation's one move reads every event and owes its
 operand, so a state owing X obligations takes the product of the rest of
 what it owes, shared by every state owing that rest, and ORs their operands
 into each move's next obligations.  The full product is folded instead only
@@ -162,7 +164,8 @@ def _tableau(phi: Formula, alphabet: Alphabet, negated: bool) -> Nba:
     # it, and the full one is the row of every state owing that set.  A move
     # gives an edge, reading its guard, to the state owing its `next`, and
     # carrying mark j unless it leaves the j-th Until or F pending.  A
-    # dominated move is dropped before its target is numbered.
+    # dominated move loses the events its dominators read, and one left
+    # reading nothing is dropped, before its target is numbered.
     stay = [((1 << len(alphabet)) - 1, 0, 0)]
     products: dict[int, list[_Move]] = {0: stay}
 
@@ -352,15 +355,16 @@ def _owed_by(moves: list[_Move]) -> int:
 
 def _undominated(moves: list[_Move]) -> list[_Move]:
     """The (guard, next, pending) moves, merged by (next, pending) in order
-    of first occurrence, without those another move dominates (Gastin and
-    Oddoux 2001).
+    of first occurrence, each reading only the events no move dominating it
+    reads (Gastin and Oddoux 2001; Babiak, Křetínský, Řehák and Strejček
+    2012), and without those left reading nothing.
 
-    Move e' dominates e when it reads every event e reads, owes a subset of
-    what e owes and leaves a subset of e's marks pending: a word accepted
+    Move e' dominates e when it owes a subset of what e owes and leaves a
+    subset of e's marks pending: on an event both read, a word accepted
     through e is accepted through e', since owing less accepts more.  The
-    merged keys are distinct, so domination is a strict partial order, and
-    dropping every non-maximal move keeps one dominating move for each
-    dropped one.
+    merged keys are distinct, so domination is a strict partial order: on
+    each event the moves reading it that no other move reading it dominates
+    keep it, and every move that loses it is dominated by one of them.
     """
     if len(moves) < 2:
         return moves
@@ -373,10 +377,12 @@ def _undominated(moves: list[_Move]) -> list[_Move]:
     for key, guard in row:
         nxt, pending = key
         for other, other_guard in row:
-            if guard | other_guard == other_guard and other is not key:
+            if guard & other_guard and other is not key:
                 other_nxt, other_pending = other
                 if other_nxt | nxt == nxt and other_pending | pending == pending:
-                    break
+                    guard &= ~other_guard
+                    if not guard:
+                        break
         else:
             kept.append((guard, nxt, pending))
     return kept

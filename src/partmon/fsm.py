@@ -9,6 +9,7 @@ whether the prefix read so far already settles the property.
 from __future__ import annotations
 
 from enum import Enum
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .buchi import Nba, _tableau
@@ -80,15 +81,18 @@ def _live_subsets(
     not, so dropping it leaves the subset's language, and every residual of
     it, unchanged.
 
-    A looping state is a live state whose self-loop edges together read
-    every event.  It is in every successor of a subset that holds it, before
-    the cut, and the cut keeps the language, so no word empties such a
-    subset and it decides nothing more: a cut subset holding a looping state
-    gets the marker id -1, which is not in the list.  Id 0 is the empty
-    subset; 0 and -1 are their own successors on every event.  Every other
-    cut subset gets the next id, 1, 2, ..., when a row first reaches it, and
-    its row is built on its first request: per event, the union of its
-    members' live successors, cut and numbered.
+    A looping state is a live state whose edges to live states owing a
+    subset of its obligations together read every event; a self-loop is
+    such an edge.  Owing less accepts more, so on every event a looping
+    state has a live successor accepting every word it accepts, and by
+    induction every finite word extends to a word it accepts.  So no word
+    empties a subset that holds it, and such a subset decides nothing
+    more: a cut subset holding a looping state gets the marker id -1, which
+    is not in the list.  Id 0 is the empty subset; 0 and -1 are their own
+    successors on every event.  Every other cut subset gets the next id, 1,
+    2, ..., when a row first reaches it, and its row is built on its first
+    request: per event, the union of its members' live successors, cut and
+    numbered.
     """
     live = per_state_nonempty(automaton)
     n = automaton.num_states
@@ -97,21 +101,22 @@ def _live_subsets(
     # events are looked up once per distinct guard.
     successors = [[0] * n for _ in automaton.alphabet]
     columns: dict[int, list[list[int]]] = {}
+    owes = automaton.obligations
     looping = 0
     for q in live:
-        loops = 0
+        covered = 0
+        owed = owes[q]
         for guard, dst, _ in automaton.edges[q]:
             if dst in live:
-                if dst == q:
-                    loops |= guard
+                if not owes[dst] & ~owed:
+                    covered |= guard
                 read = columns.get(guard)
                 if read is None:
                     read = columns[guard] = [successors[k] for k in bits(guard)]
                 for column in read:
                     column[q] |= 1 << dst
-        if loops == everything:
+        if covered == everything:
             looping |= 1 << q
-    owes = automaton.obligations
     # Sorted by obligation count, then number, a member comes after every
     # member that owes a strict subset of its obligations, or the same set
     # with a lower number.
@@ -357,14 +362,17 @@ def minimize_moore(machine: MooreMonitor) -> MooreMonitor:
     classes = {out: i for i, out in enumerate(sorted(set(machine.outputs), key=lambda v: v._value_))}
     block = list(map(classes.__getitem__, machine.outputs))
     count = len(classes)
-    # One column per event: the target of every state on that event.
-    columns = list(zip(*machine.delta))
+    # One gatherer per event: it reads the block of every state's target on
+    # that event.
+    gathers = [itemgetter(*column) for column in zip(*machine.delta)]
     # A partition of singletons cannot split, so it needs no confirming round.
+    # A round thus runs only on two states or more, where a gather gives a
+    # tuple.
     while count < machine.num_states:
         ids: dict[tuple[int, ...], int] = {}
         new_block = [
             ids.setdefault(sig, len(ids))
-            for sig in zip(block, *(map(block.__getitem__, col) for col in columns))
+            for sig in zip(block, *(gather(block) for gather in gathers))
         ]
         if len(ids) == count:
             break

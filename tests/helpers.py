@@ -703,8 +703,10 @@ def bitset_subsets(automaton: Nba):
 
     Returns the initial subset and a function from a subset to its successor
     subset per event.  Each state's live successors on every event are
-    packed into one integer, event k in bits k*n .. k*n+n-1.  A cut subset
-    holding a looping state is the marker -1; 0 and -1 step to themselves.
+    packed into one integer, event k in bits k*n .. k*n+n-1.  A looping
+    state has, on every event, a live successor owing a subset of its
+    obligations.  A cut subset holding a looping state is the marker -1; 0
+    and -1 step to themselves.
     """
     live = sum(1 << q for q in per_state_nonempty(automaton))
     n = automaton.num_states
@@ -715,9 +717,12 @@ def bitset_subsets(automaton: Nba):
             if live >> dst & 1:
                 for k in bits(guard):
                     packed[q] |= 1 << (k * n + dst)
-    diagonal = sum(1 << lane for lane in lanes)
-    looping = sum(1 << q for q in range(n) if packed[q] >> q & diagonal == diagonal)
     owes = automaton.obligations
+    looping = 0
+    for q in range(n):
+        weaker = sum(1 << p for p in range(n) if not owes[p] & ~owes[q])
+        if all(packed[q] >> lane & weaker for lane in lanes):
+            looping |= 1 << q
     rank = [owed.bit_count() * n + q for q, owed in enumerate(owes)]
 
     def reduce_subset(subset: int) -> int:
