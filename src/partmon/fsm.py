@@ -63,6 +63,70 @@ def per_state_nonempty(automaton: Nba) -> frozenset[int]:
     return fair_nodes(automaton.edges, automaton.num_marks)
 
 
+def _deterministic_table(
+    automaton: Nba, live: frozenset[int]
+) -> tuple[int, list[tuple[int, ...]], list[int]] | None:
+    """The table of :func:`_live_subsets` for an automaton with one initial
+    state where every live state that is not looping reads each event on at
+    most one edge to a live state, or None for any other automaton.
+
+    Every subset reached from the start then has at most one member, and a
+    one-member subset is its own cut, so the table is the automaton's own
+    rows: the live states met breadth-first from the start, each state's
+    successors in the order of its edges, are ids 1, 2, ..., a looping
+    state is the marker -1 and no live successor is 0.  The rows are one
+    list, id 0's first and the marker's last, so that indexing it serves
+    both 0 and -1.  It is built whole, one row per live state at most, each
+    a state the tableau has built already.
+    """
+    if len(automaton.initial) > 1:
+        return None
+    width = len(automaton.alphabet)
+    everything = (1 << width) - 1
+    owes = automaton.obligations
+    # Each live state's id once it has one: -1 for the looping states,
+    # marked by one pass that gives up at any other state reading an event
+    # on two live edges.
+    ids: list[int | None] = [None] * automaton.num_states
+    for q in live:
+        read = covered = tangled = 0
+        owed = owes[q]
+        for guard, dst, _ in automaton.edges[q]:
+            if dst in live:
+                tangled |= guard & read
+                read |= guard
+                if not owes[dst] & ~owed:
+                    covered |= guard
+        if covered == everything:
+            ids[q] = -1
+        elif tangled:
+            return None
+    (first,) = automaton.initial
+    start = ids[first] if first in live else 0
+    order = []
+    if start is None:
+        start = ids[first] = 1
+        order.append(first)
+    events: dict[int, tuple[int, ...]] = {}
+    table = [(0,) * width]
+    for q in order:
+        row = [0] * width
+        for guard, dst, _ in automaton.edges[q]:
+            if dst in live:
+                i = ids[dst]
+                if i is None:
+                    order.append(dst)
+                    i = ids[dst] = len(order)
+                got = events.get(guard)
+                if got is None:
+                    got = events[guard] = tuple(bits(guard))
+                for k in got:
+                    row[k] = i
+        table.append(tuple(row))
+    table.append((-1,) * width)
+    return start, table, [0, *(1 << q for q in order)]
+
+
 def _live_subsets(
     automaton: Nba,
 ) -> tuple[int, Callable[[int], tuple[int, ...]], list[int]]:
@@ -90,11 +154,21 @@ def _live_subsets(
     more: a cut subset holding a looping state gets the marker id -1, which
     is not in the list.  Id 0 is the empty subset; 0 and -1 are their own
     successors on every event.  Every other cut subset gets the next id, 1,
-    2, ..., when a row first reaches it, and its row is built on its first
-    request: per event, the union of its members' live successors, cut and
-    numbered.
+    2, ....
+
+    A side with one initial state, where each live state that is not
+    looping reads each event on one live edge at most, reaches no subset of
+    two members: its table is :func:`_deterministic_table`, built whole.
+    On any other side the subsets can be exponentially many, so a cut
+    subset gets its id when a row first reaches it, and its row is built on
+    its first request: per event, the union of its members' live
+    successors, cut and numbered.
     """
     live = per_state_nonempty(automaton)
+    deterministic = _deterministic_table(automaton, live)
+    if deterministic is not None:
+        start, table, subsets = deterministic
+        return start, table.__getitem__, subsets
     n = automaton.num_states
     everything = (1 << len(automaton.alphabet)) - 1
     # Each live state's live successors, one bitset per event.  A guard's
@@ -286,7 +360,10 @@ def synthesize_monitor(
     Builds the automata for the formula and its negation, each by one walk
     over ``phi`` as given that pushes negations inward (no normal form is
     built).  Each side's live subset construction is a table of
-    :func:`_live_subsets` that numbers its subsets once; the product is
+    :func:`_live_subsets` that numbers its subsets once.  A side whose live
+    states, looping ones aside, read each event on one live edge at most is
+    its own table, built whole with no subset construction; any other
+    side's rows are built as the product asks for them.  The product is
     explored over pairs of those ids with :func:`partmon.graphs.explore`,
     events in alphabet order, and each product state's row pairs its sides'
     rows.  When no word satisfies ``phi``, its side's start subset is

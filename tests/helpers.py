@@ -1,13 +1,14 @@
-"""Shared test utilities: formula generators, word families, golden machines,
-a second, deliberately naive semantics evaluator used to cross-check the
-fixpoint one, machine isomorphism and a forward reachability check, and the
-plain route that synthesis is checked against: the canonical subformula
-order, a state-based GPVW tableau over it, per-state emptiness from its
-definition, the subset construction and a pair-per-state product; the
-product over raw subset bitsets that synthesis's numbered side tables are
-checked against; the product over pairs of both sides' ids that its
-one-sided exploration is checked against; and the tableau's plain prefix
-fold, which its shortcut for X obligations is checked against.
+"""Shared test utilities: formula generators and equivalent rewrites of
+formulas, word families, golden machines, a second, deliberately naive
+semantics evaluator used to cross-check the fixpoint one, machine
+isomorphism and a forward reachability check, and the plain route that
+synthesis is checked against: the canonical subformula order, a
+state-based GPVW tableau over it, per-state emptiness from its definition,
+the subset construction and a pair-per-state product; the product over raw
+subset bitsets that synthesis's numbered side tables are checked against;
+the product over pairs of both sides' ids that its one-sided exploration
+is checked against; and the tableau's plain prefix fold, which its
+shortcut for X obligations is checked against.
 """
 
 from __future__ import annotations
@@ -83,6 +84,42 @@ def next_heavy_formula(rng: random.Random, depth: int, names=NAMES3) -> Formula:
     if op in _UNARY_OPS:
         return op(next_heavy_formula(rng, depth - 1, names))
     return op(next_heavy_formula(rng, depth - 1, names), next_heavy_formula(rng, depth - 1, names))
+
+
+def _root_rewrites(phi: Formula) -> list[Formula]:
+    """Formulas with the models of ``phi``, each by one rewrite at its root:
+    ``!!f``; ``&`` and ``|`` commuted and by De Morgan; ``l -> r`` as
+    ``!l | r``; ``<>f`` as ``true U f`` and as ``<><>f``; ``[]f`` as
+    ``false R f`` and as ``!<>!f``; ``l U r`` as ``r | (l & X(l U r))``;
+    ``l R r`` as ``!(!l U !r)``."""
+    rewrites = [Not(Not(phi))]
+    op = phi.__class__
+    if op is And or op is Or:
+        dual = Or if op is And else And
+        rewrites += [op(phi.right, phi.left), Not(dual(Not(phi.left), Not(phi.right)))]
+    elif op is Implies:
+        rewrites.append(Or(Not(phi.left), phi.right))
+    elif op is Eventually:
+        rewrites += [Until(TRUE, phi.arg), Eventually(phi)]
+    elif op is Always:
+        rewrites += [Release(FALSE, phi.arg), Not(Eventually(Not(phi.arg)))]
+    elif op is Until:
+        rewrites.append(Or(phi.right, And(phi.left, Next(phi))))
+    elif op is Release:
+        rewrites.append(Not(Until(Not(phi.left), Not(phi.right))))
+    return rewrites
+
+
+def equivalent_rewrite(rng: random.Random, phi: Formula) -> Formula:
+    """A formula with the models of ``phi``: bottom up, each node, its
+    operands rewritten first, is replaced with probability 1/2 by one of
+    its root rewrites, drawn uniformly."""
+    kids = children(phi)
+    if kids:
+        phi = phi.__class__(*(equivalent_rewrite(rng, kid) for kid in kids))
+    if rng.random() < 0.5:
+        phi = rng.choice(_root_rewrites(phi))
+    return phi
 
 
 def all_words(names, max_len: int) -> list[tuple[str, ...]]:

@@ -61,6 +61,7 @@ from helpers import (
     bitset_monitor,
     bitset_subsets,
     determinize,
+    equivalent_rewrite,
     eventually_ev1_machine,
     is_nnf,
     mixed_branches_machine,
@@ -547,6 +548,77 @@ def test_a_two_member_union_is_cut_as_the_rank_order_cuts_it():
     assert min(kinds.values()) >= 20, kinds
 
 
+def _behind_a_looping_state() -> Nba:
+    """State 0 reads b back to itself and a into state 1, which is looping:
+    on a it loops, on b it reads into state 2, which owes a subset of its
+    obligations.  State 2 reads both events back to 0.  So 2 is live and
+    reached only through the looping state."""
+    edges = [[(0b01, 1, 0), (0b10, 0, 0)], [(0b01, 1, 0), (0b10, 2, 0)], [(0b11, 0, 0)]]
+    return Nba(Alphabet(["a", "b"]), [0], edges, 0, [0b001, 0b110, 0b010])
+
+
+def _with_dead_states() -> Nba:
+    """States 0 and 1 take a marked edge infinitely often; 0 also reads ev2
+    into state 2 and 1 reads ev3 into state 3, which never take a marked
+    edge again, and 2 reads ev1 on two edges, to itself and to 3."""
+    edges = [
+        [(0b001, 1, 1), (0b010, 2, 0), (0b100, 0, 0)],
+        [(0b011, 0, 0), (0b100, 3, 0)],
+        [(0b111, 2, 0), (0b001, 3, 0)],
+        [(0b111, 3, 0)],
+    ]
+    return Nba(ALPHA3, [0], edges, 1, [0b0001, 0b0010, 0b0100, 0b1000])
+
+
+def _two_initial_states() -> Nba:
+    """A three-state cycle on a, each state reading b to itself, that
+    starts in both 0 and 1; every state alone reads one edge per event."""
+    edges = [[(0b01, (q + 1) % 3, 0), (0b10, q, 0)] for q in range(3)]
+    return Nba(Alphabet(["a", "b"]), [0, 1], edges, 0, [0b001, 0b010, 0b100])
+
+
+def _nondeterministic_last() -> Nba:
+    """A four-state cycle on a, each state reading b to itself, except that
+    state 3, the last the pass meets, reads a into both 0 and 1."""
+    edges = [[(0b01, q + 1, 0), (0b10, q, 0)] for q in range(3)]
+    edges.append([(0b01, 0, 0), (0b01, 1, 0), (0b10, 3, 0)])
+    return Nba(Alphabet(["a", "b"]), [0], edges, 0, [0b0001, 0b0010, 0b0100, 0b1000])
+
+
+def _one_event() -> Nba:
+    """A three-state cycle over the one event a."""
+    edges = [[(0b1, (q + 1) % 3, 0)] for q in range(3)]
+    return Nba(Alphabet(["a"]), [0], edges, 0, [0b001, 0b010, 0b100])
+
+
+@pytest.mark.parametrize(
+    "build, deterministic, numbered",
+    [
+        (_behind_a_looping_state, True, [0, 0b001]),
+        (_with_dead_states, True, [0, 0b0001, 0b0010]),
+        (_two_initial_states, False, None),
+        (_nondeterministic_last, False, None),
+        (_one_event, True, [0, 0b001, 0b010, 0b100]),
+    ],
+)
+def test_a_deterministic_side_is_its_own_table(build, deterministic, numbered):
+    """A side with one initial state whose live states that are not looping
+    read each event on one live edge at most is tabled whole, with no
+    subset construction: the live states are numbered breadth-first from
+    the start, a looping state is the marker and the states behind it are
+    not numbered, and dead states are neither successors nor checked for
+    an event read on two edges.  Two
+    initial states, or one live state reading an event on two live edges,
+    take the general construction, even when that state is the last the
+    pass meets.  Either way the table numbers exactly what the bitset
+    construction cuts."""
+    nba = build()
+    assert (fsm._deterministic_table(nba, per_state_nonempty(nba)) is not None) == deterministic
+    subsets = _check_numbered_table(nba, build.__name__)
+    if numbered is not None:
+        assert subsets == numbered
+
+
 def test_synthesized_machines_pass_the_public_constructors():
     """Synthesis builds its tableaux, products and minimal machines without
     the public constructors' checks; every family and corpus case's are
@@ -779,6 +851,34 @@ def test_lasso_verdicts_are_unchanged():
         if alphabet == ALPHA3:
             digest.update(bytes(nba_accepts_lasso(nba, word) for word in lassos))
     assert digest.hexdigest() == LASSO_VERDICTS_SHA256
+
+
+def test_equivalent_formulas_give_byte_identical_monitors():
+    """The minimal Moore machine of a language is unique and emitted
+    canonically, so a formula and each of three equivalent rewrites of it
+    (:func:`equivalent_rewrite`) must give the same partialized PMF, however
+    differently their tableaux, side tables and products are built: over
+    ``random_formula`` and ``next_heavy_formula`` draws at depth 4, seeds
+    0-4.
+
+    This gate adds to the sha256 pins and the lasso oracles and replaces
+    none of them: it sees two shapes of one language disagree, not a wrong
+    answer they share.  A mutant whose ``buchi._undominated`` ignores
+    pending marks, or whose ``minimize_moore`` refines on every event but
+    the last, passes every rewrite, and the pins catch it.  No mutant was
+    found that fails here and passes every pin.  One whose tableau ORs in
+    each X's operand by one shift, chain or not, passes the three PMF pins
+    and fails here, but ``TABLEAUX_SHA256`` catches it."""
+    for seed in range(5):
+        rng = random.Random(seed)
+        draws = [random_formula(rng, 4) for _ in range(100)]
+        draws += [next_heavy_formula(rng, 4) for _ in range(100)]
+        for phi in draws:
+            expected = emit_monitor(partialize(synthesize_monitor(phi, ALPHA3)))
+            for _ in range(3):
+                rewritten = equivalent_rewrite(rng, phi)
+                got = emit_monitor(partialize(synthesize_monitor(rewritten, ALPHA3)))
+                assert got == expected, (seed, phi, rewritten)
 
 
 def test_the_walk_from_the_parsed_formula_builds_the_normal_forms_tableaux():

@@ -39,11 +39,12 @@ every row's inputs, untimed.  The rows, each timed over the whole set:
   scans them as it scans synthesis's machines.
 
 Size lines follow each set's rows: tableau states and edges per side, the
-negation sides not built, and the product and minimal states.  ``replay``
-times ``cli.main(["run", "-m", PMF, "-t", TRACE])``, stdout to devnull,
-and ``run_trace`` on the events already read, on the X^8 monitor of
-``perfbench/workloads.py`` and a 100,000-event undecided trace, both
-written once.
+negation sides not built, the sides synthesis tables without a subset
+construction (deterministic over their live states) and their states, and
+the product and minimal states.  ``replay`` times ``cli.main(["run", "-m",
+PMF, "-t", TRACE])``, stdout to devnull, and ``run_trace`` on the events
+already read, on the X^8 monitor of ``perfbench/workloads.py`` and a
+100,000-event undecided trace, both written once.
 
 One untimed round warms both copies up.  Then each of ``--rounds`` rounds
 (default 30, at least 2) times every row once with each copy, the first
@@ -169,11 +170,40 @@ def stage_rows(pm, formulas) -> tuple[dict, list[str]]:
         f"{side} {states(nbas)} states {sum(len(row) for nba in nbas for row in nba.edges)} edges"
         for side, nbas in (("φ", pos), ("¬φ", neg))
     )
+
+    def tabled(nbas):
+        got = [nba for nba in nbas if deterministic(pm, nba)]
+        return f"{len(got)} of {len(nbas)} ({states(got)} of {states(nbas)} states)"
+
     sizes = [
         f"tableaux {sides}; {len(pos) - len(neg)} ¬φ not built",
+        f"deterministic sides, tabled without subsets: φ {tabled(pos)}, ¬φ {tabled(neg)}",
         f"states product {states(products)}, minimal {states(minimal)}",
     ]
     return rows, sizes
+
+
+def deterministic(pm, nba) -> bool:
+    """Whether synthesis tables this side without a subset construction:
+    it has one initial state, and each live state reads each event on one
+    edge to a live state at most, unless it is looping (its edges to live
+    states owing no more read every event)."""
+    if len(nba.initial) > 1:
+        return False
+    live = pm.per_state_nonempty(nba)
+    everything = (1 << len(nba.alphabet)) - 1
+    owes = nba.obligations
+    for q in live:
+        read = covered = tangled = 0
+        for guard, dst, _ in nba.edges[q]:
+            if dst in live:
+                tangled |= guard & read
+                read |= guard
+                if not owes[dst] & ~owes[q]:
+                    covered |= guard
+        if tangled and covered != everything:
+            return False
+    return True
 
 
 def replay_rows(pm, pmf: str, trace: str, events: list[str]) -> tuple[dict, list[str]]:
