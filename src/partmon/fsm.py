@@ -1,9 +1,12 @@
 """From Büchi automata to executable Moore-machine monitors.
 
-Synthesis builds a generalized Büchi automaton for a formula and one for its
-negation, drops every state with an empty omega-language, and runs the subset
-construction of both sides in one product.  A product state's output says
-whether the prefix read so far already settles the property.
+Synthesis builds a generalized Büchi automaton for a formula and drops every
+state with an empty omega-language.  When each prefix reaches one live state
+at most, the formula's automaton decides every verdict alone, as a graph
+question per state.  Otherwise synthesis builds the negation's automaton too
+and runs the subset construction of both sides in one product.  A monitor
+state's output says whether the prefix read so far already settles the
+property.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from operator import itemgetter
 from typing import Callable, Sequence
 
 from .buchi import Nba, _tableau
-from .graphs import bits, explore, fair_nodes, reachable_from
+from .graphs import bits, can_reach, explore, fair_nodes, reachable_from
 from .ltl import Alphabet, Formula
 
 
@@ -77,7 +80,8 @@ def _deterministic_table(
     state is the marker -1 and no live successor is 0.  The rows are one
     list, id 0's first and the marker's last, so that indexing it serves
     both 0 and -1.  It is built whole, one row per live state at most, each
-    a state the tableau has built already.
+    a state the tableau has built already.  Returns the start id, the rows
+    and the numbered states in id order, id i's state at ``i - 1``.
     """
     if len(automaton.initial) > 1:
         return None
@@ -124,20 +128,20 @@ def _deterministic_table(
                     row[k] = i
         table.append(tuple(row))
     table.append((-1,) * width)
-    return start, table, [0, *(1 << q for q in order)]
+    return start, table, order
 
 
 def _live_subsets(
-    automaton: Nba,
-) -> tuple[int, Callable[[int], tuple[int, ...]], list[int]]:
-    """The subset construction over the automaton's live states, each
-    subset numbered once.
+    automaton: Nba, live: frozenset[int]
+) -> tuple[int, Callable[[int], tuple[int, ...]], Callable[[int], int]]:
+    """The subset construction over the automaton's live states ``live``,
+    as :func:`per_state_nonempty` finds them, each subset numbered once.
 
     Returns the initial subset's id, a function from an id to its successor
-    ids per event, and the list mapping each id to its subset as a bitset.
-    Dead states can only reach dead states, so dropping them loses nothing:
-    a subset accepts a prefix (has a satisfying continuation) exactly when
-    it is nonempty.
+    ids per event, and a function from an id to its subset as a bitset, -1
+    for the marker -1.  Dead states can only reach dead states, so dropping
+    them loses nothing: a subset accepts a prefix (has a satisfying
+    continuation) exactly when it is nonempty.
 
     Every subset is also cut down to an antichain of its weakest members: a
     member that owes a strict superset of another member's obligations, or
@@ -158,17 +162,18 @@ def _live_subsets(
 
     A side with one initial state, where each live state that is not
     looping reads each event on one live edge at most, reaches no subset of
-    two members: its table is :func:`_deterministic_table`, built whole.
+    two members: its table is :func:`_deterministic_table`, built whole,
+    and an id's subset is its one state, read off the table's state order.
     On any other side the subsets can be exponentially many, so a cut
     subset gets its id when a row first reaches it, and its row is built on
     its first request: per event, the union of its members' live
-    successors, cut and numbered.
+    successors, cut and numbered.  An id's subset is then read from the
+    list the numbering keeps.
     """
-    live = per_state_nonempty(automaton)
     deterministic = _deterministic_table(automaton, live)
     if deterministic is not None:
-        start, table, subsets = deterministic
-        return start, table.__getitem__, subsets
+        start, table, order = deterministic
+        return start, table.__getitem__, lambda i: 1 << order[i - 1] if i > 0 else i
     n = automaton.num_states
     everything = (1 << len(automaton.alphabet)) - 1
     # Each live state's live successors, one bitset per event.  A guard's
@@ -267,7 +272,80 @@ def _live_subsets(
         return got
 
     start = number(sum(1 << q for q in automaton.initial if q in live))
-    return start, row, subsets
+    return start, row, lambda i: subsets[i] if i >= 0 else i
+
+
+def _decided_alone(automaton: Nba, live: frozenset[int]) -> list[int | Verdict] | None:
+    """What a prefix reaching each state decides, for an automaton that
+    decides every verdict alone, or None for any other automaton.
+
+    Such an automaton has one initial state, and each of its live states
+    (``live``, as :func:`per_state_nonempty` finds them) reads each event
+    on one edge to a live state at most; on a tableau every live state is
+    reached from the start.  Looping states are no exception, as they are
+    in :func:`_deterministic_table`: the state owing nothing under ``true``
+    and the state of ``[]<>a`` both loop, but only the first accepts every
+    word.  An accepting run visits live states only, so a prefix reaches
+    one live state at most, and its verdict is that state's: BOT when it
+    reaches none, TOP when the state is *universal*, accepting every
+    infinite word, ``?`` otherwise.  No automaton of the negation is needed.
+
+    A live state is violable, not universal, when it can reach over live
+    edges a dead end, a state whose live edges do not read every event, or
+    a cycle of edges without some mark: the word that leaves the live
+    states there, or goes round that cycle forever, has one run from the
+    state, and it rejects.  The violable states start as the states that
+    reach a dead end, which are the states a prefix can still take to BOT.
+    Then, per mark, until every live state is violable, the states that
+    reach an infinite path of edges without that mark are added, found by
+    :func:`partmon.graphs.fair_nodes` with the violable states given no
+    edges: a state that is not violable reaches no state that is, so the
+    cycles it reaches are all kept.  A live state that can reach neither a
+    dead end nor a universal state stays ``?`` on every continuation, so it
+    is *hopeless*.
+
+    Returns, per state, Verdict.BOT when it is dead, Verdict.TOP when it is
+    universal, Verdict.UNKNOWN when it is hopeless, and the state itself
+    otherwise.
+    """
+    if len(automaton.initial) > 1:
+        return None
+    everything = (1 << len(automaton.alphabet)) - 1
+    # Each live state's edges to live states, and the dead ends.
+    rows: list[list[tuple[int, int, int]]] = [[] for _ in automaton.edges]
+    dead_ends = []
+    for q in live:
+        read = 0
+        row = rows[q]
+        for edge in automaton.edges[q]:
+            if edge[1] in live:
+                if edge[0] & read:
+                    return None
+                read |= edge[0]
+                row.append(edge)
+        if read != everything:
+            dead_ends.append(q)
+    adjacency = [[dst for _, dst, _ in row] for row in rows]
+    falling = violable = can_reach(adjacency, dead_ends)
+    for mark in range(automaton.num_marks):
+        if len(violable) == len(live):
+            break
+        avoiding = [
+            [] if q in violable else [edge for edge in row if not edge[2] >> mark & 1]
+            for q, row in enumerate(rows)
+        ]
+        violable |= can_reach(adjacency, fair_nodes(avoiding, 0))
+    universal = live - violable
+    rising = can_reach(adjacency, universal) if universal else universal
+    decided: list[int | Verdict] = [Verdict.BOT] * len(rows)
+    for q in live:
+        if q in universal:
+            decided[q] = Verdict.TOP
+        elif q in falling or q in rising:
+            decided[q] = q
+        else:
+            decided[q] = Verdict.UNKNOWN
+    return decided
 
 
 class MooreMonitor:
@@ -357,59 +435,90 @@ def synthesize_monitor(
 ) -> MooreMonitor:
     """Synthesize the three-valued monitor for ``phi``.
 
-    Builds the automata for the formula and its negation, each by one walk
-    over ``phi`` as given that pushes negations inward (no normal form is
-    built).  Each side's live subset construction is a table of
+    Builds the automaton for the formula, by one walk over ``phi`` as given
+    that pushes negations inward (no normal form is built), and its live
+    states.  When no word satisfies ``phi``, its start state is dead and the
+    result is the one-state BOT machine.  When the formula's automaton
+    decides every verdict alone (:func:`_decided_alone`: one initial state,
+    and each live state, looping ones included, reads each event on one
+    live edge at most), the monitor is that automaton's live states
+    explored from the start with :func:`partmon.graphs.explore`, events in
+    alphabet order, each state outputting UNKNOWN; an edge to no live state
+    goes to a BOT sink, one to a universal state to a TOP sink and one to a
+    hopeless state to a sink that outputs UNKNOWN.  The negation's automaton
+    is not built and no pairs are explored.
+
+    Any other formula builds the negation's automaton by the same walk.
+    Each side's live subset construction is a table of
     :func:`_live_subsets` that numbers its subsets once.  A side whose live
     states, looping ones aside, read each event on one live edge at most is
     its own table, built whole with no subset construction; any other
     side's rows are built as the product asks for them.  The product is
-    explored over pairs of those ids with :func:`partmon.graphs.explore`,
-    events in alphabet order, and each product state's row pairs its sides'
-    rows.  When no word satisfies ``phi``, its side's start subset is
-    empty, the result is the one-state BOT machine, and the negation's
-    automaton is not built.  A product state outputs TOP when the negation
-    side's subset is empty (no continuation violates), BOT when the formula
-    side's is (no continuation satisfies), UNKNOWN otherwise.  Conclusive
-    verdicts never change, so all TOP states are one absorbing sink, and all
-    BOT states another; a pair whose sides both hold the never-empty marker
-    -1 of :func:`_live_subsets` is a third sink, which outputs UNKNOWN.  A
-    side starting at -1 stays there, so the monitor is one-sided: it
-    concludes only TOP when the formula side never empties, only BOT when
-    the negation side never does; the other side's table is then explored
-    alone, each id standing for its pair with -1, in the same order, its 0
-    the TOP (or BOT) sink.  With ``minimize`` (the default) the result is
-    the unique minimal machine.
+    explored over pairs of those ids, events in alphabet order, and each
+    product state's row pairs its sides' rows.  A product state outputs TOP
+    when the negation side's subset is empty (no continuation violates),
+    BOT when the formula side's is (no continuation satisfies), UNKNOWN
+    otherwise.  Conclusive verdicts never change, so all TOP states are one
+    absorbing sink, and all BOT states another; a pair whose sides both
+    hold the never-empty marker -1 of :func:`_live_subsets` is a third
+    sink, which outputs UNKNOWN.  A side starting at -1 stays there, so the
+    monitor is one-sided: it concludes only TOP when the formula side never
+    empties, only BOT when the negation side never does; the other side's
+    table is then explored alone, each id standing for its pair with -1, in
+    the same order, its 0 the TOP (or BOT) sink.  With ``minimize`` (the
+    default) the result is the unique minimal machine.
     """
     top, bot, unknown = Verdict.TOP, Verdict.BOT, Verdict.UNKNOWN
-    pos_start, pos_row, _ = _live_subsets(_tableau(phi, alphabet, False))
-    if pos_start == 0:
+    automaton = _tableau(phi, alphabet, False)
+    live = per_state_nonempty(automaton)
+    if automaton.initial.isdisjoint(live):
         # No word satisfies phi, so every prefix is already BOT, whatever
         # the negation's automaton is: the product would be the BOT sink.
         return MooreMonitor._built(alphabet, [[0] * len(alphabet)], [bot])
-    neg_start, neg_row, _ = _live_subsets(_tableau(phi, alphabet, True))
+    decided = _decided_alone(automaton, live)
+    if decided is not None:
+        width = len(alphabet)
 
-    if pos_start == -1 or neg_start == -1:
-        start, row, sink = (neg_start, neg_row, top) if pos_start == -1 else (pos_start, pos_row, bot)
-        ids, delta = explore([start], row)
-        outputs = [sink if i == 0 else unknown for i in ids]
+        # A sink is its verdict, and every other node a live state.
+        def row(node: int | Verdict) -> Sequence[int | Verdict]:
+            if isinstance(node, Verdict):
+                return (node,) * width
+            got: list[int | Verdict] = [bot] * width
+            for guard, dst, _ in automaton.edges[node]:
+                if dst in live:
+                    for k in bits(guard):
+                        got[k] = decided[dst]
+            return got
+
+        (first,) = automaton.initial
+        nodes, delta = explore([decided[first]], row)
+        outputs = [node if isinstance(node, Verdict) else unknown for node in nodes]
     else:
-        # An empty side (0) and a side that can never empty (-1) step to
-        # themselves, so the TOP sink (-1, 0), the BOT sink (0, -1) and the
-        # sink (-1, -1) that reaches neither loop through ``key`` alone.
-        def key(pos: int, neg: int) -> tuple[int, int]:
-            if pos and neg:
-                return (pos, neg)
-            if pos:
-                return (-1, 0)
-            if neg:
-                return (0, -1)
-            raise AssertionError("internal error: product state is dead on both sides")
+        pos_start, pos_row, _ = _live_subsets(automaton, live)
+        negation = _tableau(phi, alphabet, True)
+        neg_start, neg_row, _ = _live_subsets(negation, per_state_nonempty(negation))
+        if pos_start == -1 or neg_start == -1:
+            start, row, sink = (neg_start, neg_row, top) if pos_start == -1 else (pos_start, pos_row, bot)
+            ids, delta = explore([start], row)
+            outputs = [sink if i == 0 else unknown for i in ids]
+        else:
+            # An empty side (0) and a side that can never empty (-1) step to
+            # themselves, so the TOP sink (-1, 0), the BOT sink (0, -1) and
+            # the sink (-1, -1) that reaches neither loop through ``key``
+            # alone.
+            def key(pos: int, neg: int) -> tuple[int, int]:
+                if pos and neg:
+                    return (pos, neg)
+                if pos:
+                    return (-1, 0)
+                if neg:
+                    return (0, -1)
+                raise AssertionError("internal error: product state is dead on both sides")
 
-        pairs, delta = explore(
-            [key(pos_start, neg_start)], lambda pair: map(key, pos_row(pair[0]), neg_row(pair[1]))
-        )
-        outputs = [top if neg == 0 else bot if pos == 0 else unknown for pos, neg in pairs]
+            pairs, delta = explore(
+                [key(pos_start, neg_start)], lambda pair: map(key, pos_row(pair[0]), neg_row(pair[1]))
+            )
+            outputs = [top if neg == 0 else bot if pos == 0 else unknown for pos, neg in pairs]
     machine = MooreMonitor._built(alphabet, delta, outputs)
     if minimize:
         machine = minimize_moore(machine)

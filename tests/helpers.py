@@ -1,7 +1,9 @@
 """Shared test utilities: formula generators and equivalent rewrites of
 formulas, word families, golden machines, a second, deliberately naive
 semantics evaluator used to cross-check the fixpoint one, machine
-isomorphism and a forward reachability check, and the plain route that
+isomorphism, equivalence and a forward reachability check, the rule by
+which a formula's automaton decides every verdict alone, and the plain
+route that
 synthesis is checked against: the canonical subformula order, a
 state-based GPVW tableau over it, per-state emptiness from its definition,
 the subset construction and a pair-per-state product; the product over raw
@@ -353,6 +355,42 @@ def moore_isomorphic(first: MooreMonitor, second: MooreMonitor) -> bool:
                 forward[pd] = qd
                 backward[qd] = pd
                 queue.append((pd, qd))
+    return True
+
+
+def moore_equivalent(first: MooreMonitor, second: MooreMonitor) -> bool:
+    """Equal outputs on every trace: a breadth-first search over the pairs
+    of states one trace reaches in both machines, from the initial pair,
+    finds no pair whose outputs differ."""
+    if first.alphabet != second.alphabet:
+        return False
+    seen = {(first.initial, second.initial)}
+    queue = deque(seen)
+    while queue:
+        p, q = queue.popleft()
+        if first.outputs[p] is not second.outputs[q]:
+            return False
+        for pair in zip(first.delta[p], second.delta[q]):
+            if pair not in seen:
+                seen.add(pair)
+                queue.append(pair)
+    return True
+
+
+def decides_alone(nba: Nba) -> bool:
+    """Whether synthesis builds the monitor from this formula side alone:
+    it has one initial state, and each live state, looping or not, reads
+    each event on one edge to a live state at most."""
+    if len(nba.initial) > 1:
+        return False
+    live = per_state_nonempty(nba)
+    for q in live:
+        read = 0
+        for guard, dst, _ in nba.edges[q]:
+            if dst in live:
+                if guard & read:
+                    return False
+                read |= guard
     return True
 
 
@@ -815,14 +853,18 @@ def pair_product(phi: Formula, alphabet: Alphabet) -> tuple[MooreMonitor, tuple[
     """The unminimized monitor by exploring pairs of both sides'
     :func:`partmon.fsm._live_subsets` ids, whatever the sides start at: the
     reference for :func:`partmon.fsm.synthesize_monitor`, which explores a
-    side alone when the other starts at the never-empty marker -1.
+    side alone when the other starts at the never-empty marker -1, and
+    which builds no pairs either when the formula side decides every
+    verdict alone (:func:`decides_alone`).
 
     Returns the machine and the two sides' start ids, the negation's None
     when no word satisfies ``phi`` and it is not built."""
-    pos_start, pos_row, _ = _live_subsets(_tableau(phi, alphabet, False))
+    pos = _tableau(phi, alphabet, False)
+    pos_start, pos_row, _ = _live_subsets(pos, per_state_nonempty(pos))
     if pos_start == 0:
         return MooreMonitor(alphabet, 1, 0, [[0] * len(alphabet)], [Verdict.BOT]), (0, None)
-    neg_start, neg_row, _ = _live_subsets(_tableau(phi, alphabet, True))
+    neg = _tableau(phi, alphabet, True)
+    neg_start, neg_row, _ = _live_subsets(neg, per_state_nonempty(neg))
 
     def key(pos: int, neg: int) -> tuple[int, int]:
         assert pos or neg, "product state is dead on both sides"

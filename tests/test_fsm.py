@@ -60,11 +60,13 @@ from helpers import (
     all_words,
     bitset_monitor,
     bitset_subsets,
+    decides_alone,
     determinize,
     equivalent_rewrite,
     eventually_ev1_machine,
     is_nnf,
     mixed_branches_machine,
+    moore_equivalent,
     moore_isomorphic,
     next_heavy_formula,
     pair_product,
@@ -317,20 +319,32 @@ def test_a_side_starting_at_minus_one_gives_the_pair_product():
     """Synthesis explores one side's table alone when the other side starts
     at the never-empty marker -1.  Its unminimized machine must have the
     rows and verdicts of the product over pairs of both sides' ids, on the
-    families, the corpus, <>(a & X^k b) and [](a -> X^k b) for k <= 10 and
-    300 depth-5 draws, with each of the three ways (the formula side at -1,
-    the negation side at -1, both sides live) taken at least 20 times."""
+    families, the corpus, <>(a & X^k b) and [](a -> X^k b) for k <= 10,
+    [](x -> <>[]y) for literals x and y over {a, b, c} and 300 depth-5
+    draws, with each of the three ways (the formula side at -1,
+    the negation side at -1, both sides live) taken at least 20 times by
+    formulas whose formula side does not decide alone.  A formula side that
+    decides alone builds another machine, which must give the product's
+    verdict on every trace."""
     rng = random.Random(0xACCE55)
     cases = _family_formulas() + [(random_formula(rng, 4), ALPHA3) for _ in range(200)]
     for k in range(11):
         cases.append((parse_formula("<>(a & " + "X " * k + "b)", ABC), ABC))
         cases.append((parse_formula("[](a -> " + "X " * k + "b)", ABC), ABC))
+    # Formula sides that do not decide alone, with a negation side at -1.
+    literals = ["a", "b", "c", "!a", "!b", "!c"]
+    cases += [(parse_formula(f"[]({x} -> <>[]{y})", ABC), ABC) for x in literals for y in literals]
     rng = random.Random(0xD16E57)
     cases += [(random_formula(rng, 5), ALPHA3) for _ in range(300)]
     ways = {"formula side -1": 0, "negation side -1": 0, "both live": 0}
+    alone = 0
     for phi, alphabet in cases:
         expected, (pos_start, neg_start) = pair_product(phi, alphabet)
         machine = synthesize_monitor(phi, alphabet, minimize=False)
+        if pos_start != 0 and decides_alone(_tableau(phi, alphabet, False)):
+            assert moore_equivalent(machine, expected), phi
+            alone += 1
+            continue
         assert machine.delta == expected.delta, phi
         assert machine.outputs == expected.outputs, phi
         if pos_start == -1:
@@ -340,6 +354,7 @@ def test_a_side_starting_at_minus_one_gives_the_pair_product():
         elif pos_start > 0 and neg_start > 0:
             ways["both live"] += 1
     assert min(ways.values()) >= 20, ways
+    assert alone >= 20, alone
 
 
 # --- sides that can no longer empty --------------------------------------------
@@ -385,11 +400,7 @@ def test_a_subset_holding_a_looping_state_never_empties():
                 }
                 return -1 if kept & looping else sum(1 << q for q in kept)
 
-            start, row, subsets = _live_subsets(nba)
-
-            def subset_of(i):
-                return -1 if i < 0 else subsets[i]
-
+            start, row, subset_of = _live_subsets(nba, per_state_nonempty(nba))
             assert subset_of(start) == cut(nba.initial)
             seen = {start}
             frontier = [start]
@@ -433,31 +444,43 @@ def _widened_draws(count: int):
 def test_numbered_side_tables_give_the_bitset_products():
     """Pairing each side's subset ids gives byte for byte the machines that
     pairing raw subset bitsets gives, minimized or not, on the families, the
-    corpus, 300 depth-5 draws and 100 draws over widened alphabets."""
+    corpus, 300 depth-5 draws and 100 draws over widened alphabets.  Where
+    the formula side decides alone, no pairs are built: the unminimized
+    machine must give the bitset product's verdict on every trace, and the
+    minimal machines must still be equal byte for byte."""
     rng = random.Random(0xACCE55)
     cases = _family_formulas() + [(random_formula(rng, 4), ALPHA3) for _ in range(200)]
     rng = random.Random(0xD16E57)
     cases += [(random_formula(rng, 5), ALPHA3) for _ in range(300)]
     cases += list(_widened_draws(100))
+    paired = alone = 0
     for phi, alphabet in cases:
+        pos = _tableau(phi, alphabet, False)
+        if not pos.initial.isdisjoint(per_state_nonempty(pos)) and decides_alone(pos):
+            machine = synthesize_monitor(phi, alphabet, minimize=False)
+            assert moore_equivalent(machine, bitset_monitor(phi, alphabet, minimize=False)), phi
+            numbered = emit_monitor(synthesize_monitor(phi, alphabet))
+            assert numbered == emit_monitor(bitset_monitor(phi, alphabet)), phi
+            alone += 1
+            continue
         for minimize in (False, True):
             numbered = emit_monitor(synthesize_monitor(phi, alphabet, minimize=minimize))
             assert numbered == emit_monitor(bitset_monitor(phi, alphabet, minimize)), (phi, minimize)
+        paired += 1
+    assert min(paired, alone) >= 100, (paired, alone)
 
 
 def _check_numbered_table(nba: Nba, label) -> list[int]:
-    """Require ``_live_subsets(nba)`` to number what :func:`bitset_subsets`
-    cuts: the ids reached from the start are 0, -1 and exactly 1..N, id i
-    names the i-th entry of the subset list, no two entries are equal, and
-    each id's row names the bitset construction's row of its subset.
-    Returns the subset list."""
-    start, row, subsets = _live_subsets(nba)
+    """Require ``_live_subsets(nba, live)`` to number what
+    :func:`bitset_subsets` cuts: the ids reached from the start are 0, -1
+    and exactly 1..N, no id beyond N has a subset, no two ids name equal
+    subsets, and each id's row names the bitset construction's row of its
+    subset, as its ``subset_of`` gives them.  Returns the subsets of ids
+    0..N."""
+    start, row, subset_of = _live_subsets(nba, per_state_nonempty(nba))
     bitset_start, bitset_row = bitset_subsets(nba)
-
-    def subset_of(i):
-        return -1 if i < 0 else subsets[i]
-
-    assert subsets[0] == 0
+    assert subset_of(0) == 0
+    assert subset_of(-1) == -1
     assert subset_of(start) == bitset_start, label
     reached = {start}
     frontier = [start]
@@ -469,8 +492,11 @@ def _check_numbered_table(nba: Nba, label) -> list[int]:
             if target not in reached:
                 reached.add(target)
                 frontier.append(target)
+    subsets = [subset_of(i) for i in range(max(reached | {0}) + 1)]
     assert reached - {0, -1} == set(range(1, len(subsets))), label
     assert len(set(subsets)) == len(subsets), label
+    with pytest.raises(IndexError):  # no id is numbered beyond those reached
+        subset_of(len(subsets))
     return subsets
 
 
@@ -617,6 +643,157 @@ def test_a_deterministic_side_is_its_own_table(build, deterministic, numbered):
     subsets = _check_numbered_table(nba, build.__name__)
     if numbered is not None:
         assert subsets == numbered
+
+
+# --- a formula side that decides alone --------------------------------------------
+
+AB = Alphabet(["a", "b"])
+_CLASSES = {Verdict.BOT: "dead", Verdict.TOP: "universal", Verdict.UNKNOWN: "hopeless"}
+
+
+def _exits_without_marks() -> Nba:
+    """No marks, so every infinite run accepts.  State 0 reads a back to
+    itself, and also to the dead state 3, and b into 1, a dead end that
+    reads a into the universal state 2 and b only into 3."""
+    edges = [[(0b01, 0, 0), (0b01, 3, 0), (0b10, 1, 0)], [(0b01, 2, 0), (0b10, 3, 0)], [(0b11, 2, 0)], []]
+    return Nba(AB, [0], edges, 0, [0b0001, 0b0010, 0b0100, 0b1000])
+
+
+def _two_looping_states() -> Nba:
+    """One mark.  State 0 reads a into 1, the state of []<>a, and b into 2,
+    the state owing nothing under true.  Both loop on every event, but only
+    2 is universal, and 1 can reach no verdict."""
+    edges = [[(0b01, 1, 0), (0b10, 2, 0)], [(0b01, 1, 1), (0b10, 1, 0)], [(0b11, 2, 1)]]
+    return Nba(AB, [0], edges, 1, [0b001, 0b010, 0b100])
+
+
+def _two_marks_and_a_dead_end() -> Nba:
+    """Two marks.  State 0 reads a into 1 with mark 0 and b into 2 with mark
+    1; 1 reads both events back to 0, and 2 reads a back to 0 and b into 3,
+    a dead end that reads a to itself with both marks.  So each of 0, 1 and
+    2 goes round a cycle without one of the marks, and reaches 3."""
+    edges = [[(0b01, 1, 0b01), (0b10, 2, 0b10)], [(0b11, 0, 0)], [(0b01, 0, 0), (0b10, 3, 0)], [(0b01, 3, 0b11)]]
+    return Nba(AB, [0], edges, 2, [0b0001, 0b0010, 0b0100, 0b1000])
+
+
+def _a_hopeless_region() -> Nba:
+    """Two marks.  State 0 reads a into the universal state 3 and b into 1;
+    1 reads b to itself with mark 1 and a into 2 with mark 0, and 2 reads
+    both events back to 1, so 1 and 2 accept (aab)^ω but not b^ω, and
+    reach no verdict."""
+    edges = [[(0b01, 3, 0), (0b10, 1, 0)], [(0b10, 1, 0b10), (0b01, 2, 0b01)], [(0b11, 1, 0)], [(0b11, 3, 0b11)]]
+    return Nba(AB, [0], edges, 2, [0b0001, 0b0010, 0b0100, 0b1000])
+
+
+def _random_deterministic_automaton(rng: random.Random) -> Nba:
+    """One to four states over {a, b} with up to two marks, each state
+    reading each event on one edge at most, with random marks."""
+    n = rng.randint(1, 4)
+    marks = rng.randint(0, 2)
+    edges = [
+        [(1 << k, rng.randrange(n), rng.randrange(1 << marks)) for k in range(2) if rng.random() < 0.85]
+        for _ in range(n)
+    ]
+    return Nba(AB, [0], edges, marks, [1 << q for q in range(n)])
+
+
+def _brute_force_classes(nba: Nba) -> dict[int, str]:
+    """Each reached state's class by lasso membership, for an automaton in
+    which each word reaches one state at most that accepts some word.
+
+    A lasso's run from a state runs its loop from the state its stem
+    reaches, so every loop is run from every state: loops of 1 to n events,
+    n the state count, for universality, and up to n events per mark for
+    emptiness, as many as a cycle through an edge of each mark can need.
+    A state is dead when no state it reaches accepts a loop, universal when
+    every state it reaches accepts every loop of at most n events.  A word
+    decides when the states it reaches are all dead or one is universal.
+    Any other state is hopeless when no word of at most n events from it
+    decides, and ``?`` when one does."""
+    n = nba.num_states
+    loops = [LassoWord((), word) for word in all_words(AB.symbols, n * max(1, nba.num_marks)) if word]
+    short = 2 ** (n + 1) - 2  # the loops of 1 to n events come first
+    accepts_some, accepts_short = [], []
+    for q in range(n):
+        rooted = Nba(AB, [q], nba.edges, nba.num_marks, nba.obligations)
+        got = [nba_accepts_lasso(rooted, loop) for loop in loops[:short]]
+        accepts_short.append(all(got))
+        accepts_some.append(any(got) or any(nba_accepts_lasso(rooted, loop) for loop in loops[short:]))
+    words = all_words(AB.symbols, n)
+
+    def after(q: int, word) -> set[int]:
+        states = {q}
+        for event in word:
+            states = {dst for p in states for dst in successors(nba, p, event)}
+        return states
+
+    reach = [set().union(*(after(q, word) for word in words)) for q in range(n)]
+    dead = [not any(accepts_some[r] for r in reach[q]) for q in range(n)]
+    universal = [all(accepts_short[r] for r in reach[q]) for q in range(n)]
+
+    def decides(states: set[int]) -> bool:
+        alive = [q for q in states if not dead[q]]
+        assert len(alive) <= 1, (nba.edges, states)
+        return not alive or universal[alive[0]]
+
+    classes = {}
+    for q in sorted(reach[0]):
+        if dead[q]:
+            classes[q] = "dead"
+        elif universal[q]:
+            classes[q] = "universal"
+        elif any(decides(after(q, word)) for word in words):
+            classes[q] = "?"
+        else:
+            classes[q] = "hopeless"
+    return classes
+
+
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        (_exits_without_marks, {0: "?", 1: "?", 2: "universal", 3: "dead"}),
+        (_two_looping_states, {0: "?", 1: "hopeless", 2: "universal"}),
+        (_two_marks_and_a_dead_end, {0: "?", 1: "?", 2: "?", 3: "?"}),
+        (_a_hopeless_region, {0: "?", 1: "hopeless", 2: "hopeless", 3: "universal"}),
+    ],
+)
+def test_a_side_deciding_alone_classes_its_states_as_lassos_do(build, expected):
+    """A strictly deterministic side, built by hand: every reached state's
+    class (dead, universal, hopeless or ``?``) is the one lasso membership
+    gives, on no marks, one mark and two, a dead end, universal states, a
+    hopeless region, and two looping states of which one is universal."""
+    nba = build()
+    decided = fsm._decided_alone(nba, per_state_nonempty(nba))
+    assert decided is not None
+    classes = {q: _CLASSES.get(decided[q], "?") for q in expected}
+    assert classes == expected
+    assert _brute_force_classes(nba) == expected
+
+
+def test_random_sides_deciding_alone_class_their_states_as_lassos_do():
+    """The same on 150 seeded random automata of at most four states over
+    two events, each state reading each event on one edge at most; each
+    class is met at least 40 times."""
+    rng = random.Random(0xDEC1DE)
+    met = dict.fromkeys(["dead", "universal", "hopeless", "?"], 0)
+    for _ in range(150):
+        nba = _random_deterministic_automaton(rng)
+        decided = fsm._decided_alone(nba, per_state_nonempty(nba))
+        assert decided is not None, nba.edges
+        expected = _brute_force_classes(nba)
+        assert {q: _CLASSES.get(decided[q], "?") for q in expected} == expected, nba.edges
+        for got in expected.values():
+            met[got] += 1
+    assert min(met.values()) >= 40, met
+
+
+def test_a_side_with_an_event_on_two_live_edges_does_not_decide_alone():
+    """Two initial states, or a live state reading an event on two edges to
+    live states, looping or not, send a side down the product."""
+    looping_twice = Nba(AB, [0], [[(0b11, 0, 1), (0b01, 1, 1)], [(0b11, 1, 1)]], 1, [0b01, 0b10])
+    for nba in (_two_initial_states(), _nondeterministic_last(), looping_twice):
+        assert fsm._decided_alone(nba, per_state_nonempty(nba)) is None
 
 
 def test_synthesized_machines_pass_the_public_constructors():
@@ -807,9 +984,10 @@ def test_family_and_draw_pmfs_and_reports_are_unchanged():
 # unminimized products and the lasso products are numbered and built.  The
 # first two were retaken when a dominated move came to keep only the events
 # its dominators do not read, and the never-empty marker to follow edges to
-# live states owing no more.
+# live states owing no more; the second again when a formula side deciding
+# every verdict alone came to build the unminimized machine without pairs.
 TABLEAUX_SHA256 = "541c9b007dafd21187a324008d70babafc2070f0fe6eeea9189e59ee24b803d4"
-PRODUCTS_SHA256 = "91c11741e37461d7c97f7e5d43faa5c1a57656b099db59724c21f7c8a11e8cf2"
+PRODUCTS_SHA256 = "93445f02e98e9c88aba24dc837f5ef1688d97a0aec8fd666fdaacd904472dde8"
 LASSO_VERDICTS_SHA256 = "4383b8c09127375880f4dae6889a009846cc1da1e98646f68c4bacad3577cb86"
 
 
@@ -1196,11 +1374,22 @@ def test_an_unsatisfiable_formula_never_walks_its_negation(monkeypatch):
         walked.clear()
         synthesize_monitor(parse_formula(text, ALPHA3), ALPHA3)
         assert walked == [False], text
-    # A formula that holds on some word still walks both sides.
-    for text in ("ev1", "[]ev1 | <>ev2", "!ev1 & !ev2"):
+    # A formula that holds on some word walks its negation too, unless its
+    # formula side decides alone.
+    for text, alone in [
+        ("ev1", True),
+        ("!ev1 & !ev2", True),
+        ("[]<>ev1", True),
+        ("[]ev1 | []ev2", True),
+        ("[]ev1 | <>ev2", False),
+        ("<>(ev1 & X ev2)", False),
+        ("<>[]ev1", False),
+    ]:
+        phi = parse_formula(text, ALPHA3)
+        assert decides_alone(real(phi, ALPHA3, False)) == alone, text
         walked.clear()
-        synthesize_monitor(parse_formula(text, ALPHA3), ALPHA3)
-        assert walked == [False, True], text
+        synthesize_monitor(phi, ALPHA3)
+        assert walked == ([False] if alone else [False, True]), text
 
 
 def test_synthesis_refuses_an_alphabet_that_is_not_an_alphabet():

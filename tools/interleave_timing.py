@@ -21,17 +21,23 @@ every row's inputs, untimed.  The rows, each timed over the whole set:
 - ``parse``: ``parse_formula`` on each text;
 - ``tableau φ``: ``ltl_to_nba(phi)``;
 - ``tableau ¬φ``: ``ltl_to_nba(Not(phi))``, only where synthesis builds it,
-  that is where the φ tableau's initial state is live;
+  that is where the φ tableau's initial state is live and the φ side does
+  not decide alone (:func:`decides_alone`);
 - ``live``: ``per_state_nonempty`` on every tableau of the two rows above,
   built afresh each round, untimed;
 - ``synth unminimized``: ``synthesize_monitor(..., minimize=False)``, which
-  builds both tableaux itself;
-- ``product (derived)``: liveness, the subset tables and the product, per
-  round and copy ``synth unminimized`` minus the two tableau rows, since
-  timing it alone would mean serving synthesis tableaux through private
-  names.  It is approximate: three timings' noise adds up in it, and
-  synthesis negates ``phi`` in its walk, skipping the ``Not`` node that
-  ``ltl_to_nba(Not(phi))`` reads (the automata are the same);
+  builds its tableaux itself;
+- ``product (derived)``: liveness, the verdict classes of a φ side that
+  decides alone, the subset tables and the product, per round and copy
+  ``synth unminimized`` minus the two tableau rows, since timing it alone
+  would mean serving synthesis tableaux through private names.  It is
+  approximate: three timings' noise adds up in it, and synthesis negates
+  ``phi`` in its walk, skipping the ``Not`` node that
+  ``ltl_to_nba(Not(phi))`` reads (the automata are the same).  Both copies'
+  ``tableau ¬φ`` rows build the ¬φ tableaux that this script's rule says
+  synthesis builds.  A copy that builds more of them, as one from before φ
+  sides decided alone builds one for every satisfiable formula, has the
+  time of the others in its ``product (derived)``;
 - ``minimize``: ``minimize_moore`` on each unminimized machine;
 - ``partialize+classify+emit``: on fresh copies of the minimal machines,
   made untimed, since ``partialize`` keeps its result on the machine, and
@@ -39,9 +45,11 @@ every row's inputs, untimed.  The rows, each timed over the whole set:
   scans them as it scans synthesis's machines.
 
 Size lines follow each set's rows: tableau states and edges per side, the
-negation sides not built, the sides synthesis tables without a subset
-construction (deterministic over their live states) and their states, and
-the product and minimal states.  ``replay`` times ``cli.main(["run", "-m",
+negation sides not built, the φ sides that decide alone and their states,
+the sides synthesis tables without a subset construction (deterministic over
+their live states, looping ones aside; for φ, among the sides that neither
+decide alone nor are unsatisfiable) and their states, and the product and
+minimal states.  ``replay`` times ``cli.main(["run", "-m",
 PMF, "-t", TRACE])``, stdout to devnull, and ``run_trace`` on the events
 already read, on the X^8 monitor of ``perfbench/workloads.py`` and a
 100,000-event undecided trace, both written once.
@@ -119,11 +127,14 @@ def stage_rows(pm, formulas) -> tuple[dict, list[str]]:
     cases = [(text, pm.Alphabet(events)) for text, events in formulas]
     parsed = [(pm.parse_formula(text, alphabet), alphabet) for text, alphabet in cases]
     pos = [pm.ltl_to_nba(phi, alphabet) for phi, alphabet in parsed]
+    satisfiable = [not nba.initial.isdisjoint(pm.per_state_nonempty(nba)) for nba in pos]
+    alone = [live and decides_alone(pm, nba) for live, nba in zip(satisfiable, pos)]
     negated = [
         (pm.Not(phi), alphabet)
-        for (phi, alphabet), nba in zip(parsed, pos)
-        if not nba.initial.isdisjoint(pm.per_state_nonempty(nba))
+        for (phi, alphabet), live, decided in zip(parsed, satisfiable, alone)
+        if live and not decided
     ]
+    paired = [nba for nba, live, decided in zip(pos, satisfiable, alone) if live and not decided]
     neg = [pm.ltl_to_nba(phi, alphabet) for phi, alphabet in negated]
     products = [pm.synthesize_monitor(phi, alphabet, minimize=False) for phi, alphabet in parsed]
     minimal = [pm.minimize_moore(machine) for machine in products]
@@ -175,12 +186,32 @@ def stage_rows(pm, formulas) -> tuple[dict, list[str]]:
         got = [nba for nba in nbas if deterministic(pm, nba)]
         return f"{len(got)} of {len(nbas)} ({states(got)} of {states(nbas)} states)"
 
+    deciding = [nba for nba, decided in zip(pos, alone) if decided]
     sizes = [
         f"tableaux {sides}; {len(pos) - len(neg)} ¬φ not built",
-        f"deterministic sides, tabled without subsets: φ {tabled(pos)}, ¬φ {tabled(neg)}",
+        f"φ sides deciding alone, no ¬φ and no pairs: {len(deciding)} of {len(pos)} ({states(deciding)} states)",
+        f"deterministic sides, tabled without subsets: φ {tabled(paired)}, ¬φ {tabled(neg)}",
         f"states product {states(products)}, minimal {states(minimal)}",
     ]
     return rows, sizes
+
+
+def decides_alone(pm, nba) -> bool:
+    """Whether synthesis builds the monitor from this satisfiable φ side
+    alone, with no ¬φ tableau and no pairs: it has one initial state, and
+    each live state, looping or not, reads each event on one edge to a live
+    state at most."""
+    if len(nba.initial) > 1:
+        return False
+    live = pm.per_state_nonempty(nba)
+    for q in live:
+        read = 0
+        for guard, dst, _ in nba.edges[q]:
+            if dst in live:
+                if guard & read:
+                    return False
+                read |= guard
+    return True
 
 
 def deterministic(pm, nba) -> bool:
