@@ -21,6 +21,9 @@ the OR neither merges nor separates moves and creates or undoes no
 domination, so the automaton is the one the full product gives, edge order
 included.  The marks are kept as they are: emptiness and lasso
 membership check every mark directly, so no counter product is ever built.
+One worklist loop builds the states breadth-first from the start: it takes
+each state in the order it was first met, builds its edges, and numbers
+each edge's target the first time it meets it.
 
 The subformulas are those of the formula's negation normal form, or of its
 negation's, but no normal form is built: the walk reads the tree as given
@@ -35,7 +38,6 @@ atom, or, for a negated atom, differs from it.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .graphs import explore, fair_nodes
@@ -117,15 +119,16 @@ class Nba:
     def _built(
         cls,
         alphabet: Alphabet,
-        edges: list[list[tuple[int, int, int]]],
+        edges: Sequence[tuple[tuple[int, int, int], ...]],
         num_marks: int,
         obligations: Sequence[int],
     ) -> "Nba":
         """The tableau's automaton, initial state 0: its edges are in range
-        by construction, so nothing is checked."""
+        by construction, so nothing is checked, and its rows are tuples
+        already, so they are kept as they come."""
         automaton = object.__new__(cls)
         automaton.alphabet = alphabet
-        automaton.edges = tuple(map(tuple, edges))
+        automaton.edges = tuple(edges)
         automaton.num_states = len(edges)
         automaton.initial = frozenset((0,))
         automaton.num_marks = num_marks
@@ -134,7 +137,6 @@ class Nba:
 
 
 _Move = tuple[int, int, int]
-_next_of = itemgetter(1)
 
 
 def ltl_to_nba(phi: Formula, alphabet: Alphabet) -> Nba:
@@ -183,9 +185,14 @@ def _tableau(phi: Formula, alphabet: Alphabet, negated: bool) -> Nba:
     nexts = sum(next_of)
     shifted = sum(bit for bit, operand in next_of.items() if operand == bit >> 1)
     owes_of: dict[int, int] = {}
-    rows: list[list[_Move]] = []
 
-    def owed_next(owed: int) -> Iterable[int]:
+    # States are numbered as graphs.explore would number them: the start
+    # first, then each state's targets in move order, as first met.
+    all_marks = (1 << untils) - 1
+    owes = [1 << goal]
+    ids = {owes[0]: 0}
+    edges: list[tuple[tuple[int, int, int], ...]] = []
+    for owed in owes:
         owed_x = owed & nexts
         rest = owed ^ owed_x
         added = (owed_x & shifted) >> 1
@@ -215,17 +222,15 @@ def _tableau(phi: Formula, alphabet: Alphabet, negated: bool) -> Nba:
             if got is None:
                 got = products[prefix] = _product(row, moves[low.bit_length() - 1])
             row = got
-        if added:
-            row = [(guard, nxt | added, pending) for guard, nxt, pending in row]
-        rows.append(row)
-        return map(_next_of, row)
-
-    owes, targets = explore([1 << goal], owed_next)
-    all_marks = (1 << untils) - 1
-    edges = [
-        [(guard, dst, all_marks ^ pending) for (guard, _, pending), dst in zip(moves_row, row)]
-        for moves_row, row in zip(rows, targets)
-    ]
+        out = []
+        for guard, nxt, pending in row:
+            nxt |= added
+            dst = ids.get(nxt)
+            if dst is None:
+                dst = ids[nxt] = len(owes)
+                owes.append(nxt)
+            out.append((guard, dst, all_marks ^ pending))
+        edges.append(tuple(out))
 
     # A state's language is the set of words satisfying everything it owes
     # (GPVW's correctness lemma), so owing less accepts more.
@@ -399,16 +404,18 @@ def nba_accepts_lasso(automaton: Nba, word) -> bool:
     # The position after each one; the last goes back to the loop's entry.
     after = [*range(1, len(events)), len(word.stem)]
 
-    def taken(node: tuple[int, int]) -> list[tuple[int, int, int]]:
-        return [edge for edge in automaton.edges[node[0]] if edge[0] & events[node[1]]]
+    # The edges each node takes, in the order explore numbers the nodes.
+    taken: list[list[tuple[int, int, int]]] = []
 
     def successors(node: tuple[int, int]) -> list[tuple[int, int]]:
-        return [(dst, after[node[1]]) for _, dst, _ in taken(node)]
+        edges = [edge for edge in automaton.edges[node[0]] if edge[0] & events[node[1]]]
+        taken.append(edges)
+        return [(dst, after[node[1]]) for _, dst, _ in edges]
 
-    nodes, targets = explore([(q, 0) for q in sorted(automaton.initial)], successors)
+    _, targets = explore([(q, 0) for q in sorted(automaton.initial)], successors)
     rows = [
-        [(guard, dst, marks) for (guard, _, marks), dst in zip(taken(node), row)]
-        for node, row in zip(nodes, targets)
+        [(guard, dst, marks) for (guard, _, marks), dst in zip(edges, row)]
+        for edges, row in zip(taken, targets)
     ]
 
     # Every node is reachable from a start, so any fair node is on a run.

@@ -1,4 +1,10 @@
-"""Small graph helpers shared by the automata passes."""
+"""Small graph helpers shared by the automata passes.
+
+``explore`` numbers the monitor graphs (a formula side that decides alone,
+the pair product, the quotient of minimization) and the lasso product as
+they are built.  The tableau numbers its states in the same order in its
+own worklist loop, which builds each state's edges as it goes.
+"""
 
 from __future__ import annotations
 

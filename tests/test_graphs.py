@@ -1,6 +1,7 @@
-"""Graph helpers: the builder that numbers every explored graph, the
-breadth-first search every graph pass runs on, and the fair-node fixpoint
-that per-state emptiness is built from."""
+"""Graph helpers: the builder that numbers the monitor graphs and the
+lasso product as they are explored, the breadth-first search every graph
+pass runs on, and the fair-node fixpoint that per-state emptiness is built
+from."""
 
 import random
 

@@ -49,9 +49,11 @@ negation sides not built, the φ sides that decide alone and their states,
 the sides synthesis tables without a subset construction (deterministic over
 their live states, looping ones aside; for φ, among the sides that neither
 decide alone nor are unsatisfiable) and their states, and the product and
-minimal states.  ``replay`` times ``cli.main(["run", "-m",
-PMF, "-t", TRACE])``, stdout to devnull, and ``run_trace`` on the events
-already read, on the X^8 monitor of ``perfbench/workloads.py`` and a
+minimal states; and a short sha256 over the ``edges``, ``obligations`` and
+``num_marks`` of every φ and ¬φ tableau those lines count, so that a copy
+that changes any automaton prints two differing lines.  ``replay`` times
+``cli.main(["run", "-m", PMF, "-t", TRACE])``, stdout to devnull, and
+``run_trace`` on the events already read, on the X^8 monitor of ``perfbench/workloads.py`` and a
 100,000-event undecided trace, both written once.
 
 One untimed round warms both copies up.  Then each of ``--rounds`` rounds
@@ -70,6 +72,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
+import hashlib
 import importlib
 import os
 import random
@@ -187,11 +190,13 @@ def stage_rows(pm, formulas) -> tuple[dict, list[str]]:
         return f"{len(got)} of {len(nbas)} ({states(got)} of {states(nbas)} states)"
 
     deciding = [nba for nba, decided in zip(pos, alone) if decided]
+    automata = repr([(nba.edges, nba.obligations, nba.num_marks) for nba in pos + neg])
     sizes = [
         f"tableaux {sides}; {len(pos) - len(neg)} ¬φ not built",
         f"φ sides deciding alone, no ¬φ and no pairs: {len(deciding)} of {len(pos)} ({states(deciding)} states)",
         f"deterministic sides, tabled without subsets: φ {tabled(paired)}, ¬φ {tabled(neg)}",
         f"states product {states(products)}, minimal {states(minimal)}",
+        f"tableaux sha256 {hashlib.sha256(automata.encode()).hexdigest()[:16]}",
     ]
     return rows, sizes
 
