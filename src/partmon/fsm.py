@@ -16,7 +16,7 @@ from operator import itemgetter
 from typing import Callable, Sequence
 
 from .buchi import Nba, _tableau
-from .graphs import bits, can_reach, explore, fair_nodes, reachable_from
+from .graphs import bits, explore, fair_nodes, reachable_from
 from .ltl import Alphabet, Formula
 
 
@@ -66,32 +66,26 @@ def per_state_nonempty(automaton: Nba) -> frozenset[int]:
     return fair_nodes(automaton.edges, automaton.num_marks)
 
 
-def _deterministic_table(
-    automaton: Nba, live: frozenset[int]
-) -> tuple[int, list[tuple[int, ...]], list[int]] | None:
-    """The table of :func:`_live_subsets` for an automaton with one initial
-    state where every live state that is not looping reads each event on at
-    most one edge to a live state, or None for any other automaton.
+def _scan(automaton: Nba, live: frozenset[int]) -> tuple[bool, list[int | None]] | None:
+    """One pass over the edges between live states (``live``, as
+    :func:`per_state_nonempty` finds them) that answers both determinism
+    rules of a side, or None when neither holds: the automaton has more
+    than one initial state, or a live state that is not looping reads an
+    event on two live edges.
 
-    Every subset reached from the start then has at most one member, and a
-    one-member subset is its own cut, so the table is the automaton's own
-    rows: the live states met breadth-first from the start, each state's
-    successors in the order of its edges, are ids 1, 2, ..., a looping
-    state is the marker -1 and no live successor is 0.  The rows are one
-    list, id 0's first and the marker's last, so that indexing it serves
-    both 0 and -1.  It is built whole, one row per live state at most, each
-    a state the tableau has built already.  Returns the start id, the rows
-    and the numbered states in id order, id i's state at ``i - 1``.
+    A side where no live state, looping or not, reads an event on two live
+    edges is *strict*: it decides every verdict alone
+    (:func:`_decided_alone`).  A side where only looping states do is its
+    own subset table (:func:`_deterministic_table`).  Returns whether the
+    side is strict, and each state's id as the table starts it: -1 for a
+    looping state, None for any other.
     """
     if len(automaton.initial) > 1:
         return None
-    width = len(automaton.alphabet)
-    everything = (1 << width) - 1
+    everything = (1 << len(automaton.alphabet)) - 1
     owes = automaton.obligations
-    # Each live state's id once it has one: -1 for the looping states,
-    # marked by one pass that gives up at any other state reading an event
-    # on two live edges.
     ids: list[int | None] = [None] * automaton.num_states
+    strict = True
     for q in live:
         read = covered = tangled = 0
         owed = owes[q]
@@ -105,6 +99,29 @@ def _deterministic_table(
             ids[q] = -1
         elif tangled:
             return None
+        if tangled:
+            strict = False
+    return strict, ids
+
+
+def _deterministic_table(
+    automaton: Nba, live: frozenset[int], ids: list[int | None]
+) -> tuple[int, list[tuple[int, ...]], list[int]]:
+    """The table of :func:`_live_subsets` for an automaton with one initial
+    state where every live state that is not looping reads each event on at
+    most one edge to a live state, from the ids :func:`_scan` starts.
+
+    Every subset reached from the start then has at most one member, and a
+    one-member subset is its own cut, so the table is the automaton's own
+    rows: the live states met breadth-first from the start, each state's
+    successors in the order of its edges, are ids 1, 2, ..., a looping
+    state is the marker -1 and no live successor is 0.  The rows are one
+    list, id 0's first and the marker's last, so that indexing it serves
+    both 0 and -1.  It is built whole, one row per live state at most, each
+    a state the tableau has built already.  Returns the start id, the rows
+    and the numbered states in id order, id i's state at ``i - 1``.
+    """
+    width = len(automaton.alphabet)
     (first,) = automaton.initial
     start = ids[first] if first in live else 0
     order = []
@@ -132,10 +149,13 @@ def _deterministic_table(
 
 
 def _live_subsets(
-    automaton: Nba, live: frozenset[int]
+    automaton: Nba,
+    live: frozenset[int],
+    scan: tuple[bool, list[int | None]] | None,
 ) -> tuple[int, Callable[[int], tuple[int, ...]], Callable[[int], int]]:
     """The subset construction over the automaton's live states ``live``,
-    as :func:`per_state_nonempty` finds them, each subset numbered once.
+    as :func:`per_state_nonempty` finds them, each subset numbered once;
+    ``scan`` is what :func:`_scan` returns for them.
 
     Returns the initial subset's id, a function from an id to its successor
     ids per event, and a function from an id to its subset as a bitset, -1
@@ -161,18 +181,17 @@ def _live_subsets(
     2, ....
 
     A side with one initial state, where each live state that is not
-    looping reads each event on one live edge at most, reaches no subset of
-    two members: its table is :func:`_deterministic_table`, built whole,
-    and an id's subset is its one state, read off the table's state order.
-    On any other side the subsets can be exponentially many, so a cut
-    subset gets its id when a row first reaches it, and its row is built on
-    its first request: per event, the union of its members' live
-    successors, cut and numbered.  An id's subset is then read from the
-    list the numbering keeps.
+    looping reads each event on one live edge at most (the scan is not
+    None), reaches no subset of two members: its table is
+    :func:`_deterministic_table`, built whole, and an id's subset is its
+    one state, read off the table's state order.  On any other side the
+    subsets can be exponentially many, so a cut subset gets its id when a
+    row first reaches it, and its row is built on its first request: per
+    event, the union of its members' live successors, cut and numbered.  An
+    id's subset is then read from the list the numbering keeps.
     """
-    deterministic = _deterministic_table(automaton, live)
-    if deterministic is not None:
-        start, table, order = deterministic
+    if scan is not None:
+        start, table, order = _deterministic_table(automaton, live, scan[1])
         return start, table.__getitem__, lambda i: 1 << order[i - 1] if i > 0 else i
     n = automaton.num_states
     everything = (1 << len(automaton.alphabet)) - 1
@@ -275,20 +294,26 @@ def _live_subsets(
     return start, row, lambda i: subsets[i] if i >= 0 else i
 
 
-def _decided_alone(automaton: Nba, live: frozenset[int]) -> list[int | Verdict] | None:
+def _decided_alone(
+    automaton: Nba,
+    live: frozenset[int],
+    scan: tuple[bool, list[int | None]] | None,
+) -> list[int | Verdict] | None:
     """What a prefix reaching each state decides, for an automaton that
-    decides every verdict alone, or None for any other automaton.
+    decides every verdict alone, or None for any other automaton; ``scan``
+    is what :func:`_scan` returns for its live states ``live``.
 
-    Such an automaton has one initial state, and each of its live states
-    (``live``, as :func:`per_state_nonempty` finds them) reads each event
-    on one edge to a live state at most; on a tableau every live state is
-    reached from the start.  Looping states are no exception, as they are
-    in :func:`_deterministic_table`: the state owing nothing under ``true``
-    and the state of ``[]<>a`` both loop, but only the first accepts every
-    word.  An accepting run visits live states only, so a prefix reaches
-    one live state at most, and its verdict is that state's: BOT when it
-    reaches none, TOP when the state is *universal*, accepting every
-    infinite word, ``?`` otherwise.  No automaton of the negation is needed.
+    Such an automaton is strict: it has one initial state, and each of its
+    live states (``live``, as :func:`per_state_nonempty` finds them) reads
+    each event on one edge to a live state at most; on a tableau every live
+    state is reached from the start.  Looping states are no exception, as
+    they are in :func:`_deterministic_table`: the state owing nothing under
+    ``true`` and the state of ``[]<>a`` both loop, but only the first
+    accepts every word.  An accepting run visits live states only, so a
+    prefix reaches one live state at most, and its verdict is that state's:
+    BOT when it reaches none, TOP when the state is *universal*, accepting
+    every infinite word, ``?`` otherwise.  No automaton of the negation is
+    needed.
 
     A live state is violable, not universal, when it can reach over live
     edges a dead end, a state whose live edges do not read every event, or
@@ -300,44 +325,49 @@ def _decided_alone(automaton: Nba, live: frozenset[int]) -> list[int | Verdict] 
     reach an infinite path of edges without that mark are added, found by
     :func:`partmon.graphs.fair_nodes` with the violable states given no
     edges: a state that is not violable reaches no state that is, so the
-    cycles it reaches are all kept.  A live state that can reach neither a
-    dead end nor a universal state stays ``?`` on every continuation, so it
-    is *hopeless*.
+    cycles it reaches are all kept.  A mark that every live edge carries
+    leaves no such path, so it adds nothing and is skipped.  A live state
+    that can reach neither a dead end nor a universal state stays ``?`` on
+    every continuation, so it is *hopeless*.  One pass over the live edges
+    builds their reverse graph, finds the dead ends and the marks every
+    live edge carries, and every backward search runs on that one graph.
 
     Returns, per state, Verdict.BOT when it is dead, Verdict.TOP when it is
     universal, Verdict.UNKNOWN when it is hopeless, and the state itself
     otherwise.
     """
-    if len(automaton.initial) > 1:
+    if scan is None or not scan[0]:
         return None
     everything = (1 << len(automaton.alphabet)) - 1
-    # Each live state's edges to live states, and the dead ends.
-    rows: list[list[tuple[int, int, int]]] = [[] for _ in automaton.edges]
+    edges = automaton.edges
+    reverse: list[list[int]] = [[] for _ in edges]
     dead_ends = []
+    everywhere = -1
     for q in live:
         read = 0
-        row = rows[q]
-        for edge in automaton.edges[q]:
-            if edge[1] in live:
-                if edge[0] & read:
-                    return None
-                read |= edge[0]
-                row.append(edge)
+        for guard, dst, marks in edges[q]:
+            if dst in live:
+                read |= guard
+                reverse[dst].append(q)
+                everywhere &= marks
         if read != everything:
             dead_ends.append(q)
-    adjacency = [[dst for _, dst, _ in row] for row in rows]
-    falling = violable = can_reach(adjacency, dead_ends)
+    falling = reachable_from(reverse, dead_ends)
+    violable = set(falling)
     for mark in range(automaton.num_marks):
         if len(violable) == len(live):
             break
-        avoiding = [
-            [] if q in violable else [edge for edge in row if not edge[2] >> mark & 1]
-            for q, row in enumerate(rows)
-        ]
-        violable |= can_reach(adjacency, fair_nodes(avoiding, 0))
+        if not everywhere >> mark & 1:
+            avoiding = [
+                [edge for edge in edges[q] if edge[1] in live and not edge[2] >> mark & 1]
+                if q in live and q not in violable
+                else []
+                for q in range(len(edges))
+            ]
+            violable.update(reachable_from(reverse, fair_nodes(avoiding, 0)))
     universal = live - violable
-    rising = can_reach(adjacency, universal) if universal else universal
-    decided: list[int | Verdict] = [Verdict.BOT] * len(rows)
+    rising = reachable_from(reverse, universal) if universal else universal
+    decided: list[int | Verdict] = [Verdict.BOT] * len(edges)
     for q in live:
         if q in universal:
             decided[q] = Verdict.TOP
@@ -362,9 +392,25 @@ class MooreMonitor:
     itself), so a second call costs nothing.  ``_minimal`` is True only on a
     machine :func:`minimize_moore` returned, no two of whose states output
     the same on every continuation; both constructors set it False.
+    ``_canonical`` is True when the states are numbered canonically, as
+    :func:`partmon.graphs.explore` numbers them: the initial state is 0, and
+    a breadth-first search from it, events in alphabet order, discovers 0,
+    1, 2, ... in order.  ``_built`` sets it, since that numbering is its
+    contract, and the public constructor reads it off the reachability
+    search it runs anyway.
     """
 
-    __slots__ = ("alphabet", "num_states", "initial", "delta", "outputs", "_compiled", "_partialized", "_minimal")
+    __slots__ = (
+        "alphabet",
+        "num_states",
+        "initial",
+        "delta",
+        "outputs",
+        "_compiled",
+        "_partialized",
+        "_minimal",
+        "_canonical",
+    )
 
     def __init__(
         self,
@@ -401,14 +447,16 @@ class MooreMonitor:
         if len(reachable) != num_states:
             missing = [q for q in range(num_states) if q not in reachable]
             raise ValueError(f"unreachable states: {missing}")
+        self._canonical = initial == 0 and list(reachable) == list(range(num_states))
 
     @classmethod
     def _built(
         cls, alphabet: Alphabet, delta: Sequence[Sequence[int]], outputs: Sequence[Verdict]
     ) -> "MooreMonitor":
         """A machine from state 0 whose rows are total and whose states are
-        all reachable by construction, as :func:`partmon.graphs.explore`
-        numbers them, with one verdict per state: nothing is checked."""
+        all reachable by construction, numbered canonically, as
+        :func:`partmon.graphs.explore` numbers them, with one verdict per
+        state: nothing is checked."""
         machine = object.__new__(cls)
         machine.alphabet = alphabet
         machine.num_states = len(delta)
@@ -418,6 +466,23 @@ class MooreMonitor:
         machine._compiled = None
         machine._partialized = None
         machine._minimal = False
+        machine._canonical = True
+        return machine
+
+    def _relabeled(self, outputs: Sequence[Verdict]) -> "MooreMonitor":
+        """This machine with other outputs, one verdict per state: it shares
+        the initial state and the transition table, keeps the canonical mark
+        and is not marked minimal.  Nothing is checked."""
+        machine = object.__new__(MooreMonitor)
+        machine.alphabet = self.alphabet
+        machine.num_states = self.num_states
+        machine.initial = self.initial
+        machine.delta = self.delta
+        machine.outputs = tuple(outputs)
+        machine._compiled = None
+        machine._partialized = None
+        machine._minimal = False
+        machine._canonical = self._canonical
         return machine
 
     def step(self, state: int, event: str) -> int:
@@ -438,15 +503,16 @@ def synthesize_monitor(
     Builds the automaton for the formula, by one walk over ``phi`` as given
     that pushes negations inward (no normal form is built), and its live
     states.  When no word satisfies ``phi``, its start state is dead and the
-    result is the one-state BOT machine.  When the formula's automaton
-    decides every verdict alone (:func:`_decided_alone`: one initial state,
-    and each live state, looping ones included, reads each event on one
-    live edge at most), the monitor is that automaton's live states
-    explored from the start with :func:`partmon.graphs.explore`, events in
-    alphabet order, each state outputting UNKNOWN; an edge to no live state
-    goes to a BOT sink, one to a universal state to a TOP sink and one to a
-    hopeless state to a sink that outputs UNKNOWN.  The negation's automaton
-    is not built and no pairs are explored.
+    result is the one-state BOT machine.  Otherwise one pass over its live
+    edges, :func:`_scan`, answers both rules below.  When the formula's
+    automaton decides every verdict alone (:func:`_decided_alone`: one
+    initial state, and each live state, looping ones included, reads each
+    event on one live edge at most), the monitor is that automaton's live
+    states explored from the start with :func:`partmon.graphs.explore`,
+    events in alphabet order, each state outputting UNKNOWN; an edge to no
+    live state goes to a BOT sink, one to a universal state to a TOP sink
+    and one to a hopeless state to a sink that outputs UNKNOWN.  The
+    negation's automaton is not built and no pairs are explored.
 
     Any other formula builds the negation's automaton by the same walk.
     Each side's live subset construction is a table of
@@ -475,18 +541,24 @@ def synthesize_monitor(
         # No word satisfies phi, so every prefix is already BOT, whatever
         # the negation's automaton is: the product would be the BOT sink.
         return MooreMonitor._built(alphabet, [[0] * len(alphabet)], [bot])
-    decided = _decided_alone(automaton, live)
+    scan = _scan(automaton, live)
+    decided = _decided_alone(automaton, live, scan)
     if decided is not None:
         width = len(alphabet)
+        events: dict[int, tuple[int, ...]] = {}
 
-        # A sink is its verdict, and every other node a live state.
+        # A sink is its verdict, and every other node a live state.  A
+        # guard's events are looked up once per distinct guard.
         def row(node: int | Verdict) -> Sequence[int | Verdict]:
             if isinstance(node, Verdict):
                 return (node,) * width
             got: list[int | Verdict] = [bot] * width
             for guard, dst, _ in automaton.edges[node]:
                 if dst in live:
-                    for k in bits(guard):
+                    read = events.get(guard)
+                    if read is None:
+                        read = events[guard] = tuple(bits(guard))
+                    for k in read:
                         got[k] = decided[dst]
             return got
 
@@ -494,9 +566,10 @@ def synthesize_monitor(
         nodes, delta = explore([decided[first]], row)
         outputs = [node if isinstance(node, Verdict) else unknown for node in nodes]
     else:
-        pos_start, pos_row, _ = _live_subsets(automaton, live)
+        pos_start, pos_row, _ = _live_subsets(automaton, live, scan)
         negation = _tableau(phi, alphabet, True)
-        neg_start, neg_row, _ = _live_subsets(negation, per_state_nonempty(negation))
+        negation_live = per_state_nonempty(negation)
+        neg_start, neg_row, _ = _live_subsets(negation, negation_live, _scan(negation, negation_live))
         if pos_start == -1 or neg_start == -1:
             start, row, sink = (neg_start, neg_row, top) if pos_start == -1 else (pos_start, pos_row, bot)
             ids, delta = explore([start], row)
@@ -542,10 +615,18 @@ def minimize_moore(machine: MooreMonitor) -> MooreMonitor:
     numbering: :func:`partmon.graphs.explore` from the initial state, events
     in alphabet order.  A machine that is already minimal and numbered that
     way, as the product of :func:`synthesize_monitor` often is, is returned
-    as it is.  Either way the result is marked minimal, which lets
+    as it is; the machine's canonical mark says how it is numbered, so no
+    search confirms it.  A canonical machine whose outputs are pairwise
+    distinct is minimal as it is, so it is returned before any refinement
+    is set up; most one- to three-state monitors are such machines.  Either
+    way the result is marked minimal, which lets
     :func:`partmon.partial.partialize` find its give-up state by a scan.
     """
-    classes = {out: i for i, out in enumerate(sorted(set(machine.outputs), key=lambda v: v._value_))}
+    outputs = set(machine.outputs)
+    if machine._canonical and len(outputs) == machine.num_states:
+        machine._minimal = True
+        return machine
+    classes = {out: i for i, out in enumerate(sorted(outputs, key=lambda v: v._value_))}
     block = list(map(classes.__getitem__, machine.outputs))
     count = len(classes)
     # One gatherer per event: it reads the block of every state's target on
@@ -563,11 +644,7 @@ def minimize_moore(machine: MooreMonitor) -> MooreMonitor:
         if len(ids) == count:
             break
         block, count = new_block, len(ids)
-    if (
-        count == machine.num_states
-        and machine.initial == 0
-        and list(reachable_from(machine.delta, [0])) == list(range(count))
-    ):
+    if count == machine.num_states and machine._canonical:
         machine._minimal = True
         return machine
 

@@ -86,8 +86,11 @@ def partialize(machine: MooreMonitor) -> MooreMonitor:
     transitions all loop back to it: a scan of the rows finds it.  Any other
     machine gets one backward reachability sweep from the conclusive
     states.  A machine with no state to relabel is returned as it is, so
-    applying the pass twice returns the first result.  The result is kept
-    on the machine and on itself, so only the first call looks.
+    applying the pass twice returns the first result.  Any other result
+    shares the machine's initial state and transition table, and its
+    canonical mark, and is built with no checks: relabelling outputs keeps
+    a valid machine valid.  The result is kept on the machine and on
+    itself, so only the first call looks.
     """
     known = machine._partialized
     if known is None:
@@ -105,9 +108,7 @@ def partialize(machine: MooreMonitor) -> MooreMonitor:
             relabeled = list(outputs)
             for q in hopeless:
                 relabeled[q] = Verdict.GIVEUP
-            known = machine._partialized = MooreMonitor(
-                machine.alphabet, machine.num_states, machine.initial, delta, relabeled
-            )
+            known = machine._partialized = machine._relabeled(relabeled)
             known._partialized = _ITSELF
     return machine if known is _ITSELF else known
 

@@ -24,6 +24,7 @@ from partmon.fsm import (
     MooreMonitor,
     Verdict,
     _live_subsets,
+    _scan,
     minimize_moore,
     per_state_nonempty,
     synthesize_monitor,
@@ -392,6 +393,13 @@ def decides_alone(nba: Nba) -> bool:
                     return False
                 read |= guard
     return True
+
+
+def live_subsets(nba: Nba):
+    """:func:`partmon.fsm._live_subsets` of the automaton's live states, as
+    synthesis builds it: from one :func:`partmon.fsm._scan` of them."""
+    live = per_state_nonempty(nba)
+    return _live_subsets(nba, live, _scan(nba, live))
 
 
 def reachability_oracle(machine: MooreMonitor, state: int) -> bool:
@@ -860,11 +868,11 @@ def pair_product(phi: Formula, alphabet: Alphabet) -> tuple[MooreMonitor, tuple[
     Returns the machine and the two sides' start ids, the negation's None
     when no word satisfies ``phi`` and it is not built."""
     pos = _tableau(phi, alphabet, False)
-    pos_start, pos_row, _ = _live_subsets(pos, per_state_nonempty(pos))
+    pos_start, pos_row, _ = live_subsets(pos)
     if pos_start == 0:
         return MooreMonitor(alphabet, 1, 0, [[0] * len(alphabet)], [Verdict.BOT]), (0, None)
     neg = _tableau(phi, alphabet, True)
-    neg_start, neg_row, _ = _live_subsets(neg, per_state_nonempty(neg))
+    neg_start, neg_row, _ = live_subsets(neg)
 
     def key(pos: int, neg: int) -> tuple[int, int]:
         assert pos or neg, "product state is dead on both sides"

@@ -13,11 +13,10 @@ import partmon.buchi as buchi
 import partmon.fsm as fsm
 import partmon.partial
 from partmon.buchi import Nba, _tableau, ltl_to_nba, nba_accepts_lasso
-from partmon.formats import emit_monitor
+from partmon.formats import emit_monitor, parse_monitor
 from partmon.fsm import (
     MooreMonitor,
     Verdict,
-    _live_subsets,
     minimize_moore,
     monitor_verdict,
     per_state_nonempty,
@@ -65,6 +64,7 @@ from helpers import (
     equivalent_rewrite,
     eventually_ev1_machine,
     is_nnf,
+    live_subsets,
     mixed_branches_machine,
     moore_equivalent,
     moore_isomorphic,
@@ -400,7 +400,7 @@ def test_a_subset_holding_a_looping_state_never_empties():
                 }
                 return -1 if kept & looping else sum(1 << q for q in kept)
 
-            start, row, subset_of = _live_subsets(nba, per_state_nonempty(nba))
+            start, row, subset_of = live_subsets(nba)
             assert subset_of(start) == cut(nba.initial)
             seen = {start}
             frontier = [start]
@@ -471,13 +471,13 @@ def test_numbered_side_tables_give_the_bitset_products():
 
 
 def _check_numbered_table(nba: Nba, label) -> list[int]:
-    """Require ``_live_subsets(nba, live)`` to number what
+    """Require ``live_subsets(nba)`` to number what
     :func:`bitset_subsets` cuts: the ids reached from the start are 0, -1
     and exactly 1..N, no id beyond N has a subset, no two ids name equal
     subsets, and each id's row names the bitset construction's row of its
     subset, as its ``subset_of`` gives them.  Returns the subsets of ids
     0..N."""
-    start, row, subset_of = _live_subsets(nba, per_state_nonempty(nba))
+    start, row, subset_of = live_subsets(nba)
     bitset_start, bitset_row = bitset_subsets(nba)
     assert subset_of(0) == 0
     assert subset_of(-1) == -1
@@ -639,7 +639,7 @@ def test_a_deterministic_side_is_its_own_table(build, deterministic, numbered):
     pass meets.  Either way the table numbers exactly what the bitset
     construction cuts."""
     nba = build()
-    assert (fsm._deterministic_table(nba, per_state_nonempty(nba)) is not None) == deterministic
+    assert (fsm._scan(nba, per_state_nonempty(nba)) is not None) == deterministic
     subsets = _check_numbered_table(nba, build.__name__)
     if numbered is not None:
         assert subsets == numbered
@@ -649,6 +649,13 @@ def test_a_deterministic_side_is_its_own_table(build, deterministic, numbered):
 
 AB = Alphabet(["a", "b"])
 _CLASSES = {Verdict.BOT: "dead", Verdict.TOP: "universal", Verdict.UNKNOWN: "hopeless"}
+
+
+def _decided_alone(nba: Nba):
+    """:func:`partmon.fsm._decided_alone` of the automaton's live states,
+    from one :func:`partmon.fsm._scan` of them, as synthesis calls it."""
+    live = per_state_nonempty(nba)
+    return fsm._decided_alone(nba, live, fsm._scan(nba, live))
 
 
 def _exits_without_marks() -> Nba:
@@ -695,6 +702,20 @@ def _random_deterministic_automaton(rng: random.Random) -> Nba:
         for _ in range(n)
     ]
     return Nba(AB, [0], edges, marks, [1 << q for q in range(n)])
+
+
+def _random_automaton_with_a_mark_everywhere(rng: random.Random) -> Nba:
+    """As :func:`_random_deterministic_automaton`, with two marks: one,
+    drawn at random, is carried by every edge, and the other by each edge
+    with probability 0.6, so some cycles lack it."""
+    n = rng.randint(1, 4)
+    everywhere = 1 << rng.randrange(2)
+
+    def marks() -> int:
+        return 0b11 if rng.random() < 0.6 else everywhere
+
+    edges = [[(1 << k, rng.randrange(n), marks()) for k in range(2) if rng.random() < 0.85] for _ in range(n)]
+    return Nba(AB, [0], edges, 2, [1 << q for q in range(n)])
 
 
 def _brute_force_classes(nba: Nba) -> dict[int, str]:
@@ -764,7 +785,7 @@ def test_a_side_deciding_alone_classes_its_states_as_lassos_do(build, expected):
     gives, on no marks, one mark and two, a dead end, universal states, a
     hopeless region, and two looping states of which one is universal."""
     nba = build()
-    decided = fsm._decided_alone(nba, per_state_nonempty(nba))
+    decided = _decided_alone(nba)
     assert decided is not None
     classes = {q: _CLASSES.get(decided[q], "?") for q in expected}
     assert classes == expected
@@ -773,19 +794,34 @@ def test_a_side_deciding_alone_classes_its_states_as_lassos_do(build, expected):
 
 def test_random_sides_deciding_alone_class_their_states_as_lassos_do():
     """The same on 150 seeded random automata of at most four states over
-    two events, each state reading each event on one edge at most; each
-    class is met at least 40 times."""
+    two events, each state reading each event on one edge at most, and on
+    150 more with two marks, one of them on every edge, whose search for
+    cycles without it is skipped, while the other is missing from some
+    cycles.  In each group each class is met at least 40 times, and in
+    the second at least 100 automata have a live edge and a mark on every
+    live edge."""
     rng = random.Random(0xDEC1DE)
-    met = dict.fromkeys(["dead", "universal", "hopeless", "?"], 0)
-    for _ in range(150):
-        nba = _random_deterministic_automaton(rng)
-        decided = fsm._decided_alone(nba, per_state_nonempty(nba))
-        assert decided is not None, nba.edges
-        expected = _brute_force_classes(nba)
-        assert {q: _CLASSES.get(decided[q], "?") for q in expected} == expected, nba.edges
-        for got in expected.values():
-            met[got] += 1
-    assert min(met.values()) >= 40, met
+    for build in (_random_deterministic_automaton, _random_automaton_with_a_mark_everywhere):
+        met = dict.fromkeys(["dead", "universal", "hopeless", "?"], 0)
+        skipped = 0
+        for _ in range(150):
+            nba = build(rng)
+            live = per_state_nonempty(nba)
+            decided = fsm._decided_alone(nba, live, fsm._scan(nba, live))
+            assert decided is not None, nba.edges
+            expected = _brute_force_classes(nba)
+            assert {q: _CLASSES.get(decided[q], "?") for q in expected} == expected, nba.edges
+            for got in expected.values():
+                met[got] += 1
+            carried = -1  # the marks every live edge carries
+            for q in live:
+                for _, dst, marks in nba.edges[q]:
+                    if dst in live:
+                        carried &= marks
+            skipped += carried != -1 and carried & ((1 << nba.num_marks) - 1) != 0
+        assert min(met.values()) >= 40, (build.__name__, met)
+        if build is _random_automaton_with_a_mark_everywhere:
+            assert skipped >= 100, skipped
 
 
 def test_a_side_with_an_event_on_two_live_edges_does_not_decide_alone():
@@ -793,7 +829,7 @@ def test_a_side_with_an_event_on_two_live_edges_does_not_decide_alone():
     live states, looping or not, send a side down the product."""
     looping_twice = Nba(AB, [0], [[(0b11, 0, 1), (0b01, 1, 1)], [(0b11, 1, 1)]], 1, [0b01, 0b10])
     for nba in (_two_initial_states(), _nondeterministic_last(), looping_twice):
-        assert fsm._decided_alone(nba, per_state_nonempty(nba)) is None
+        assert _decided_alone(nba) is None
 
 
 def test_synthesized_machines_pass_the_public_constructors():
@@ -956,6 +992,99 @@ def test_minimize_renumbers_a_minimal_machine_numbered_otherwise(machine):
     assert result.initial == 0
     assert list(reachable_from(result.delta, [0])) == list(result.states())
     assert moore_isomorphic(result, machine)
+
+
+def test_synthesized_machines_are_marked_canonical():
+    """Every family and corpus case's machine, minimized or not, is marked
+    canonically numbered, as is its partialized form, and the mark holds:
+    a breadth-first search from state 0 discovers 0, 1, 2, ... in order."""
+    rng = random.Random(0xACCE55)
+    cases = _family_formulas() + [(random_formula(rng, 4), ALPHA3) for _ in range(200)]
+    for phi, alphabet in cases:
+        for minimize in (False, True):
+            machine = synthesize_monitor(phi, alphabet, minimize=minimize)
+            assert machine._canonical, (phi, minimize)
+            assert machine.initial == 0
+            assert list(reachable_from(machine.delta, [0])) == list(machine.states())
+            assert partialize(machine)._canonical, (phi, minimize)
+
+
+@pytest.mark.parametrize(
+    "machine, canonical",
+    [
+        (radiation_machine(), True),
+        (_alternating_machine(0), True),
+        (_alternating_machine(1), False),
+        (mixed_branches_machine(), False),
+    ],
+    ids=["radiation", "breadth-first", "initial-1", "not-breadth-first"],
+)
+def test_the_public_constructor_derives_the_canonical_mark(machine, canonical):
+    """Set on a machine numbered breadth-first from its initial state 0;
+    cleared when the initial state is not 0, or when a breadth-first search
+    from it does not discover 0, 1, 2, ... in order."""
+    assert machine._canonical is canonical
+
+
+def test_minimize_returns_a_canonical_machine_with_distinct_outputs_untouched(monkeypatch):
+    """A canonical machine whose outputs are pairwise distinct is returned
+    as it is, marked minimal, before any refinement is set up: with the
+    refinement's gatherers made to fail, it still returns.  The monitors of
+    <>a and []a unminimized, and a four-state machine by hand, are such
+    machines."""
+
+    def no_refinement(*args):
+        raise AssertionError("refinement set up")
+
+    monkeypatch.setattr(fsm, "itemgetter", no_refinement)
+    top, bot, unknown, giveup = Verdict.TOP, Verdict.BOT, Verdict.UNKNOWN, Verdict.GIVEUP
+    by_hand = MooreMonitor(ALPHA3, 4, 0, [[1, 2, 3], [1, 1, 1], [2, 2, 2], [3, 3, 0]], [unknown, top, bot, giveup])
+    machines = [by_hand]
+    for text in ("<>a", "[]a"):
+        machines.append(synthesize_monitor(parse_formula(text, ABC), ABC, minimize=False))
+    for machine in machines:
+        assert machine._canonical and len(set(machine.outputs)) == machine.num_states
+        assert not machine._minimal
+        assert minimize_moore(machine) is machine
+        assert machine._minimal
+
+
+def test_partialize_relabels_a_machine_starting_elsewhere_as_the_sweep_does():
+    """A PMF whose initial state is not s0 parses to a machine that is not
+    canonical.  partialize relabels its hopeless states as the backward
+    sweep does, and its result shares the source's initial state and
+    transition table and keeps the mark."""
+    text = "\n".join(
+        [
+            "PMF 1",
+            "ALPHABET a b",
+            "INITIAL s1",
+            "STATE s0 ?",
+            "STATE s1 ?",
+            "STATE s2 ?",
+            "STATE s3 TOP",
+            "TRANS s0 a s0",
+            "TRANS s0 b s0",
+            "TRANS s1 a s0",
+            "TRANS s1 b s2",
+            "TRANS s2 a s3",
+            "TRANS s2 b s2",
+            "TRANS s3 a s3",
+            "TRANS s3 b s3",
+        ]
+    )
+    machine = parse_monitor(text + "\n")
+    assert machine.initial == 1 and not machine._canonical
+    result = partialize(machine)
+    hopeful = can_reach(machine.delta, [3])
+    expected = [
+        Verdict.GIVEUP if out is Verdict.UNKNOWN and q not in hopeful else out
+        for q, out in enumerate(machine.outputs)
+    ]
+    assert list(result.outputs) == expected == [Verdict.GIVEUP, Verdict.UNKNOWN, Verdict.UNKNOWN, Verdict.TOP]
+    assert result.delta is machine.delta
+    assert result.initial == machine.initial
+    assert not result._canonical and not result._minimal
 
 
 # sha256 over each family formula's and each of 300 seeded depth-5 draws'
