@@ -92,12 +92,8 @@ class Nba:
     ):
         if not isinstance(alphabet, Alphabet):
             raise TypeError(f"not an alphabet: {alphabet!r}")
-        self.alphabet = alphabet
-        self.edges = tuple(tuple(row) for row in edges)
-        self.num_states = len(self.edges)
-        self.initial = frozenset(initial)
-        self.num_marks = num_marks
-        self.obligations = tuple(obligations)
+        rows = tuple(tuple(row) for row in edges)
+        self._fill(alphabet, frozenset(initial), rows, num_marks, tuple(obligations))
         if len(self.obligations) != self.num_states:
             raise ValueError("need one obligation set per state")
         if not self.initial:
@@ -127,13 +123,24 @@ class Nba:
         by construction, so nothing is checked, and its rows are tuples
         already, so they are kept as they come."""
         automaton = object.__new__(cls)
-        automaton.alphabet = alphabet
-        automaton.edges = tuple(edges)
-        automaton.num_states = len(edges)
-        automaton.initial = frozenset((0,))
-        automaton.num_marks = num_marks
-        automaton.obligations = tuple(obligations)
-        return automaton
+        return automaton._fill(alphabet, frozenset((0,)), tuple(edges), num_marks, tuple(obligations))
+
+    def _fill(
+        self,
+        alphabet: Alphabet,
+        initial: frozenset[int],
+        edges: tuple[tuple[tuple[int, int, int], ...], ...],
+        num_marks: int,
+        obligations: tuple[int, ...],
+    ) -> "Nba":
+        """Set every slot, one row of edges per state; returns the automaton."""
+        self.alphabet = alphabet
+        self.edges = edges
+        self.num_states = len(edges)
+        self.initial = initial
+        self.num_marks = num_marks
+        self.obligations = obligations
+        return self
 
 
 _Move = tuple[int, int, int]

@@ -4,9 +4,11 @@ Synthesis builds a generalized Büchi automaton for a formula and drops every
 state with an empty omega-language.  When each prefix reaches one live state
 at most, the formula's automaton decides every verdict alone, as a graph
 question per state.  Otherwise synthesis builds the negation's automaton too
-and runs the subset construction of both sides in one product.  A monitor
-state's output says whether the prefix read so far already settles the
-property.
+and runs the subset construction of both sides in one product.  A side
+whose prefixes reach one live state at most, looping states aside, needs no
+subset construction: either way its ids are its tableau states, state q
+being id q + 1, and one row function steps them.  A monitor state's output
+says whether the prefix read so far already settles the property.
 """
 
 from __future__ import annotations
@@ -66,25 +68,31 @@ def per_state_nonempty(automaton: Nba) -> frozenset[int]:
     return fair_nodes(automaton.edges, automaton.num_marks)
 
 
-def _scan(automaton: Nba, live: frozenset[int]) -> tuple[bool, list[int | None]] | None:
+def _scan(automaton: Nba, live: frozenset[int]) -> tuple[bool, list[int]] | None:
     """One pass over the edges between live states (``live``, as
     :func:`per_state_nonempty` finds them) that answers both determinism
     rules of a side, or None when neither holds: the automaton has more
     than one initial state, or a live state that is not looping reads an
     event on two live edges.
 
+    A *looping* state is a live state whose edges to live states owing a
+    subset of its obligations together read every event; a self-loop is
+    such an edge.  Owing less accepts more, so on every event a looping
+    state has a live successor accepting every word it accepts, and by
+    induction every finite word extends to a word it accepts.
+
     A side where no live state, looping or not, reads an event on two live
     edges is *strict*: it decides every verdict alone
-    (:func:`_decided_alone`).  A side where only looping states do is its
-    own subset table (:func:`_deterministic_table`).  Returns whether the
-    side is strict, and each state's id as the table starts it: -1 for a
-    looping state, None for any other.
+    (:func:`_decided_alone`).  A side where only looping states do steps
+    its own states (:func:`_live_subsets`).  Returns whether the side is
+    strict, and each state's id: state q is id q + 1, a looping state the
+    never-empty marker -1 and a dead state 0, the empty side.
     """
     if len(automaton.initial) > 1:
         return None
     everything = (1 << len(automaton.alphabet)) - 1
     owes = automaton.obligations
-    ids: list[int | None] = [None] * automaton.num_states
+    ids = [0] * automaton.num_states
     strict = True
     for q in live:
         read = covered = tangled = 0
@@ -99,59 +107,50 @@ def _scan(automaton: Nba, live: frozenset[int]) -> tuple[bool, list[int | None]]
             ids[q] = -1
         elif tangled:
             return None
+        else:
+            ids[q] = q + 1
         if tangled:
             strict = False
     return strict, ids
 
 
-def _deterministic_table(
-    automaton: Nba, live: frozenset[int], ids: list[int | None]
-) -> tuple[int, list[tuple[int, ...]], list[int]]:
-    """The table of :func:`_live_subsets` for an automaton with one initial
-    state where every live state that is not looping reads each event on at
-    most one edge to a live state, from the ids :func:`_scan` starts.
-
-    Every subset reached from the start then has at most one member, and a
-    one-member subset is its own cut, so the table is the automaton's own
-    rows: the live states met breadth-first from the start, each state's
-    successors in the order of its edges, are ids 1, 2, ..., a looping
-    state is the marker -1 and no live successor is 0.  The rows are one
-    list, id 0's first and the marker's last, so that indexing it serves
-    both 0 and -1.  It is built whole, one row per live state at most, each
-    a state the tableau has built already.  Returns the start id, the rows
-    and the numbered states in id order, id i's state at ``i - 1``.
+def _state_rows(automaton: Nba, ids: list[int]) -> Callable[[int], tuple[int, ...]]:
+    """The rows of a side whose ids are its states, ``ids`` as :func:`_scan`
+    or :func:`_decided_alone` gives them: id q + 1's row is, per event, the
+    id of state q's one successor of nonzero id, or 0.  Ids 0, -1 and -2
+    step to themselves.  A row is built from the tableau's edges when first
+    asked for, each guard's events looked up once.
     """
     width = len(automaton.alphabet)
-    (first,) = automaton.initial
-    start = ids[first] if first in live else 0
-    order = []
-    if start is None:
-        start = ids[first] = 1
-        order.append(first)
+    edges = automaton.edges
     events: dict[int, tuple[int, ...]] = {}
-    table = [(0,) * width]
-    for q in order:
-        row = [0] * width
-        for guard, dst, _ in automaton.edges[q]:
-            if dst in live:
-                i = ids[dst]
-                if i is None:
-                    order.append(dst)
-                    i = ids[dst] = len(order)
-                got = events.get(guard)
-                if got is None:
-                    got = events[guard] = tuple(bits(guard))
-                for k in got:
-                    row[k] = i
-        table.append(tuple(row))
-    table.append((-1,) * width)
-    return start, table, order
+    # Indexed by id: 0, then the states, then -2 and -1 from the end.
+    rows: list[tuple[int, ...] | None] = [(0,) * width]
+    rows += [None] * len(edges)
+    rows += [(-2,) * width, (-1,) * width]
+
+    def row(i: int) -> tuple[int, ...]:
+        got = rows[i]
+        if got is None:
+            built = [0] * width
+            for guard, dst, _ in edges[i - 1]:
+                j = ids[dst]
+                if j:
+                    read = events.get(guard)
+                    if read is None:
+                        read = events[guard] = tuple(bits(guard))
+                    for k in read:
+                        built[k] = j
+            got = rows[i] = tuple(built)
+        return got
+
+    return row
 
 
 def _live_subsets(
     automaton: Nba,
     live: frozenset[int],
-    scan: tuple[bool, list[int | None]] | None,
+    scan: tuple[bool, list[int]] | None,
 ) -> tuple[int, Callable[[int], tuple[int, ...]], Callable[[int], int]]:
     """The subset construction over the automaton's live states ``live``,
     as :func:`per_state_nonempty` finds them, each subset numbered once;
@@ -169,30 +168,26 @@ def _live_subsets(
     not, so dropping it leaves the subset's language, and every residual of
     it, unchanged.
 
-    A looping state is a live state whose edges to live states owing a
-    subset of its obligations together read every event; a self-loop is
-    such an edge.  Owing less accepts more, so on every event a looping
-    state has a live successor accepting every word it accepts, and by
-    induction every finite word extends to a word it accepts.  So no word
-    empties a subset that holds it, and such a subset decides nothing
-    more: a cut subset holding a looping state gets the marker id -1, which
-    is not in the list.  Id 0 is the empty subset; 0 and -1 are their own
-    successors on every event.  Every other cut subset gets the next id, 1,
-    2, ....
+    No word empties a subset that holds a looping state (:func:`_scan`),
+    and such a subset decides nothing more: a cut subset holding a looping
+    state gets the marker id -1.  Id 0 is the empty subset; 0 and -1 are
+    their own successors on every event.
 
     A side with one initial state, where each live state that is not
     looping reads each event on one live edge at most (the scan is not
-    None), reaches no subset of two members: its table is
-    :func:`_deterministic_table`, built whole, and an id's subset is its
-    one state, read off the table's state order.  On any other side the
-    subsets can be exponentially many, so a cut subset gets its id when a
-    row first reaches it, and its row is built on its first request: per
-    event, the union of its members' live successors, cut and numbered.  An
-    id's subset is then read from the list the numbering keeps.
+    None), reaches no subset of two members: its ids are its states, as
+    the scan gives them, state q's id q + 1, and its rows are
+    :func:`_state_rows`, with no subset construction.  On any other side
+    the subsets can be exponentially many, so every other cut subset gets
+    the next id, 1, 2, ..., when a row first reaches it, and its row is
+    built on its first request: per event, the union of its members' live
+    successors, cut and numbered.  An id's subset is then read from the
+    list the numbering keeps.
     """
     if scan is not None:
-        start, table, order = _deterministic_table(automaton, live, scan[1])
-        return start, table.__getitem__, lambda i: 1 << order[i - 1] if i > 0 else i
+        ids = scan[1]
+        (first,) = automaton.initial
+        return ids[first], _state_rows(automaton, ids), lambda i: 1 << (i - 1) if i > 0 else i
     n = automaton.num_states
     everything = (1 << len(automaton.alphabet)) - 1
     # Each live state's live successors, one bitset per event.  A guard's
@@ -297,8 +292,8 @@ def _live_subsets(
 def _decided_alone(
     automaton: Nba,
     live: frozenset[int],
-    scan: tuple[bool, list[int | None]] | None,
-) -> list[int | Verdict] | None:
+    scan: tuple[bool, list[int]] | None,
+) -> list[int] | None:
     """What a prefix reaching each state decides, for an automaton that
     decides every verdict alone, or None for any other automaton; ``scan``
     is what :func:`_scan` returns for its live states ``live``.
@@ -306,14 +301,14 @@ def _decided_alone(
     Such an automaton is strict: it has one initial state, and each of its
     live states (``live``, as :func:`per_state_nonempty` finds them) reads
     each event on one edge to a live state at most; on a tableau every live
-    state is reached from the start.  Looping states are no exception, as
-    they are in :func:`_deterministic_table`: the state owing nothing under
-    ``true`` and the state of ``[]<>a`` both loop, but only the first
-    accepts every word.  An accepting run visits live states only, so a
-    prefix reaches one live state at most, and its verdict is that state's:
-    BOT when it reaches none, TOP when the state is *universal*, accepting
-    every infinite word, ``?`` otherwise.  No automaton of the negation is
-    needed.
+    state is reached from the start.  Looping states (:func:`_scan`) are no
+    exception, as they are on a side that only steps its states: the state
+    owing nothing under ``true`` and the state of ``[]<>a`` both loop, but
+    only the first accepts every word.  An accepting run visits live states
+    only, so a prefix reaches one live state at most, and its verdict is
+    that state's: BOT when it reaches none, TOP when the state is
+    *universal*, accepting every infinite word, ``?`` otherwise.  No
+    automaton of the negation is needed.
 
     A live state is violable, not universal, when it can reach over live
     edges a dead end, a state whose live edges do not read every event, or
@@ -332,9 +327,9 @@ def _decided_alone(
     builds their reverse graph, finds the dead ends and the marks every
     live edge carries, and every backward search runs on that one graph.
 
-    Returns, per state, Verdict.BOT when it is dead, Verdict.TOP when it is
-    universal, Verdict.UNKNOWN when it is hopeless, and the state itself
-    otherwise.
+    Returns each state's id, as :func:`_state_rows` steps them: 0 (the BOT
+    sink) when it is dead, -2 (the TOP sink) when it is universal, -1 (the
+    ``?`` sink) when it is hopeless, and q + 1 for any other state q.
     """
     if scan is None or not scan[0]:
         return None
@@ -367,14 +362,14 @@ def _decided_alone(
             violable.update(reachable_from(reverse, fair_nodes(avoiding, 0)))
     universal = live - violable
     rising = reachable_from(reverse, universal) if universal else universal
-    decided: list[int | Verdict] = [Verdict.BOT] * len(edges)
+    decided = [0] * len(edges)
     for q in live:
         if q in universal:
-            decided[q] = Verdict.TOP
+            decided[q] = -2
         elif q in falling or q in rising:
-            decided[q] = q
+            decided[q] = q + 1
         else:
-            decided[q] = Verdict.UNKNOWN
+            decided[q] = -1
     return decided
 
 
@@ -391,13 +386,14 @@ class MooreMonitor:
     :func:`partmon.partial.partialize` (a marker when that is the machine
     itself), so a second call costs nothing.  ``_minimal`` is True only on a
     machine :func:`minimize_moore` returned, no two of whose states output
-    the same on every continuation; both constructors set it False.
+    the same on every continuation; the public constructor sets it False.
     ``_canonical`` is True when the states are numbered canonically, as
     :func:`partmon.graphs.explore` numbers them: the initial state is 0, and
     a breadth-first search from it, events in alphabet order, discovers 0,
     1, 2, ... in order.  ``_built`` sets it, since that numbering is its
     contract, and the public constructor reads it off the reachability
-    search it runs anyway.
+    search it runs anyway.  Every constructor sets the slots through
+    ``_fill``.
     """
 
     __slots__ = (
@@ -422,68 +418,72 @@ class MooreMonitor:
     ):
         if not isinstance(alphabet, Alphabet):
             raise TypeError(f"not an alphabet: {alphabet!r}")
-        self.alphabet = alphabet
-        self.num_states = num_states
-        self.initial = initial
-        self.delta = tuple(tuple(row) for row in delta)
-        self.outputs = tuple(outputs)
-        self._compiled = None
-        self._partialized = None
-        self._minimal = False
+        rows = tuple(tuple(row) for row in delta)
+        verdicts = tuple(outputs)
         if not 0 <= initial < num_states:
             raise ValueError("initial state out of range")
-        if len(self.delta) != num_states or len(self.outputs) != num_states:
+        if len(rows) != num_states or len(verdicts) != num_states:
             raise ValueError("need one delta row and one output per state")
-        for row in self.delta:
+        for row in rows:
             if len(row) != len(alphabet):
                 raise ValueError("delta not total: one entry per event required")
             for dst in row:
                 if not 0 <= dst < num_states:
                     raise ValueError(f"transition target {dst} out of range")
-        for out in self.outputs:
+        for out in verdicts:
             if not isinstance(out, Verdict):
                 raise ValueError(f"not a verdict: {out!r}")
-        reachable = reachable_from(self.delta, [initial])
+        reachable = reachable_from(rows, [initial])
         if len(reachable) != num_states:
             missing = [q for q in range(num_states) if q not in reachable]
             raise ValueError(f"unreachable states: {missing}")
-        self._canonical = initial == 0 and list(reachable) == list(range(num_states))
+        canonical = initial == 0 and list(reachable) == list(range(num_states))
+        self._fill(alphabet, initial, rows, verdicts, canonical)
+
+    def _fill(
+        self,
+        alphabet: Alphabet,
+        initial: int,
+        delta: tuple[tuple[int, ...], ...],
+        outputs: tuple[Verdict, ...],
+        canonical: bool,
+        minimal: bool = False,
+    ) -> "MooreMonitor":
+        """Set every slot, from one row and one verdict per state, with
+        nothing run on first use yet; returns the machine."""
+        self.alphabet = alphabet
+        self.num_states = len(delta)
+        self.initial = initial
+        self.delta = delta
+        self.outputs = outputs
+        self._compiled = None
+        self._partialized = None
+        self._minimal = minimal
+        self._canonical = canonical
+        return self
 
     @classmethod
     def _built(
-        cls, alphabet: Alphabet, delta: Sequence[Sequence[int]], outputs: Sequence[Verdict]
+        cls,
+        alphabet: Alphabet,
+        delta: Sequence[Sequence[int]],
+        outputs: Sequence[Verdict],
+        minimal: bool = False,
     ) -> "MooreMonitor":
         """A machine from state 0 whose rows are total and whose states are
         all reachable by construction, numbered canonically, as
         :func:`partmon.graphs.explore` numbers them, with one verdict per
-        state: nothing is checked."""
+        state: nothing is checked.  ``minimal`` marks it minimal."""
         machine = object.__new__(cls)
-        machine.alphabet = alphabet
-        machine.num_states = len(delta)
-        machine.initial = 0
-        machine.delta = tuple(map(tuple, delta))
-        machine.outputs = tuple(outputs)
-        machine._compiled = None
-        machine._partialized = None
-        machine._minimal = False
-        machine._canonical = True
-        return machine
+        return machine._fill(alphabet, 0, tuple(map(tuple, delta)), tuple(outputs), True, minimal)
 
     def _relabeled(self, outputs: Sequence[Verdict]) -> "MooreMonitor":
         """This machine with other outputs, one verdict per state: it shares
         the initial state and the transition table, keeps the canonical mark
         and is not marked minimal.  Nothing is checked."""
-        machine = object.__new__(MooreMonitor)
-        machine.alphabet = self.alphabet
-        machine.num_states = self.num_states
-        machine.initial = self.initial
-        machine.delta = self.delta
-        machine.outputs = tuple(outputs)
-        machine._compiled = None
-        machine._partialized = None
-        machine._minimal = False
-        machine._canonical = self._canonical
-        return machine
+        return object.__new__(MooreMonitor)._fill(
+            self.alphabet, self.initial, self.delta, tuple(outputs), self._canonical
+        )
 
     def step(self, state: int, event: str) -> int:
         return self.delta[state][self.alphabet.index(event)]
@@ -507,32 +507,34 @@ def synthesize_monitor(
     edges, :func:`_scan`, answers both rules below.  When the formula's
     automaton decides every verdict alone (:func:`_decided_alone`: one
     initial state, and each live state, looping ones included, reads each
-    event on one live edge at most), the monitor is that automaton's live
-    states explored from the start with :func:`partmon.graphs.explore`,
-    events in alphabet order, each state outputting UNKNOWN; an edge to no
-    live state goes to a BOT sink, one to a universal state to a TOP sink
-    and one to a hopeless state to a sink that outputs UNKNOWN.  The
-    negation's automaton is not built and no pairs are explored.
+    event on one live edge at most), the monitor is the state ids that
+    function gives, explored from the start with
+    :func:`partmon.graphs.explore`, events in alphabet order, over the rows
+    of :func:`_state_rows`.  Each outputs UNKNOWN but the BOT sink 0 (no
+    live state) and the TOP sink -2 (a universal state); the hopeless
+    states are one sink, -1.  The negation's automaton is not built and no pairs
+    are explored.
 
     Any other formula builds the negation's automaton by the same walk.
     Each side's live subset construction is a table of
     :func:`_live_subsets` that numbers its subsets once.  A side whose live
-    states, looping ones aside, read each event on one live edge at most is
-    its own table, built whole with no subset construction; any other
-    side's rows are built as the product asks for them.  The product is
-    explored over pairs of those ids, events in alphabet order, and each
-    product state's row pairs its sides' rows.  A product state outputs TOP
-    when the negation side's subset is empty (no continuation violates),
-    BOT when the formula side's is (no continuation satisfies), UNKNOWN
+    states, looping ones aside, read each event on one live edge at most
+    steps its own states, with no subset construction; any other side's
+    rows are built as the product asks for them.  The product is explored
+    over pairs of those ids, events in alphabet order, and each product
+    state's row pairs its sides' rows.  A product state outputs TOP when
+    the negation side's subset is empty (no continuation violates), BOT
+    when the formula side's is (no continuation satisfies), UNKNOWN
     otherwise.  Conclusive verdicts never change, so all TOP states are one
     absorbing sink, and all BOT states another; a pair whose sides both
     hold the never-empty marker -1 of :func:`_live_subsets` is a third
     sink, which outputs UNKNOWN.  A side starting at -1 stays there, so the
     monitor is one-sided: it concludes only TOP when the formula side never
     empties, only BOT when the negation side never does; the other side's
-    table is then explored alone, each id standing for its pair with -1, in
-    the same order, its 0 the TOP (or BOT) sink.  With ``minimize`` (the
-    default) the result is the unique minimal machine.
+    ids are then explored alone, as a side that decides alone is, each id
+    standing for its pair with -1, in the same order, its 0 the TOP (or
+    BOT) sink.  With ``minimize`` (the default) the result is the unique
+    minimal machine.
     """
     top, bot, unknown = Verdict.TOP, Verdict.BOT, Verdict.UNKNOWN
     automaton = _tableau(phi, alphabet, False)
@@ -544,54 +546,40 @@ def synthesize_monitor(
     scan = _scan(automaton, live)
     decided = _decided_alone(automaton, live, scan)
     if decided is not None:
-        width = len(alphabet)
-        events: dict[int, tuple[int, ...]] = {}
-
-        # A sink is its verdict, and every other node a live state.  A
-        # guard's events are looked up once per distinct guard.
-        def row(node: int | Verdict) -> Sequence[int | Verdict]:
-            if isinstance(node, Verdict):
-                return (node,) * width
-            got: list[int | Verdict] = [bot] * width
-            for guard, dst, _ in automaton.edges[node]:
-                if dst in live:
-                    read = events.get(guard)
-                    if read is None:
-                        read = events[guard] = tuple(bits(guard))
-                    for k in read:
-                        got[k] = decided[dst]
-            return got
-
         (first,) = automaton.initial
-        nodes, delta = explore([decided[first]], row)
-        outputs = [node if isinstance(node, Verdict) else unknown for node in nodes]
+        one_side = (decided[first], _state_rows(automaton, decided), bot)
     else:
         pos_start, pos_row, _ = _live_subsets(automaton, live, scan)
         negation = _tableau(phi, alphabet, True)
         negation_live = per_state_nonempty(negation)
         neg_start, neg_row, _ = _live_subsets(negation, negation_live, _scan(negation, negation_live))
-        if pos_start == -1 or neg_start == -1:
-            start, row, sink = (neg_start, neg_row, top) if pos_start == -1 else (pos_start, pos_row, bot)
-            ids, delta = explore([start], row)
-            outputs = [sink if i == 0 else unknown for i in ids]
+        if pos_start == -1:
+            one_side = (neg_start, neg_row, top)
+        elif neg_start == -1:
+            one_side = (pos_start, pos_row, bot)
         else:
-            # An empty side (0) and a side that can never empty (-1) step to
-            # themselves, so the TOP sink (-1, 0), the BOT sink (0, -1) and
-            # the sink (-1, -1) that reaches neither loop through ``key``
-            # alone.
-            def key(pos: int, neg: int) -> tuple[int, int]:
-                if pos and neg:
-                    return (pos, neg)
-                if pos:
-                    return (-1, 0)
-                if neg:
-                    return (0, -1)
-                raise AssertionError("internal error: product state is dead on both sides")
+            one_side = None
+    if one_side is not None:
+        start, row, sink = one_side
+        ids, delta = explore([start], row)
+        outputs = [sink if i == 0 else top if i == -2 else unknown for i in ids]
+    else:
+        # An empty side (0) and a side that can never empty (-1) step to
+        # themselves, so the TOP sink (-1, 0), the BOT sink (0, -1) and the
+        # sink (-1, -1) that reaches neither loop through ``key`` alone.
+        def key(pos: int, neg: int) -> tuple[int, int]:
+            if pos and neg:
+                return (pos, neg)
+            if pos:
+                return (-1, 0)
+            if neg:
+                return (0, -1)
+            raise AssertionError("internal error: product state is dead on both sides")
 
-            pairs, delta = explore(
-                [key(pos_start, neg_start)], lambda pair: map(key, pos_row(pair[0]), neg_row(pair[1]))
-            )
-            outputs = [top if neg == 0 else bot if pos == 0 else unknown for pos, neg in pairs]
+        pairs, delta = explore(
+            [key(pos_start, neg_start)], lambda pair: map(key, pos_row(pair[0]), neg_row(pair[1]))
+        )
+        outputs = [top if neg == 0 else bot if pos == 0 else unknown for pos, neg in pairs]
     machine = MooreMonitor._built(alphabet, delta, outputs)
     if minimize:
         machine = minimize_moore(machine)
@@ -654,6 +642,5 @@ def minimize_moore(machine: MooreMonitor) -> MooreMonitor:
     member = dict(zip(block, machine.states()))
     rows = [[block[dst] for dst in machine.delta[member[b]]] for b in range(count)]
     order, delta = explore([block[machine.initial]], rows.__getitem__)
-    quotient = MooreMonitor._built(machine.alphabet, delta, [machine.outputs[member[b]] for b in order])
-    quotient._minimal = True
-    return quotient
+    outputs = [machine.outputs[member[b]] for b in order]
+    return MooreMonitor._built(machine.alphabet, delta, outputs, minimal=True)

@@ -1,9 +1,11 @@
 """Small graph helpers shared by the automata passes.
 
-``explore`` numbers the monitor graphs (a formula side that decides alone,
-the pair product, the quotient of minimization) and the lasso product as
-they are built.  The tableau numbers its states in the same order in its
-own worklist loop, which builds each state's edges as it goes.
+``explore`` numbers the monitor graphs (one side's ids explored alone, the
+pair product, the quotient of minimization) and the lasso product as they
+are built.  The tableau numbers its states in the same order in its own
+worklist loop, which builds each state's edges as it goes; a deterministic
+side's ids are those state numbers, so ``explore`` is the one numbering its
+monitor gets.
 """
 
 from __future__ import annotations

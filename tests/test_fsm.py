@@ -472,11 +472,14 @@ def test_numbered_side_tables_give_the_bitset_products():
 
 def _check_numbered_table(nba: Nba, label) -> list[int]:
     """Require ``live_subsets(nba)`` to number what
-    :func:`bitset_subsets` cuts: the ids reached from the start are 0, -1
-    and exactly 1..N, no id beyond N has a subset, no two ids name equal
-    subsets, and each id's row names the bitset construction's row of its
-    subset, as its ``subset_of`` gives them.  Returns the subsets of ids
-    0..N."""
+    :func:`bitset_subsets` cuts: no two ids reached from the start name
+    equal subsets, and each id's row names the bitset construction's row of
+    its subset, as its ``subset_of`` gives them.  A side that steps its own
+    states (:func:`partmon.fsm._scan` is not None) reaches only 0, -1 and
+    ids q + 1 of live states q, whose subset is ``{q}``.  On any other side
+    the ids reached are 0, -1 and exactly 1..N, and no id beyond N has a
+    subset.  Returns the subsets of the ids reached and 0, but -1, in id
+    order."""
     start, row, subset_of = live_subsets(nba)
     bitset_start, bitset_row = bitset_subsets(nba)
     assert subset_of(0) == 0
@@ -492,11 +495,17 @@ def _check_numbered_table(nba: Nba, label) -> list[int]:
             if target not in reached:
                 reached.add(target)
                 frontier.append(target)
-    subsets = [subset_of(i) for i in range(max(reached | {0}) + 1)]
-    assert reached - {0, -1} == set(range(1, len(subsets))), label
+    numbered = sorted((reached | {0}) - {-1})
+    subsets = [subset_of(i) for i in numbered]
     assert len(set(subsets)) == len(subsets), label
-    with pytest.raises(IndexError):  # no id is numbered beyond those reached
-        subset_of(len(subsets))
+    live = per_state_nonempty(nba)
+    if fsm._scan(nba, live) is not None:
+        assert set(numbered) <= {0} | {q + 1 for q in live}, label
+        assert all(subset_of(i) == 1 << (i - 1) for i in numbered if i), label
+    else:
+        assert numbered == list(range(len(numbered))), label
+        with pytest.raises(IndexError):  # no id is numbered beyond those reached
+            subset_of(len(numbered))
     return subsets
 
 
@@ -629,11 +638,10 @@ def _one_event() -> Nba:
 )
 def test_a_deterministic_side_is_its_own_table(build, deterministic, numbered):
     """A side with one initial state whose live states that are not looping
-    read each event on one live edge at most is tabled whole, with no
-    subset construction: the live states are numbered breadth-first from
-    the start, a looping state is the marker and the states behind it are
-    not numbered, and dead states are neither successors nor checked for
-    an event read on two edges.  Two
+    read each event on one live edge at most steps its own states, with no
+    subset construction: state q is id q + 1, a looping state is the marker
+    and the states behind it are not reached, and dead states are neither
+    successors nor checked for an event read on two edges.  Two
     initial states, or one live state reading an event on two live edges,
     take the general construction, even when that state is the last the
     pass meets.  Either way the table numbers exactly what the bitset
@@ -648,14 +656,21 @@ def test_a_deterministic_side_is_its_own_table(build, deterministic, numbered):
 # --- a formula side that decides alone --------------------------------------------
 
 AB = Alphabet(["a", "b"])
-_CLASSES = {Verdict.BOT: "dead", Verdict.TOP: "universal", Verdict.UNKNOWN: "hopeless"}
+_CLASSES = {0: "dead", -2: "universal", -1: "hopeless"}
 
 
 def _decided_alone(nba: Nba):
     """:func:`partmon.fsm._decided_alone` of the automaton's live states,
-    from one :func:`partmon.fsm._scan` of them, as synthesis calls it."""
+    from one :func:`partmon.fsm._scan` of them, as synthesis calls it, as
+    each state's class: its id 0 is dead, -2 universal, -1 hopeless, and
+    any other id must be q + 1 for state q, whose class is ``?``.  None
+    when the side does not decide alone."""
     live = per_state_nonempty(nba)
-    return fsm._decided_alone(nba, live, fsm._scan(nba, live))
+    decided = fsm._decided_alone(nba, live, fsm._scan(nba, live))
+    if decided is None:
+        return None
+    assert all(i in _CLASSES or i == q + 1 for q, i in enumerate(decided)), (nba.edges, decided)
+    return [_CLASSES.get(i, "?") for i in decided]
 
 
 def _exits_without_marks() -> Nba:
@@ -787,7 +802,7 @@ def test_a_side_deciding_alone_classes_its_states_as_lassos_do(build, expected):
     nba = build()
     decided = _decided_alone(nba)
     assert decided is not None
-    classes = {q: _CLASSES.get(decided[q], "?") for q in expected}
+    classes = {q: decided[q] for q in expected}
     assert classes == expected
     assert _brute_force_classes(nba) == expected
 
@@ -807,10 +822,10 @@ def test_random_sides_deciding_alone_class_their_states_as_lassos_do():
         for _ in range(150):
             nba = build(rng)
             live = per_state_nonempty(nba)
-            decided = fsm._decided_alone(nba, live, fsm._scan(nba, live))
+            decided = _decided_alone(nba)
             assert decided is not None, nba.edges
             expected = _brute_force_classes(nba)
-            assert {q: _CLASSES.get(decided[q], "?") for q in expected} == expected, nba.edges
+            assert {q: decided[q] for q in expected} == expected, nba.edges
             for got in expected.values():
                 met[got] += 1
             carried = -1  # the marks every live edge carries
@@ -830,6 +845,58 @@ def test_a_side_with_an_event_on_two_live_edges_does_not_decide_alone():
     looping_twice = Nba(AB, [0], [[(0b11, 0, 1), (0b01, 1, 1)], [(0b11, 1, 1)]], 1, [0b01, 0b10])
     for nba in (_two_initial_states(), _nondeterministic_last(), looping_twice):
         assert _decided_alone(nba) is None
+
+
+def test_state_rows_step_each_state_to_its_live_successor():
+    """On both sides of the families and the corpus where the scan finds a
+    side that steps its own states, and on 300 seeded deterministic
+    automata, each id's :func:`partmon.fsm._state_rows` row gives, per
+    event, the id of the state's live successor as :func:`successors`
+    finds it: -1 for a looping successor, q + 1 for any other successor q
+    and 0 for none.  On a side that decides alone, the row gives the
+    successor's id from :func:`partmon.fsm._decided_alone` instead.  Ids
+    0, -1 and -2 step to themselves."""
+    rng = random.Random(0xACCE55)
+    cases = _family_formulas() + [(random_formula(rng, 4), ALPHA3) for _ in range(200)]
+    automata = [_tableau(phi, alphabet, negated) for phi, alphabet in cases for negated in (False, True)]
+    rng = random.Random(0x5747E)
+    automata += [_random_deterministic_automaton(rng) for _ in range(300)]
+    rows = strict = 0
+    for nba in automata:
+        live = per_state_nonempty(nba)
+        scan = fsm._scan(nba, live)
+        if scan is None:
+            continue
+        owes = nba.obligations
+
+        def live_successors(q, event):
+            return [dst for dst in successors(nba, q, event) if dst in live]
+
+        looping = {
+            q
+            for q in live
+            if all(any(not owes[d] & ~owes[q] for d in live_successors(q, e)) for e in nba.alphabet)
+        }
+        ids = scan[1]
+        assert {q: ids[q] for q in live} == {q: -1 if q in looping else q + 1 for q in live}, nba.edges
+        sides = [(ids, live - looping)]
+        decided = fsm._decided_alone(nba, live, scan)
+        if decided is not None:
+            sides.append((decided, {q for q in live if decided[q] == q + 1}))
+        for ids, stepped in sides:
+            row = fsm._state_rows(nba, ids)
+            for sink in (0, -1, -2):
+                assert row(sink) == (sink,) * len(nba.alphabet)
+            for q in stepped:
+                expected = []
+                for event in nba.alphabet:
+                    got = live_successors(q, event)
+                    assert len(got) <= 1, (nba.edges, q, event)
+                    expected.append(ids[got[0]] if got else 0)
+                assert row(q + 1) == tuple(expected), (nba.edges, q)
+                rows += 1
+                strict += ids is decided
+    assert rows >= 5000 and strict >= 2000, (rows, strict)
 
 
 def test_synthesized_machines_pass_the_public_constructors():

@@ -51,15 +51,18 @@ every row's inputs, untimed.  The rows, each timed over the whole set but
 
 Size lines follow each set's rows: tableau states and edges per side, the
 negation sides not built, the φ sides that decide alone and their states,
-the sides synthesis tables without a subset construction (deterministic over
-their live states, looping ones aside; for φ, among the sides that neither
-decide alone nor are unsatisfiable) and their states, and the product and
-minimal states; and a short sha256 over the ``edges``, ``obligations`` and
-``num_marks`` of every φ and ¬φ tableau those lines count, so that a copy
-that changes any automaton prints two differing lines.  ``replay`` times
-``cli.main(["run", "-m", PMF, "-t", TRACE])``, stdout to devnull, and
-``run_trace`` on the events already read, on the X^8 monitor of ``perfbench/workloads.py`` and a
-100,000-event undecided trace, both written once.
+the sides whose ids are their tableau states, with no subset construction
+(deterministic over their live states, looping ones aside; for φ, among the
+sides that neither decide alone nor are unsatisfiable) and their states,
+and the product and minimal states; and a short sha256 over the ``edges``,
+``obligations`` and ``num_marks`` of every φ and ¬φ tableau those lines
+count, so that a copy that changes any automaton prints two differing
+lines.  A last size line gives each copy's ``src/partmon`` line count, in
+total and per file, so that a change's line counts come from the run that
+times it.  ``replay`` times ``cli.main(["run", "-m", PMF, "-t", TRACE])``,
+stdout to devnull, and ``run_trace`` on the events already read, on the X^8
+monitor of ``perfbench/workloads.py`` and a 100,000-event undecided trace,
+both written once.
 
 One untimed round warms both copies up.  Then each of ``--rounds`` rounds
 (default 30, at least 2) times every row once with each copy, the first
@@ -199,7 +202,7 @@ def stage_rows(pm, formulas) -> tuple[dict, list[str]]:
         for side, nbas in (("φ", pos), ("¬φ", neg))
     )
 
-    def tabled(nbas):
+    def stepped(nbas):
         got = [nba for nba in nbas if deterministic(pm, nba)]
         return f"{len(got)} of {len(nbas)} ({states(got)} of {states(nbas)} states)"
 
@@ -208,7 +211,7 @@ def stage_rows(pm, formulas) -> tuple[dict, list[str]]:
     sizes = [
         f"tableaux {sides}; {len(pos) - len(neg)} ¬φ not built",
         f"φ sides deciding alone, no ¬φ and no pairs: {len(deciding)} of {len(pos)} ({states(deciding)} states)",
-        f"deterministic sides, tabled without subsets: φ {tabled(paired)}, ¬φ {tabled(neg)}",
+        f"deterministic sides, ids their states, no subsets: φ {stepped(paired)}, ¬φ {stepped(neg)}",
         f"states product {states(products)}, minimal {states(minimal)}",
         f"tableaux sha256 {hashlib.sha256(automata.encode()).hexdigest()[:16]}",
     ]
@@ -245,10 +248,10 @@ def decides_alone(pm, nba) -> bool:
 
 
 def deterministic(pm, nba) -> bool:
-    """Whether synthesis tables this side without a subset construction:
-    it has one initial state, and each live state reads each event on one
-    edge to a live state at most, unless it is looping (its edges to live
-    states owing no more read every event)."""
+    """Whether this side's ids are its tableau states, with no subset
+    construction: it has one initial state, and each live state reads each
+    event on one edge to a live state at most, unless it is looping (its
+    edges to live states owing no more read every event)."""
     if len(nba.initial) > 1:
         return False
     live = pm.per_state_nonempty(nba)
@@ -265,6 +268,19 @@ def deterministic(pm, nba) -> bool:
         if tangled and covered != everything:
             return False
     return True
+
+
+def line_counts(checkout: str) -> list[str]:
+    """The checkout's ``src/partmon`` size line: its line count, in total
+    and per file."""
+    source = os.path.join(checkout, "src", "partmon")
+    counts = {}
+    for name in sorted(os.listdir(source)):
+        if name.endswith(".py"):
+            with open(os.path.join(source, name), encoding="utf-8") as handle:
+                counts[name] = sum(1 for _ in handle)
+    files = ", ".join(f"{name} {count}" for name, count in counts.items())
+    return [f"src/partmon {sum(counts.values())} lines: {files}"]
 
 
 def replay_rows(pm, pmf: str, trace: str, events: list[str]) -> tuple[dict, list[str]]:
@@ -370,8 +386,9 @@ def main() -> None:
                 for row, prepare in set_rows.items():
                     rows.setdefault(name, {}).setdefault(row, {})[copy] = prepare
         times = interleave(rows, args.rounds)
-    for name, set_times in times.items():
-        for row, by_copy in with_product(set_times).items():
+    sizes["code"] = {"old": line_counts(args.old), "new": line_counts(args.new)}
+    for name in [*times, "code"]:
+        for row, by_copy in with_product(times.get(name, {})).items():
             medians = {}
             for copy, samples in by_copy.items():
                 q1, medians[copy], q3 = statistics.quantiles(samples, n=4)
