@@ -60,6 +60,7 @@ from .ltl import (
     _BINARY,
     _DUAL,
     _UNARY,
+    _check_alphabet,
     _check_depth,
 )
 
@@ -90,8 +91,7 @@ class Nba:
         num_marks: int,
         obligations: Sequence[int],
     ):
-        if not isinstance(alphabet, Alphabet):
-            raise TypeError(f"not an alphabet: {alphabet!r}")
+        _check_alphabet(alphabet)
         rows = tuple(tuple(row) for row in edges)
         self._fill(alphabet, frozenset(initial), rows, num_marks, tuple(obligations))
         if len(self.obligations) != self.num_states:
@@ -255,8 +255,7 @@ def _walk(
     each X subformula, its obligation bit mapped to its operand's.
     """
     _check_depth(phi)
-    if not isinstance(alphabet, Alphabet):
-        raise TypeError(f"not an alphabet: {alphabet!r}")
+    _check_alphabet(alphabet)
     # Obligation i, the i-th subformula in canonical order, is bit i of an
     # obligation set.  One walk, children first, numbers each distinct
     # subformula of the normal form once its operands are numbered and builds

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 from .buchi import Nba, _tableau
 from .graphs import bits, explore, fair_nodes, reachable_from
-from .ltl import Alphabet, Formula
+from .ltl import Alphabet, Formula, _check_alphabet
 
 
 class Verdict(Enum):
@@ -416,8 +416,7 @@ class MooreMonitor:
         delta: Sequence[Sequence[int]],
         outputs: Sequence[Verdict],
     ):
-        if not isinstance(alphabet, Alphabet):
-            raise TypeError(f"not an alphabet: {alphabet!r}")
+        _check_alphabet(alphabet)
         rows = tuple(tuple(row) for row in delta)
         verdicts = tuple(outputs)
         if not 0 <= initial < num_states:

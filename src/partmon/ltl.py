@@ -206,9 +206,7 @@ class Atom(Formula):
     _fields = ("name",)
 
     def __init__(self, name: str):
-        _set_name(self, _check_event_name(name))
-        _set_depth(self, 0)
-        _set_hash(self, hash((Atom, name)))
+        _fill_atom(self, _check_event_name(name))
 
 
 class _Unary(Formula):
@@ -218,11 +216,7 @@ class _Unary(Formula):
     def __init__(self, arg: Formula):
         if arg.__class__ not in _NODES:
             raise TypeError(f"not a formula: {arg!r}")
-        _set_arg(self, arg)
-        # The one place that says a negated atom is a leaf.
-        leaf = self.__class__ is Not and arg.__class__ is Atom
-        _set_depth(self, 0 if leaf else arg.depth + 1)
-        _set_hash(self, hash((self.__class__, arg._hash)))
+        _fill_unary(self, arg)
 
 
 class _Binary(Formula):
@@ -234,16 +228,42 @@ class _Binary(Formula):
             raise TypeError(f"not a formula: {left!r}")
         if right.__class__ not in _NODES:
             raise TypeError(f"not a formula: {right!r}")
-        _set_left(self, left)
-        _set_right(self, right)
-        depth = left.depth if left.depth > right.depth else right.depth
-        _set_depth(self, depth + 1)
-        _set_hash(self, hash((self.__class__, left._hash, right._hash)))
+        _fill_binary(self, left, right)
 
 
-# The constructors store through the slots, past the __setattr__ that refuses it.
+# The fill routines store a node's fields, depth and hash through the slots,
+# past the __setattr__ that refuses it, and check nothing.  The constructors
+# call them once the name or children pass; the parser and the normal forms
+# call them on `object.__new__(cls)`, since they hold only children they
+# built themselves or took from a tree already built.
 _set_depth, _set_hash, _set_name = Formula.depth.__set__, Formula._hash.__set__, Atom.name.__set__
 _set_arg, _set_left, _set_right = _Unary.arg.__set__, _Binary.left.__set__, _Binary.right.__set__
+_new = object.__new__
+
+
+def _fill_atom(node: Atom, name: str) -> Atom:
+    _set_name(node, name)
+    _set_depth(node, 0)
+    _set_hash(node, hash((Atom, name)))
+    return node
+
+
+def _fill_unary(node: _Unary, arg: Formula) -> _Unary:
+    _set_arg(node, arg)
+    # The one place that says a negated atom is a leaf.
+    leaf = node.__class__ is Not and arg.__class__ is Atom
+    _set_depth(node, 0 if leaf else arg.depth + 1)
+    _set_hash(node, hash((node.__class__, arg._hash)))
+    return node
+
+
+def _fill_binary(node: _Binary, left: Formula, right: Formula) -> _Binary:
+    _set_left(node, left)
+    _set_right(node, right)
+    depth = left.depth if left.depth > right.depth else right.depth
+    _set_depth(node, depth + 1)
+    _set_hash(node, hash((node.__class__, left._hash, right._hash)))
+    return node
 
 
 class Not(_Unary):
@@ -321,11 +341,19 @@ def _check_depth(phi: Formula) -> None:
         raise FormulaTooDeepError()
 
 
+def _check_alphabet(alphabet: Alphabet) -> None:
+    """Refuse anything but an Alphabet, whose ``in`` tests whole event names
+    (on a str it would test substrings)."""
+    if not isinstance(alphabet, Alphabet):
+        raise TypeError(f"not an alphabet: {alphabet!r}")
+
+
 def validate_formula(phi: Formula, alphabet: Alphabet) -> None:
     """Raise FormulaTooDeepError if the formula is nested deeper than
     :data:`MAX_FORMULA_DEPTH`, and UnknownAtomError if it mentions an event
     outside the alphabet."""
     _check_depth(phi)
+    _check_alphabet(alphabet)
     for name in atoms_in_order(phi):
         if name not in alphabet:
             raise UnknownAtomError(name)
@@ -371,15 +399,18 @@ RESERVED_WORDS = frozenset(word for word in (*_CONSTANTS, *_SPELLINGS) if word.i
 #: reads a file with.
 COMMENT_RE = re.compile(r"#[^\r\n]*")
 
+# One token: a word, a spelling or a parenthesis.  Words come first, so "Xa"
+# is one name, and a spelling that is a word needs no branch of its own.
+# Words are ASCII, as event names are: any other letter is an unexpected
+# character.
+_SYMBOLS = "|".join(re.escape(spelling) for spelling in _SPELLINGS if not spelling.isidentifier())
+_TOKEN = rf"{_WORD_RE.pattern}|{_SYMBOLS}|[()]"
 # Each match is the whitespace and comments before a token (group 1), then
 # the token (group 2), empty at the end of the text, or a character that
-# starts no token (group 3).  Words come first, so "Xa" is one name.  Words
-# are ASCII, as event names are: any other letter is an unexpected character.
-_TOKEN_RE = re.compile(
-    rf"((?:\s|{COMMENT_RE.pattern})*)"
-    rf"(?:({_WORD_RE.pattern}|{'|'.join(map(re.escape, _SPELLINGS))}|[()]|\Z)|(.))",
-    re.DOTALL,
-)
+# starts no token (group 3).
+_TOKEN_RE = re.compile(rf"((?:\s|{COMMENT_RE.pattern})*)(?:({_TOKEN}|\Z)|(.))", re.DOTALL)
+# The tokens alone, for text that holds nothing else but whitespace.
+_TOKEN_TEXT_RE = re.compile(f"({_TOKEN})")
 
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
@@ -400,96 +431,40 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     return tokens
 
 
+def _tokens(text: str) -> list[str]:
+    """The tokens of :func:`_tokenize` without their positions.  Text whose
+    tokens and whitespace are all of it is read by one ``findall``; other
+    text, a comment's or a stray character's, goes through :func:`_tokenize`,
+    which refuses a stray character.  A ``#`` is in no token, so a comment
+    always makes the lengths below differ."""
+    tokens = _TOKEN_TEXT_RE.findall(text)
+    if len("".join(tokens)) != len("".join(text.split())):
+        return [token for token, _ in _tokenize(text)]
+    tokens.append("")
+    return tokens
+
+
 #: Deepest nesting :func:`parse_formula` accepts, where every operator and
-#: every pair of parentheses is one level.  Deeper text is rejected before the
-#: parser recurses that far, which keeps the parser and every recursive pass
-#: over a parsed formula well inside Python's recursion limit.
+#: every pair of parentheses is one level.  Deeper text is rejected, which
+#: keeps every recursive pass over a parsed formula well inside Python's
+#: recursion limit.
 #: Every pass over a tree built in code holds it to the same number of nested
 #: operators, its ``depth``; a parsed tree always passes, since the parser
 #: counts at least as many levels.
 MAX_FORMULA_DEPTH = 100
 
-_Parsed = tuple[Formula, int]  # a subtree and its nesting depth
-
-
-class _Parser:
-    def __init__(self, text: str, alphabet: Alphabet | None):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.alphabet = alphabet
-        self.open = 0  # levels the parser is nested in right now
-
-    def descend(self, at: int, parse, *args) -> _Parsed:
-        """Parse a subformula one nesting level further down."""
-        self.open += 1
-        if self.open > MAX_FORMULA_DEPTH:
-            raise _too_deep(at)
-        parsed = parse(*args)
-        self.open -= 1
-        return parsed
-
-    @staticmethod
-    def level(at: int, depth: int) -> int:
-        """Depth of a level over a subtree this deep."""
-        depth += 1
-        if depth > MAX_FORMULA_DEPTH:
-            raise _too_deep(at)
-        return depth
-
-    def parse(self) -> Formula:
-        phi, _ = self.binary(0)
-        text, at = self.tokens[self.pos]
-        if text:
-            raise FormulaSyntaxError(f"unexpected {text!r} after formula", at)
-        return phi
-
-    def binary(self, min_level: int) -> _Parsed:
-        """Operands joined by binary operators of ``min_level`` or above.  An
-        operator that groups to the right takes the rest at its own level as
-        its right operand, one nesting level down; one that groups to the
-        left takes only what binds tighter, and the loop goes on."""
-        left, depth = self.unary()
-        while True:
-            text, at = self.tokens[self.pos]
-            op = _SPELLINGS.get(text)
-            if op not in _BINARY or _BINARY[op][1] < min_level:
-                return left, depth
-            self.pos += 1
-            _, level, right_assoc = _BINARY[op]
-            if right_assoc:
-                right, right_depth = self.descend(at, self.binary, level)
-            else:
-                right, right_depth = self.binary(level + 1)
-            left = op(left, right)
-            depth = self.level(at, depth if depth > right_depth else right_depth)
-
-    def unary(self) -> _Parsed:
-        text, at = self.tokens[self.pos]
-        self.pos += 1
-        op = _SPELLINGS.get(text)
-        if op in _UNARY:
-            arg, depth = self.descend(at, self.unary)
-            return op(arg), self.level(at, depth)
-        if text in _CONSTANTS:
-            return _CONSTANTS[text], 0
-        if text.isidentifier() and text not in RESERVED_WORDS:
-            if self.alphabet is not None and text not in self.alphabet:
-                raise UnknownAtomError(text, at)
-            return Atom(text), 0
-        if text == "(":
-            phi, depth = self.descend(at, self.binary, 0)
-            t, p = self.tokens[self.pos]
-            self.pos += 1
-            if t != ")":
-                raise FormulaSyntaxError(f"expected ')', found {t!r}" if t else "expected ')'", p)
-            return phi, self.level(at, depth)
-        if not text:
-            raise FormulaSyntaxError("expected a formula, found end of input", at)
-        raise FormulaSyntaxError(f"expected a formula, found {text!r}", at)
-
-
-def _too_deep(at: int) -> FormulaSyntaxError:
-    return FormulaSyntaxError(f"formula nested deeper than {MAX_FORMULA_DEPTH} levels", at)
+# Each binary spelling: its class, its level, whether it groups to the
+# right, and the lowest level of the operators it closes when it is read
+# after an operand.  A left-grouping operator closes those of its own level
+# too, a right-grouping one only those that bind tighter.
+_INFIX = {
+    spelling: (op, level, right, level + right) for op, (spelling, level, right) in _BINARY.items()
+}
+# The unary spellings, and "(" as None: what opens before an operand.
+_PREFIX = {spelling: op for spelling, op in _SPELLINGS.items() if op in _UNARY}
+_PREFIX["("] = None
+# Levels below every operator's: an open "(", and the floor under the text.
+_PAREN, _FLOOR = -1, -2
 
 
 def parse_formula(text: str, alphabet: Alphabet | None = None) -> Formula:
@@ -501,7 +476,98 @@ def parse_formula(text: str, alphabet: Alphabet | None = None) -> Formula:
     UnknownAtomError; without one, any identifier is accepted.  Text nested
     deeper than :data:`MAX_FORMULA_DEPTH` levels raises FormulaSyntaxError.
     """
-    return _Parser(text, alphabet).parse()
+    if not isinstance(text, str):
+        raise TypeError(f"formula text is not a str: {text!r}")
+    if alphabet is not None:
+        _check_alphabet(alphabet)
+    # One operator-precedence loop reads each token once, without recursion.
+    # `pending` holds each operator and "(" still open, as its level, its
+    # class (None for "(") and its token's index, above the floor; `operands`
+    # the left operand of each pending binary operator, with its depth.  A
+    # depth here counts a pair of parentheses as a level.  `nested` counts
+    # the pending "(", unary and right-grouping operators.
+    tokens = _tokens(text)
+    atoms: dict[str, Atom] = {}  # one node per name
+    operands: list[tuple[Formula, int]] = []
+    pending: list[tuple[int, type | None, int]] = [(_FLOOR, None, -1)]
+    nested = 0
+    i = 0
+    while True:
+        # An operand: its unary operators and "(", then a leaf.
+        token = tokens[i]
+        node = atoms.get(token)
+        if node is None:
+            if token in _PREFIX:
+                nested += 1
+                if nested > MAX_FORMULA_DEPTH:
+                    raise _too_deep(text, i)
+                op = _PREFIX[token]
+                pending.append((_PAREN if op is None else _UNARY_LEVEL, op, i))
+                i += 1
+                continue
+            node = _CONSTANTS.get(token)
+            if node is None:
+                if not token.isidentifier() or token in RESERVED_WORDS:
+                    found = repr(token) if token else "end of input"
+                    raise FormulaSyntaxError(f"expected a formula, found {found}", _position(text, i))
+                if alphabet is not None and token not in alphabet:
+                    raise UnknownAtomError(token, _position(text, i))
+                node = atoms[token] = _fill_atom(_new(Atom), token)
+        depth = 0
+        i += 1
+        # What follows the operand closes the operators it completes,
+        # innermost first; then a binary operator opens and an operand
+        # follows, or a ")" closes its "(" and what follows that is read, or
+        # the text ends.
+        while True:
+            token = tokens[i]
+            infix = _INFIX.get(token)
+            closes = infix[3] if infix else 0
+            while pending[-1][0] >= closes:
+                level, op, at = pending.pop()
+                if level == _UNARY_LEVEL:
+                    nested -= 1
+                    node = _fill_unary(_new(op), node)
+                else:
+                    left, left_depth = operands.pop()
+                    nested -= _BINARY[op][2]
+                    depth = left_depth if left_depth > depth else depth
+                    node = _fill_binary(_new(op), left, node)
+                depth += 1
+                if depth > MAX_FORMULA_DEPTH:
+                    raise _too_deep(text, at)
+            if infix:
+                op, level, right, _ = infix
+                nested += right
+                if nested > MAX_FORMULA_DEPTH:
+                    raise _too_deep(text, i)
+                pending.append((level, op, i))
+                operands.append((node, depth))
+                i += 1
+                break
+            if pending[-1][0] == _FLOOR:
+                if token:
+                    raise FormulaSyntaxError(f"unexpected {token!r} after formula", _position(text, i))
+                return node
+            if token != ")":
+                found = f", found {token!r}" if token else ""
+                raise FormulaSyntaxError(f"expected ')'{found}", _position(text, i))
+            _, _, at = pending.pop()
+            nested -= 1
+            depth += 1
+            if depth > MAX_FORMULA_DEPTH:
+                raise _too_deep(text, at)
+            i += 1
+
+
+def _position(text: str, index: int) -> int:
+    """Where the token of that index starts, found only for an error."""
+    return _tokenize(text)[index][1]
+
+
+def _too_deep(text: str, index: int) -> FormulaSyntaxError:
+    message = f"formula nested deeper than {MAX_FORMULA_DEPTH} levels"
+    return FormulaSyntaxError(message, _position(text, index))
 
 
 def _fmt(phi: Formula, min_level: int) -> str:
@@ -546,20 +612,22 @@ def _nnf(f: Formula, neg: bool, done: dict[tuple[Formula, bool], Formula]) -> Fo
     op = f.__class__
     if op is Not:
         return _nnf(f.arg, not neg, done)
-    # Equal subformulas, literals included, come out as one object.
+    # Equal subformulas, literals included, come out as one object.  Every
+    # child is a node of the input tree or one built here, so none is checked.
     out = done.get((f, neg))
     if out is None:
         if op is Atom:
-            out = Not(f) if neg else f
+            out = _fill_unary(_new(Not), f) if neg else f
         elif op is Implies:
             # l -> r is rewritten as !l | r before pushing negations.
-            out = (And if neg else Or)(_nnf(f.left, not neg, done), _nnf(f.right, neg, done))
+            left = _nnf(f.left, not neg, done)
+            out = _fill_binary(_new(And if neg else Or), left, _nnf(f.right, neg, done))
         else:
             dual = _DUAL[op] if neg else op
             if op in _BINARY:
-                out = dual(_nnf(f.left, neg, done), _nnf(f.right, neg, done))
+                out = _fill_binary(_new(dual), _nnf(f.left, neg, done), _nnf(f.right, neg, done))
             elif op in _UNARY:
-                out = dual(_nnf(f.arg, neg, done))
+                out = _fill_unary(_new(dual), _nnf(f.arg, neg, done))
             else:
                 out = dual()
         done[f, neg] = out

@@ -4,6 +4,8 @@ import copy
 import hashlib
 import pickle
 import random
+import re
+import sys
 import time
 from functools import reduce
 
@@ -33,7 +35,9 @@ from partmon.ltl import (
     UnknownAtomError,
     UnknownEventError,
     Until,
+    _tokenize,
     atoms_in_order,
+    children,
     format_formula,
     lasso_eval,
     negate_nnf,
@@ -42,6 +46,7 @@ from partmon.ltl import (
     validate_formula,
 )
 
+from partmon import ltl
 from partmon.buchi import ltl_to_nba
 from partmon.formats import emit_monitor
 from partmon.fsm import monitor_verdict, synthesize_monitor
@@ -169,6 +174,27 @@ def test_parse_non_ascii_letters_are_syntax_errors(text, position):
     assert exc.value.position == position
 
 
+@pytest.mark.parametrize("alphabet", ["xaby", ["ab", "y"], {"ab": 0, "y": 1}])
+def test_parse_and_validate_refuse_an_alphabet_that_is_not_an_alphabet(alphabet):
+    """``in`` on a str tests substrings, so "xaby" once read the atom ab as
+    one of its events; synthesis refuses it with the same message."""
+    message = f"^not an alphabet: {re.escape(repr(alphabet))}$"
+    with pytest.raises(TypeError, match=message):
+        parse_formula("ab & y", alphabet)
+    with pytest.raises(TypeError, match=message):
+        validate_formula(parse_formula("ab"), alphabet)
+    with pytest.raises(TypeError, match=message):
+        synthesize_monitor(parse_formula("ab"), alphabet)
+    assert parse_formula("ab & y", None) == And(Atom("ab"), Atom("y"))
+
+
+@pytest.mark.parametrize("text", [b"ev1", bytearray(b"ev1"), None, 3, ["ev1"]])
+def test_parse_refuses_text_that_is_not_a_str(text):
+    for alphabet in (None, ALPHA3):
+        with pytest.raises(TypeError, match=f"^formula text is not a str: {re.escape(repr(text))}$"):
+            parse_formula(text, alphabet)
+
+
 # Formula-shaped pieces, so that generated text also reaches the parser
 # beyond the tokenizer.
 _FORMULA_PIECES = st.lists(
@@ -239,6 +265,43 @@ def test_parse_and_print_outcomes_are_unchanged():
         for alphabet in (None, ALPHA3):
             digest.update(repr(_syntax_outcome(text, alphabet)).encode() + b"\n")
     assert digest.hexdigest() == SYNTAX_SHA256
+
+
+# Every character str.isspace() accepts: what str.split() drops, so what
+# the one-findall scan takes for whitespace.
+_WHITESPACE = tuple(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+
+
+def _scan_texts():
+    rng = random.Random(35)
+    comments = ("# c\n", "# c\r", "# c\r\n", "#\r\n", "#&ev1\n")
+    pieces = _SOUP_PIECES + _WHITESPACE * 2 + comments * 4
+    for _ in range(20_000):
+        yield "".join(rng.choices(pieces, k=rng.randint(0, 14)))
+
+
+def test_the_fast_scan_and_the_positional_scan_agree(monkeypatch):
+    """Text without a comment is read by one findall when its tokens and the
+    characters str.split() drops make up all of it; the positional scan
+    skips what re's \\s matches.  The two sets are equal, so on every text
+    both scans read the same tokens or refuse it with the same error, and
+    of the texts the positional scan accepts, it rereads only those with a
+    comment."""
+    everything = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert tuple(re.findall(r"\s", everything)) == _WHITESPACE
+    scanned = []
+    monkeypatch.setattr(ltl, "_tokenize", lambda text: scanned.append(text) or _tokenize(text))
+    for text in _scan_texts():
+        try:
+            positional = [token for token, _ in _tokenize(text)]
+        except FormulaSyntaxError as exc:
+            with pytest.raises(FormulaSyntaxError) as refused:
+                ltl._tokens(text)
+            assert (str(refused.value), refused.value.position) == (str(exc), exc.position)
+            continue
+        scanned.clear()
+        assert ltl._tokens(text) == positional, repr(text)
+        assert ("#" in text) == bool(scanned), repr(text)
 
 
 @pytest.mark.parametrize("shape", sorted(_DEEP_SHAPES))
@@ -347,6 +410,45 @@ def test_node_contract():
     twin = reduce(lambda f, _: Next(f), range(1500), Atom("ev1"))
     chain_hash, twin_hash, depth = hash(chain), hash(twin), chain.depth
     assert chain_hash == twin_hash and depth == 1500
+
+
+def _preorder(phi):
+    stack = [phi]
+    while stack:
+        f = stack.pop()
+        yield f
+        stack.extend(reversed(children(f)))
+
+
+def test_one_parse_shares_its_atoms():
+    """Each distinct atom of one parse is one object, checked against the
+    alphabet once; the tree equals the one the public constructors build,
+    node for node, and gives the same tableau.  Those constructors still
+    check what they are given."""
+    phi = parse_formula("ev1 & X ev1", ALPHA3)
+    assert phi.left is phi.right.arg
+    built = And(Atom("ev1"), Next(Atom("ev1")))
+    assert phi == built
+    rng = random.Random(36)
+    for tree in [built, *(random_formula(rng, 5) for _ in range(300))]:
+        parsed = parse_formula(format_formula(tree), ALPHA3)
+        atoms = {}
+        for node in _preorder(parsed):
+            if isinstance(node, Atom):
+                assert atoms.setdefault(node.name, node) is node
+        shape = [(f.__class__, f.depth, hash(f)) for f in _preorder(parsed)]
+        assert shape == [(f.__class__, f.depth, hash(f)) for f in _preorder(tree)]
+        for negated in (False, True):
+            got = ltl_to_nba(Not(parsed) if negated else parsed, ALPHA3)
+            want = ltl_to_nba(Not(tree) if negated else tree, ALPHA3)
+            assert (got.initial, got.edges, got.num_marks, got.obligations) == (
+                want.initial, want.edges, want.num_marks, want.obligations
+            )
+    for name in ("1ev", "true", "U", "é", "", 3):
+        with pytest.raises(ValueError, match="^invalid event name"):
+            Atom(name)
+    with pytest.raises(TypeError, match="^not a formula: 'ev1'"):
+        And(Atom("ev1"), "ev1")
 
 
 def _doubled(op, phi, levels):
