@@ -12,15 +12,22 @@ move that owes no more and leaves no more marks pending than another
 dominates it, and the other keeps only the events no move dominating it
 reads (Babiak, Křetínský, Řehák and Strejček 2012); a move left reading
 nothing is dropped, so the states only dropped moves lead to are never
-built.  An X obligation's one move reads every event and owes its
-operand, so a state owing X obligations takes the product of the rest of
-what it owes, shared by every state owing that rest, and ORs their operands
-into each move's next obligations.  The full product is folded instead only
-where some move of the rest already owes one of those operands; otherwise
-the OR neither merges nor separates moves and creates or undoes no
-domination, so the automaton is the one the full product gives, edge order
-included.  The marks are kept as they are: emptiness and lasso
-membership check every mark directly, so no counter product is ever built.
+built.  Every move list is thus left as it is by that pass, so a state's
+product starts at its lowest obligation's own list.  The walk numbers an
+Until or Release after all of its operands, so each move its unfolding
+adds owes the node's own obligation, which no operand move owes: an added
+move never merges with or dominates an operand move, and the pass there
+runs one way, taking from each added move the events read by the operand
+moves that dominate it.  An X obligation's one move reads every event and
+owes its operand, so a state owing X obligations takes the product of the
+rest of what it owes, shared by every state owing that rest, and ORs their
+operands into each move's next obligations.  The full product is folded
+instead only where some move of the rest already owes one of those
+operands; otherwise the OR neither merges nor separates moves and creates
+or undoes no domination, so the automaton is the one the full product
+gives, edge order included.  The marks are kept as they are: emptiness
+and lasso membership check every mark directly, so no counter product is
+ever built.
 One worklist loop builds the states breadth-first from the start: it takes
 each state in the order it was first met, builds its edges, and numbers
 each edge's target the first time it meets it.
@@ -92,6 +99,10 @@ class Nba:
         obligations: Sequence[int],
     ):
         _check_alphabet(alphabet)
+        if not isinstance(num_marks, int):
+            raise TypeError(f"mark count is not an int: {num_marks!r}")
+        if num_marks < 0:
+            raise ValueError(f"mark count {num_marks} is negative")
         rows = tuple(tuple(row) for row in edges)
         self._fill(alphabet, frozenset(initial), rows, num_marks, tuple(obligations))
         if len(self.obligations) != self.num_states:
@@ -176,7 +187,7 @@ def _tableau(phi: Formula, alphabet: Alphabet, negated: bool) -> Nba:
     # dominated move loses the events its dominators read, and one left
     # reading nothing is dropped, before its target is numbered.
     stay = [((1 << len(alphabet)) - 1, 0, 0)]
-    products: dict[int, list[_Move]] = {0: stay}
+    products: dict[int, list[_Move]] = {}
 
     # An X obligation's one move reads every event and owes its operand, so
     # its factor in the product only ORs that operand's bit into each move's
@@ -220,7 +231,11 @@ def _tableau(phi: Formula, alphabet: Alphabet, negated: bool) -> Nba:
                     # The bits could relate two moves: fold everything owed.
                     rest, added = owed, 0
                     break
-        prefix, row = 0, stay
+        # The fold starts at the lowest obligation's own moves: their product
+        # with stay's one move would give them back unchanged.
+        prefix = rest & -rest
+        row = moves[prefix.bit_length() - 1] if prefix else stay
+        rest ^= prefix
         while rest:
             low = rest & -rest
             rest ^= low
@@ -256,6 +271,7 @@ def _walk(
     """
     _check_depth(phi)
     _check_alphabet(alphabet)
+    index = alphabet._index
     # Obligation i, the i-th subformula in canonical order, is bit i of an
     # obligation set.  One walk, children first, numbers each distinct
     # subformula of the normal form once its operands are numbered and builds
@@ -303,12 +319,13 @@ def _walk(
             if i is None:
                 # The last entry of a key is the right operand or the only one.
                 if op is Atom:
-                    if f.name not in alphabet:
+                    at = index.get(f.name)
+                    if at is None:
                         raise UnknownAtomError(f.name)
-                    got = [(1 << alphabet.index(f.name), 0, 0)]
+                    got = [(1 << at, 0, 0)]
                 elif op is Not:
                     # Over a one-event alphabet the negation allows nothing.
-                    allows = everything & ~(1 << alphabet.index(f.name))
+                    allows = everything & ~(1 << index[f.name])
                     got = [(allows, 0, 0)] if allows else []
                 elif op is And:
                     got = _product(moves[key[1]], moves[key[2]])
@@ -325,14 +342,14 @@ def _walk(
                     right = moves[key[-1]]
                     mine, pend = 1 << len(moves), 1 << untils
                     untils += 1
-                    got = _undominated(right + [(g, n | mine, p | pend) for g, n, p in left])
+                    got = _combine(right, [(g, n | mine, p | pend) for g, n, p in left])
                 elif op is Release or op is Always:
                     # f = l R r unfolds to (l & r) | (r & X f), where G r's l
                     # is false.
                     left = moves[key[1]] if op is Release else []
                     right = moves[key[-1]]
                     mine = 1 << len(moves)
-                    got = _undominated(_product(left, right) + [(g, n | mine, p) for g, n, p in right])
+                    got = _combine(_product(left, right), [(g, n | mine, p) for g, n, p in right])
                 elif op is TrueFormula:
                     got = stay
                 else:  # FalseFormula
@@ -351,6 +368,11 @@ def _walk(
 
 def _product(left: list[_Move], right: list[_Move]) -> list[_Move]:
     """The moves that make one move of each list at once."""
+    if len(left) == 1 == len(right):
+        (g, n, p), (h, m, q) = left[0], right[0]
+        return [(g & h, n | m, p | q)] if g & h else []
+    if not left or not right:
+        return []
     return _undominated(
         [(g & h, n | m, p | q) for g, n, p in left for h, m, q in right if g & h]
     )
@@ -394,6 +416,29 @@ def _undominated(moves: list[_Move]) -> list[_Move]:
                     guard &= ~other_guard
                     if not guard:
                         break
+        else:
+            kept.append((guard, nxt, pending))
+    return kept
+
+
+def _combine(first: list[_Move], later: list[_Move]) -> list[_Move]:
+    """``_undominated(first + later)`` for two lists that are each their own
+    ``_undominated``, where every move of ``later`` owes an obligation no
+    move of ``first`` owes.
+
+    No ``later`` move then shares a key with a ``first`` move or dominates
+    one, so the ``first`` moves stay as they are, and each ``later`` move
+    only loses the events read by the ``first`` moves that dominate it.
+    """
+    if not first:
+        return later
+    kept = first.copy()
+    for guard, nxt, pending in later:
+        for other_guard, other_nxt, other_pending in first:
+            if guard & other_guard and other_nxt | nxt == nxt and other_pending | pending == pending:
+                guard &= ~other_guard
+                if not guard:
+                    break
         else:
             kept.append((guard, nxt, pending))
     return kept

@@ -1,16 +1,15 @@
-"""Shared test utilities: formula generators and equivalent rewrites of
-formulas, word families, golden machines, a second, deliberately naive
-semantics evaluator used to cross-check the fixpoint one, machine
-isomorphism, equivalence and a forward reachability check, the rule by
-which a formula's automaton decides every verdict alone, and the plain
-route that
-synthesis is checked against: the canonical subformula order, a
-state-based GPVW tableau over it, per-state emptiness from its definition,
-the subset construction and a pair-per-state product; the product over raw
-subset bitsets that synthesis's numbered side tables are checked against;
-the product over pairs of both sides' ids that its one-sided exploration
-is checked against; and the tableau's plain prefix fold, which its
-shortcut for X obligations is checked against.
+"""Shared test utilities: formula generators, the synthesis families and
+equivalent rewrites of formulas, word families, golden machines, a second,
+deliberately naive semantics evaluator used to cross-check the fixpoint
+one, machine isomorphism, equivalence and a forward reachability check, the
+rule by which a formula's automaton decides every verdict alone, and the
+plain route that synthesis is checked against: the canonical subformula
+order, a state-based GPVW tableau over it, per-state emptiness from its
+definition, the subset construction and a pair-per-state product; the
+product over raw subset bitsets that synthesis's numbered side tables are
+checked against; the product over pairs of both sides' ids that its
+one-sided exploration is checked against; and the tableau's plain prefix
+fold, which its shortcut for X obligations is checked against.
 """
 
 from __future__ import annotations
@@ -52,6 +51,7 @@ from partmon.ltl import (
     children,
     negate_nnf,
     nnf,
+    parse_formula,
     validate_formula,
 )
 
@@ -87,6 +87,21 @@ def next_heavy_formula(rng: random.Random, depth: int, names=NAMES3) -> Formula:
     if op in _UNARY_OPS:
         return op(next_heavy_formula(rng, depth - 1, names))
     return op(next_heavy_formula(rng, depth - 1, names), next_heavy_formula(rng, depth - 1, names))
+
+
+def family_formulas() -> list[tuple[Formula, Alphabet]]:
+    """The synthesis families over their alphabets: radiation, resp-2/3,
+    <>(a & X^k b) for k = 4..10 and the conjunction of []<>e_i for n = 2..5."""
+    rad = "rad_low U ((rad_high & <>mv_dec) | (rad_medium & []<>(insp_t1 | insp_t2)))"
+    cases = [(rad, ["rad_low", "rad_high", "rad_medium", "mv_dec", "insp_t1", "insp_t2"])]
+    for n in (2, 3):
+        events = [e for i in range(n) for e in (f"r{i}", f"g{i}")] + ["idle"]
+        cases.append((" & ".join(f"[](r{i} -> <>g{i})" for i in range(n)), events))
+    cases += [("<>(a & " + "X " * k + "b)", ["a", "b", "c"]) for k in range(4, 11)]
+    for n in range(2, 6):
+        events = [f"e{i}" for i in range(n)] + ["z"]
+        cases.append((" & ".join(f"[]<>e{i}" for i in range(n)), events))
+    return [(parse_formula(text, Alphabet(events)), Alphabet(events)) for text, events in cases]
 
 
 def _root_rewrites(phi: Formula) -> list[Formula]:

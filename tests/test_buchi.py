@@ -5,7 +5,17 @@ from functools import reduce
 
 import pytest
 
-from partmon.buchi import Nba, ltl_to_nba, nba_accepts_lasso
+import partmon.buchi as buchi
+from partmon.buchi import (
+    Nba,
+    _combine,
+    _owed_by,
+    _product,
+    _undominated,
+    _walk,
+    ltl_to_nba,
+    nba_accepts_lasso,
+)
 from partmon.fsm import per_state_nonempty
 from partmon.graphs import bits
 from partmon.ltl import (
@@ -26,7 +36,16 @@ from partmon.ltl import (
     parse_formula,
 )
 
-from helpers import ALPHA3, NAMES3, all_lassos, gpvw_nba, random_formula, state_nba, subformulas
+from helpers import (
+    ALPHA3,
+    NAMES3,
+    all_lassos,
+    family_formulas,
+    gpvw_nba,
+    random_formula,
+    state_nba,
+    subformulas,
+)
 
 
 def test_eventually_membership():
@@ -154,6 +173,19 @@ def test_nba_validates_structure():
         Nba(ALPHA3, [0], [[], loop], 1, (1,))  # one obligation set short
     with pytest.raises(TypeError, match="^not an alphabet: "):
         Nba(["ev1", "ev2", "ev3"], [0], [[], loop], 1, (1, 2))
+
+
+def test_nba_refuses_a_mark_count_that_is_negative_or_not_an_int():
+    """A negative count made ``per_state_nonempty`` call an edgeless state
+    nonempty, and failed on a negative shift count once a state had an
+    edge."""
+    for edges in ([[]], [[(0b111, 0, 0)]]):
+        with pytest.raises(ValueError, match="^mark count -1 is negative$"):
+            Nba(ALPHA3, [0], edges, -1, [0])
+        for count in (1.0, "1", None):
+            with pytest.raises(TypeError, match="^mark count is not an int: "):
+                Nba(ALPHA3, [0], edges, count, [0])
+    assert per_state_nonempty(Nba(ALPHA3, [0], [[]], 0, [0])) == frozenset()
 
 
 def test_the_tableau_refuses_an_alphabet_that_is_not_an_alphabet():
@@ -362,3 +394,64 @@ def test_a_literal_no_event_satisfies_has_no_moves(text):
         nba = ltl_to_nba(goal, _ONE_EVENT)
         for word in all_lassos(("a",), 2, 2):
             assert nba_accepts_lasso(nba, word) == lasso_eval(goal, word), (goal, word)
+
+
+# --- the move algebra -----------------------------------------------------------
+
+
+def _walked_cases():
+    """The families, the 200-formula corpus and 2,000 seeded depth-5 draws."""
+    rng = random.Random(0xACCE55)
+    cases = family_formulas() + [(random_formula(rng, 4), ALPHA3) for _ in range(200)]
+    rng = random.Random(0xC0B1E)
+    return cases + [(random_formula(rng, 5), ALPHA3) for _ in range(2000)]
+
+
+def test_the_one_way_combine_is_the_general_domination_pass(monkeypatch):
+    """An Until or Release is numbered after all its operands, so each move
+    its unfolding adds owes the node's own bit, which no operand move owes.
+    Such a move shares no key with an operand move and dominates none, so
+    :func:`_combine` keeps the operand moves as they are and only trims the
+    added ones.  Every call made while walking both polarities of the
+    families, the corpus, the draws and two formulas whose added moves an
+    operand move owing less does not dominate, as it leaves an F's mark
+    pending, meets that precondition and gives what ``_undominated`` gives
+    on the two lists joined."""
+    calls = []
+
+    def recording(first, later):
+        calls.append((first, later))
+        return _combine(first, later)
+
+    monkeypatch.setattr(buchi, "_combine", recording)
+    marked = [(parse_formula(text, ALPHA3), ALPHA3) for text in ("X <>ev1 U <>ev1", "<>ev1 R X <>ev1")]
+    for phi, alphabet in _walked_cases() + marked:
+        for negated in (False, True):
+            _walk(phi, alphabet, negated)
+    assert len(calls) > 5000
+    pending_decided = 0
+    for first, later in calls:
+        owed = _owed_by(first)
+        assert all(nxt & ~owed for _, nxt, _ in later), (first, later)
+        combined = _combine(first, later)
+        assert combined[: len(first)] == first, (first, later)
+        assert combined == _undominated(first + later), (first, later)
+        pending_decided += any(
+            g & h and m | n == n and q | p != p for g, n, p in later for h, m, q in first
+        )
+    assert pending_decided >= 2
+
+
+def test_every_move_list_is_its_own_domination_pass_and_product_with_stay():
+    """A state's row folds from its lowest obligation's own move list, not
+    from that list's product with the one move of a state owing nothing,
+    which reads every event and owes nothing: every move list the walk
+    builds is left as it is by ``_undominated`` and by that product, either
+    way round."""
+    for phi, alphabet in _walked_cases():
+        stay = [((1 << len(alphabet)) - 1, 0, 0)]
+        for negated in (False, True):
+            moves = _walk(phi, alphabet, negated)[0]
+            for got in moves:
+                assert _undominated(got) == got, (phi, negated, got)
+                assert _product(stay, got) == got == _product(got, stay), (phi, negated, got)

@@ -63,6 +63,7 @@ from helpers import (
     determinize,
     equivalent_rewrite,
     eventually_ev1_machine,
+    family_formulas,
     is_nnf,
     live_subsets,
     mixed_branches_machine,
@@ -131,26 +132,11 @@ def test_per_state_nonempty_matches_lasso_membership():
             assert any(nba_accepts_lasso(shifted, w) for w in family) == (state in live)
 
 
-def _family_formulas():
-    """The synthesis families over their alphabets: radiation, resp-2/3,
-    <>(a & X^k b) for k = 4..10 and the conjunction of []<>e_i for n = 2..5."""
-    rad = "rad_low U ((rad_high & <>mv_dec) | (rad_medium & []<>(insp_t1 | insp_t2)))"
-    cases = [(rad, ["rad_low", "rad_high", "rad_medium", "mv_dec", "insp_t1", "insp_t2"])]
-    for n in (2, 3):
-        events = [e for i in range(n) for e in (f"r{i}", f"g{i}")] + ["idle"]
-        cases.append((" & ".join(f"[](r{i} -> <>g{i})" for i in range(n)), events))
-    cases += [("<>(a & " + "X " * k + "b)", ["a", "b", "c"]) for k in range(4, 11)]
-    for n in range(2, 6):
-        events = [f"e{i}" for i in range(n)] + ["z"]
-        cases.append((" & ".join(f"[]<>e{i}" for i in range(n)), events))
-    return [(parse_formula(text, Alphabet(events)), Alphabet(events)) for text, events in cases]
-
-
 def test_per_state_nonempty_matches_the_definition():
     """The fixpoint's live states are those the definition-based reference
     finds, on both sides of the families, the 200-formula corpus and 300
     deeper random draws."""
-    cases = _family_formulas()
+    cases = family_formulas()
     rng = random.Random(0xACCE55)
     cases += [(random_formula(rng, 4), ALPHA3) for _ in range(200)]
     rng = random.Random(7)
@@ -327,7 +313,7 @@ def test_a_side_starting_at_minus_one_gives_the_pair_product():
     decides alone builds another machine, which must give the product's
     verdict on every trace."""
     rng = random.Random(0xACCE55)
-    cases = _family_formulas() + [(random_formula(rng, 4), ALPHA3) for _ in range(200)]
+    cases = family_formulas() + [(random_formula(rng, 4), ALPHA3) for _ in range(200)]
     for k in range(11):
         cases.append((parse_formula("<>(a & " + "X " * k + "b)", ABC), ABC))
         cases.append((parse_formula("[](a -> " + "X " * k + "b)", ABC), ABC))
@@ -369,7 +355,7 @@ def test_a_subset_holding_a_looping_state_never_empties():
     a live state.  Every live state with a self-loop on every event is
     looping, and some sides have more looping states than those."""
     rng = random.Random(0xACCE55)
-    cases = _family_formulas() + [(random_formula(rng, 4), ALPHA3) for _ in range(200)]
+    cases = family_formulas() + [(random_formula(rng, 4), ALPHA3) for _ in range(200)]
     marked = searched = widened = 0
     for phi, alphabet in cases:
         for formula in (nnf(phi), negate_nnf(phi)):
@@ -449,7 +435,7 @@ def test_numbered_side_tables_give_the_bitset_products():
     machine must give the bitset product's verdict on every trace, and the
     minimal machines must still be equal byte for byte."""
     rng = random.Random(0xACCE55)
-    cases = _family_formulas() + [(random_formula(rng, 4), ALPHA3) for _ in range(200)]
+    cases = family_formulas() + [(random_formula(rng, 4), ALPHA3) for _ in range(200)]
     rng = random.Random(0xD16E57)
     cases += [(random_formula(rng, 5), ALPHA3) for _ in range(300)]
     cases += list(_widened_draws(100))
@@ -513,7 +499,7 @@ def test_each_side_numbers_its_cut_subsets_once_and_densely():
     """:func:`_check_numbered_table` on both sides of the families, the
     corpus and the widened draws."""
     rng = random.Random(0xACCE55)
-    cases = _family_formulas() + [(random_formula(rng, 4), ALPHA3) for _ in range(200)]
+    cases = family_formulas() + [(random_formula(rng, 4), ALPHA3) for _ in range(200)]
     cases += list(_widened_draws(100))
     for phi, alphabet in cases:
         for negated in (False, True):
@@ -857,7 +843,7 @@ def test_state_rows_step_each_state_to_its_live_successor():
     successor's id from :func:`partmon.fsm._decided_alone` instead.  Ids
     0, -1 and -2 step to themselves."""
     rng = random.Random(0xACCE55)
-    cases = _family_formulas() + [(random_formula(rng, 4), ALPHA3) for _ in range(200)]
+    cases = family_formulas() + [(random_formula(rng, 4), ALPHA3) for _ in range(200)]
     automata = [_tableau(phi, alphabet, negated) for phi, alphabet in cases for negated in (False, True)]
     rng = random.Random(0x5747E)
     automata += [_random_deterministic_automaton(rng) for _ in range(300)]
@@ -905,7 +891,7 @@ def test_synthesized_machines_pass_the_public_constructors():
     accepted by them and rebuild equal, minimized or not, but for the mark
     that only minimize_moore sets, and partialize to equal machines."""
     rng = random.Random(0xACCE55)
-    cases = _family_formulas() + [(random_formula(rng, 4), ALPHA3) for _ in range(200)]
+    cases = family_formulas() + [(random_formula(rng, 4), ALPHA3) for _ in range(200)]
     for phi, alphabet in cases:
         for negated in (False, True):
             nba = _tableau(phi, alphabet, negated)
@@ -980,7 +966,7 @@ def test_partialize_scans_a_minimal_machine_as_the_sweep_labels_it(monkeypatch):
         return Verdict.GIVEUP in scanned.outputs and Verdict.GIVEUP not in machine.outputs
 
     rng = random.Random(0xACCE55)
-    cases = _family_formulas() + [(random_formula(rng, 4), ALPHA3) for _ in range(200)]
+    cases = family_formulas() + [(random_formula(rng, 4), ALPHA3) for _ in range(200)]
     for k in range(11):
         cases.append((parse_formula("<>(a & " + "X " * k + "b)", ABC), ABC))
         cases.append((parse_formula("[](a -> " + "X " * k + "b)", ABC), ABC))
@@ -1008,7 +994,7 @@ def test_synthesis_leaves_no_reference_cycles():
     classifying and emitting the families and the corpus leaves it nothing
     to free."""
     rng = random.Random(0xACCE55)
-    cases = _family_formulas() + [(random_formula(rng, 4), ALPHA3) for _ in range(200)]
+    cases = family_formulas() + [(random_formula(rng, 4), ALPHA3) for _ in range(200)]
     enabled = gc.isenabled()
     gc.collect()
     gc.disable()
@@ -1066,7 +1052,7 @@ def test_synthesized_machines_are_marked_canonical():
     canonically numbered, as is its partialized form, and the mark holds:
     a breadth-first search from state 0 discovers 0, 1, 2, ... in order."""
     rng = random.Random(0xACCE55)
-    cases = _family_formulas() + [(random_formula(rng, 4), ALPHA3) for _ in range(200)]
+    cases = family_formulas() + [(random_formula(rng, 4), ALPHA3) for _ in range(200)]
     for phi, alphabet in cases:
         for minimize in (False, True):
             machine = synthesize_monitor(phi, alphabet, minimize=minimize)
@@ -1163,7 +1149,7 @@ FAMILIES_AND_DRAWS_SHA256 = "d9c7a330288c6481a7d9b3b975a312cf3965826361b115b5afc
 
 def test_family_and_draw_pmfs_and_reports_are_unchanged():
     rng = random.Random(0xD16E57)
-    cases = _family_formulas() + [(random_formula(rng, 5), ALPHA3) for _ in range(300)]
+    cases = family_formulas() + [(random_formula(rng, 5), ALPHA3) for _ in range(300)]
     digest = hashlib.sha256()
     for phi, alphabet in cases:
         machine = synthesize_monitor(phi, alphabet)
@@ -1189,7 +1175,7 @@ LASSO_VERDICTS_SHA256 = "4383b8c09127375880f4dae6889a009846cc1da1e98646f68c4baca
 
 def _pinned_cases():
     rng = random.Random(0xACCE55)
-    cases = _family_formulas() + [(random_formula(rng, 4), ALPHA3) for _ in range(200)]
+    cases = family_formulas() + [(random_formula(rng, 4), ALPHA3) for _ in range(200)]
     rng = random.Random(0xD16E57)
     return cases + [(random_formula(rng, 5), ALPHA3) for _ in range(300)]
 
